@@ -21,7 +21,13 @@ from .coeff import (
     scalar_is_zero,
     substitute_params,
 )
-from .identities import CHECKERS, PreconditionError, run_checker
+from .identities import (
+    CHECKERS,
+    PreconditionError,
+    hom_associator,
+    hom_super_jacobian,
+    run_checker,
+)
 from .io import parse_algebra_file, parse_expression, serialize_report
 from .maps import derived, is_even, is_morphism, is_weak_morphism, untwist, yau_twist
 from .report import IdentityReport
@@ -32,8 +38,6 @@ from .superalg import (
     SuperAlgebra,
     commutator_algebra,
     hom,
-    hom_associator,
-    hom_super_jacobian,
     multiply,
     plus_algebra,
     validate,

@@ -81,12 +81,7 @@ def load_document(entry_id: str) -> AlgebraDocument:
 
 
 def variant_names(entry_id: str) -> Tuple[str, ...]:
-    doc = load_document(entry_id)
-    out = ["base"]
-    for m in doc.maps:
-        out.append(m)
-        out.append(f"{m}-untwisted")
-    return tuple(out)
+    return document_variants(load_document(entry_id))
 
 
 @dataclass

@@ -1,4 +1,14 @@
-"""Decision procedures for the twisted super-identities.
+"""The twisted multilinear forms, the identity checkers built from them,
+and the runner.
+
+Each form has one definition here, on the evaluation context `_Ctx`: the
+twisted associator `as_vec`, the Hom-super-Jacobian `jform`, the cyclic sum
+`sform`, the super-commutator `bracket`, and the graded Bruck-Kleinfeld
+functions on basis slots, `_f_basis` and `_F_basis`.  `_Ctx` multiplies and
+twists with the kernels of `superalg`.  The public forms (`hom_associator`,
+`hom_super_jacobian`, `cyclic_hom_associator`, `bk_f`, `bk_F`) take Scalar
+vectors and evaluate through the same context; the brute-force `oracle` is
+the one independent second route.
 
 Every checker walks all homogeneous basis tuples of its arity in
 lexicographic order, evaluates the residual LHS - RHS of its identity
@@ -7,7 +17,8 @@ computed from the parities of the tuple slots as the identity is written;
 derived arguments such as brackets or alpha-images inherit the formula
 parity of the letters they were built from, so the checks stay well defined
 even on tables whose grading is broken (the bundled examples contain one
-such twist).
+such twist).  The public forms read their signs from the parities of their
+arguments, so the signed ones insist on homogeneous arguments.
 
 The module-level CHECKERS registry maps the stable checker names used by
 the CLI to their implementations.
@@ -19,10 +30,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .report import IdentityReport
+from .maps import compose
+from .report import IdentityReport, Vector
 from .superalg import (
     AlgebraError,
     HomSuperAlgebra,
+    SuperAlgebra,
     commutator_algebra,
     is_super_commutative,
     is_super_skewsymmetric,
@@ -32,6 +45,10 @@ from .superalg import (
 
 class CheckError(AlgebraError):
     pass
+
+
+class HomogeneityError(AlgebraError):
+    """A sign-bearing form got a mixed-parity argument."""
 
 
 class UnknownCheckerError(CheckError):
@@ -49,92 +66,36 @@ class PreconditionError(CheckError):
 
 
 class _Ctx:
-    """Unwrapped evaluation context: raw payload tables and field ops."""
+    """Unwrapped evaluation context: raw payload tables, field ops, and the
+    product and map kernels of the algebra and its twist."""
 
     __slots__ = (
         "F", "dim", "par", "names", "c", "acols", "a2cols", "zero",
-        "bvecs", "_as_cache", "cnz", "anz", "a2nz",
+        "bvecs", "_as_cache", "mul", "al", "al2",
     )
 
     def __init__(self, H: HomSuperAlgebra):
         A = H.algebra
         F = A.field
+        alpha2 = compose(H.alpha, H.alpha)
         self.F = F
         self.dim = A.dim
         self.par = A.basis.parities
         self.names = A.basis.names
         self.c = A.table
         self.acols = H.alpha.cols
-        self.a2cols = tuple(self._matvec(self.acols, col) for col in self.acols)
+        self.a2cols = alpha2.cols
         self.zero = tuple(F.zero for _ in range(A.dim))
         self.bvecs = tuple(
             tuple(F.one if i == j else F.zero for i in range(A.dim))
             for j in range(A.dim)
         )
         self._as_cache: Dict[Tuple[int, int, int], tuple] = {}
-        isz = F.is_zero
-        self.cnz = tuple(
-            tuple(
-                tuple((k, ck) for k, ck in enumerate(self.c[i][j]) if not isz(ck))
-                for j in range(self.dim)
-            )
-            for i in range(self.dim)
-        )
-        self.anz = tuple(
-            tuple((i, m) for i, m in enumerate(col) if not isz(m))
-            for col in self.acols
-        )
-        self.a2nz = tuple(
-            tuple((i, m) for i, m in enumerate(col) if not isz(m))
-            for col in self.a2cols
-        )
-
-    # -- linear pieces
-
-    def _matvec(self, cols, u):
-        F = self.F
-        out = [F.zero] * self.dim
-        for j, uj in enumerate(u):
-            if F.is_zero(uj):
-                continue
-            col = cols[j]
-            for i, m in enumerate(col):
-                if not F.is_zero(m):
-                    out[i] = F.add(out[i], F.mul(m, uj))
-        return tuple(out)
-
-    def _matvec_nz(self, colnz, u):
-        F = self.F
-        add, mulf, isz = F.add, F.mul, F.is_zero
-        out = [F.zero] * self.dim
-        for j, uj in enumerate(u):
-            if isz(uj):
-                continue
-            for i, m in colnz[j]:
-                out[i] = add(out[i], mulf(m, uj))
-        return tuple(out)
-
-    def al(self, u):
-        return self._matvec_nz(self.anz, u)
-
-    def al2(self, u):
-        return self._matvec_nz(self.a2nz, u)
-
-    def mul(self, u, v):
-        F = self.F
-        add, mulf, isz = F.add, F.mul, F.is_zero
-        out = [F.zero] * self.dim
-        for i, ui in enumerate(u):
-            if isz(ui):
-                continue
-            row = self.cnz[i]
-            for j, vj in enumerate(v):
-                if isz(vj):
-                    continue
-                uv = mulf(ui, vj)
-                for k, ck in row[j]:
-                    out[k] = add(out[k], mulf(uv, ck))
-        return tuple(out)
+        # the kernels themselves, bound: mul(u, v), al(u) = alpha(u),
+        # al2(u) = alpha^2(u) on payload vectors
+        self.mul = A._mul_payload
+        self.al = H.alpha.apply_payload
+        self.al2 = alpha2.apply_payload
 
     # -- vector combinators
 
@@ -625,6 +586,10 @@ def run_checker(
         chk = CHECKERS[name]
     except KeyError:
         raise UnknownCheckerError(name) from None
+    if max_counterexamples < 1:
+        raise CheckError(
+            f"max_counterexamples must be at least 1, got {max_counterexamples}"
+        )
     _check_requirement(name, H, chk.requires)
     ctx, res_fn = chk.make(H)
     dim = ctx.dim
@@ -681,3 +646,78 @@ def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     else:
         raise CheckError(f"unknown value form {form!r}")
     return tuple(ctx.F.scalar(x) for x in out)
+
+
+# ---------------------------------------------------------------------------
+# Public forms.  They take Scalar vectors and evaluate through _Ctx; the
+# signed forms demand homogeneous arguments wherever the identity reads a
+# parity.
+# ---------------------------------------------------------------------------
+
+
+def _homogeneous_parity(A: SuperAlgebra, u: Vector, slot: str) -> int:
+    p = A.parity_of(u)
+    if p is None:
+        raise HomogeneityError(f"argument {slot} has mixed parity")
+    return p
+
+
+def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
+    """as(x,y,z) = mu(mu(x,y), a(z)) - mu(a(x), mu(y,z)); no signs, any vectors."""
+    A = H.algebra
+    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
+    return A._wrap(_Ctx(H).as_vec(xp, yp, zp))
+
+
+def hom_super_jacobian(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
+    """J(x,y,z) = [[x,y],a(z)] - [a(x),[y,z]] - (-1)^(|y||z|)[[x,z],a(y)].
+
+    y and z must be homogeneous so the sign is defined.
+    """
+    A = H.algebra
+    py = _homogeneous_parity(A, y, "y")
+    pz = _homogeneous_parity(A, z, "z")
+    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
+    return A._wrap(_Ctx(H).jform(xp, yp, zp, py * pz))
+
+
+def cyclic_hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
+    """S(x,y,z) = as(x,y,z) + (-1)^(|x|(|y|+|z|)) as(y,z,x)
+                + (-1)^(|z|(|x|+|y|)) as(z,x,y); homogeneous arguments."""
+    A = H.algebra
+    px = _homogeneous_parity(A, x, "x")
+    py = _homogeneous_parity(A, y, "y")
+    pz = _homogeneous_parity(A, z, "z")
+    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
+    return A._wrap(_Ctx(H).sform(xp, yp, zp, px, py, pz))
+
+
+def _bk_extension(H: HomSuperAlgebra, basis_form, args) -> Vector:
+    """Multilinear extension of a basis-slot form over the nonzero
+    coordinates of its homogeneous arguments (t, x, y, z)."""
+    A = H.algebra
+    for v, slot in zip(args, "txyz"):
+        _homogeneous_parity(A, v, slot)
+    ctx = _Ctx(H)
+    F = ctx.F
+    supports = [
+        [(i, a) for i, a in enumerate(A._unwrap(v)) if not F.is_zero(a)] for v in args
+    ]
+    out = ctx.zero
+    for picks in itertools.product(*supports):
+        coeff = F.one
+        for _, a in picks:
+            coeff = F.mul(coeff, a)
+        term = basis_form(ctx, *(i for i, _ in picks))
+        out = ctx.add(out, tuple(F.mul(coeff, x) for x in term))
+    return A._wrap(out)
+
+
+def bk_f(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
+    """Graded Bruck-Kleinfeld f(t,x,y,z); homogeneous arguments."""
+    return _bk_extension(H, _f_basis, (t, x, y, z))
+
+
+def bk_F(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
+    """Graded Bruck-Kleinfeld F(t,x,y,z); homogeneous arguments."""
+    return _bk_extension(H, _F_basis, (t, x, y, z))

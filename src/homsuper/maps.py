@@ -21,9 +21,7 @@ from .superalg import (
     DimensionError,
     EvenLinearMap,
     HomSuperAlgebra,
-    Multiplicativity,
     SuperAlgebra,
-    check_multiplicative,
 )
 
 
@@ -164,14 +162,7 @@ def yau_twist(H: HomSuperAlgebra, beta: EvenLinearMap) -> HomSuperAlgebra:
     report = is_weak_morphism(H.algebra, H.algebra, beta)
     if not report.holds:
         raise NotEndomorphismError(report.first_tuple())
-    twisted = compose_product(H.algebra, beta)
-    alpha = compose(beta, H.alpha)
-    flag = (
-        Multiplicativity.VERIFIED_TRUE
-        if check_multiplicative(twisted, alpha).holds
-        else Multiplicativity.VERIFIED_FALSE
-    )
-    return HomSuperAlgebra(twisted, alpha, flag)
+    return HomSuperAlgebra(compose_product(H.algebra, beta), compose(beta, H.alpha))
 
 
 def untwist(H: HomSuperAlgebra) -> SuperAlgebra:
@@ -183,19 +174,13 @@ def derived(H: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     """n-th derived algebra: product alpha^(2^n - 1) . mu, twist alpha^(2^n)."""
     if n < 0:
         raise MapError("derived level must be nonnegative")
-    if H.multiplicative is not Multiplicativity.VERIFIED_TRUE:
+    if not is_weak_morphism(H.algebra, H.algebra, H.alpha).holds:
         raise MultiplicativityError(
             "derived algebra needs verified multiplicativity"
         )
     if n == 0:
         return H
     k = 2**n
-    product_map = power(H.alpha, k - 1)
-    twisted = compose_product(H.algebra, product_map)
-    alpha = power(H.alpha, k)
-    flag = (
-        Multiplicativity.VERIFIED_TRUE
-        if check_multiplicative(twisted, alpha).holds
-        else Multiplicativity.VERIFIED_FALSE
+    return HomSuperAlgebra(
+        compose_product(H.algebra, power(H.alpha, k - 1)), power(H.alpha, k)
     )
-    return HomSuperAlgebra(twisted, alpha, flag)

@@ -20,7 +20,11 @@ class IdentityReport:
 
     def __post_init__(self):
         # holds iff there are no counterexamples (the cap never drops them all)
-        assert self.holds == (len(self.counterexamples) == 0)
+        if self.holds != (len(self.counterexamples) == 0):
+            raise ValueError(
+                f"{self.identity}: holds={self.holds} with "
+                f"{len(self.counterexamples)} counterexamples"
+            )
 
     def first_tuple(self) -> Tuple[str, ...]:
         if self.holds:

@@ -1,21 +1,17 @@
-"""Z2-graded algebras given by structure constants, plus the multilinear
-forms the identity checkers are built from.
+"""Z2-graded algebras given by structure constants: the data, the product
+and map kernels, the grading checks and the commutator / plus constructions.
 
 An algebra is an ordered homogeneous basis (names + parities) together with a
 dense 3-index table: `c[i][j]` is the coordinate vector of the product of
 basis elements i and j.  Entries are raw field payloads (see coeff); the
 public operations speak `Scalar` vectors and unwrap at the boundary.
 
-Sign conventions: every (-1)^(...) exponent is computed from the parities of
-the *arguments written in the identity*, never from the support of derived
-vectors.  On homogeneous inputs the two agree; the public trilinear and
-quadrilinear forms therefore insist on homogeneous arguments where a sign is
-involved.
+The multilinear forms built from these kernels (twisted associator,
+Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -29,10 +25,6 @@ class AlgebraError(Exception):
 
 class DimensionError(AlgebraError):
     pass
-
-
-class HomogeneityError(AlgebraError):
-    """A sign-bearing form got a mixed-parity argument."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,7 @@ PayloadVector = Tuple[object, ...]
 class SuperAlgebra:
     """Basis + structure constants + coefficient field."""
 
-    __slots__ = ("basis", "field", "table")
+    __slots__ = ("basis", "field", "table", "_nz")
 
     def __init__(self, basis: Basis, field: Field, table: Sequence[Sequence[PayloadVector]]):
         n = len(basis)
@@ -77,6 +69,12 @@ class SuperAlgebra:
         self.basis = basis
         self.field = field
         self.table = tuple(tuple(tuple(vec) for vec in row) for row in table)
+        # _nz[i][j]: the (k, c[i][j][k]) pairs with a nonzero constant
+        isz = field.is_zero
+        self._nz = tuple(
+            tuple(tuple((k, ck) for k, ck in enumerate(vec) if not isz(ck)) for vec in row)
+            for row in self.table
+        )
 
     @property
     def dim(self) -> int:
@@ -136,20 +134,21 @@ class SuperAlgebra:
     # -- raw product --------------------------------------------------------
 
     def _mul_payload(self, u: PayloadVector, v: PayloadVector) -> PayloadVector:
+        """The product kernel: bilinear extension over the nonzero constants."""
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
-        out = [F.zero] * self.dim
+        nz = self._nz
+        out = [F.zero] * len(nz)
         for i, ui in enumerate(u):
             if is_zero(ui):
                 continue
-            row = self.table[i]
+            row = nz[i]
             for j, vj in enumerate(v):
                 if is_zero(vj):
                     continue
                 uv = mul(ui, vj)
-                for k, c in enumerate(row[j]):
-                    if not is_zero(c):
-                        out[k] = add(out[k], mul(uv, c))
+                for k, ck in row[j]:
+                    out[k] = add(out[k], mul(uv, ck))
         return tuple(out)
 
 
@@ -209,7 +208,7 @@ def is_super_skewsymmetric(A: SuperAlgebra) -> IdentityReport:
 class EvenLinearMap:
     """Square matrix over the basis; column j is the image of basis element j."""
 
-    __slots__ = ("field", "cols")
+    __slots__ = ("field", "cols", "_nz")
 
     def __init__(self, field: Field, cols: Sequence[PayloadVector]):
         n = len(cols)
@@ -217,6 +216,11 @@ class EvenLinearMap:
             raise DimensionError("map matrix is not square")
         self.field = field
         self.cols = tuple(tuple(c) for c in cols)
+        # _nz[j]: the (i, m[i][j]) pairs with a nonzero entry in column j
+        isz = field.is_zero
+        self._nz = tuple(
+            tuple((i, m) for i, m in enumerate(col) if not isz(m)) for col in self.cols
+        )
 
     @property
     def dim(self) -> int:
@@ -255,47 +259,26 @@ class EvenLinearMap:
         return Scalar(self.field, self.cols[j][i])
 
     def apply_payload(self, u: PayloadVector) -> PayloadVector:
+        """The map kernel: matrix-vector product over the nonzero entries."""
         F = self.field
-        out = [F.zero] * self.dim
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        nz = self._nz
+        out = [F.zero] * len(nz)
         for j, uj in enumerate(u):
-            if F.is_zero(uj):
+            if is_zero(uj):
                 continue
-            col = self.cols[j]
-            for i, m in enumerate(col):
-                if not F.is_zero(m):
-                    out[i] = F.add(out[i], F.mul(m, uj))
+            for i, m in nz[j]:
+                out[i] = add(out[i], mul(m, uj))
         return tuple(out)
 
     def apply(self, A: SuperAlgebra, u: Vector) -> Vector:
         return A._wrap(self.apply_payload(A._unwrap(u)))
 
 
-class Multiplicativity(enum.Enum):
-    VERIFIED_TRUE = "verified-true"
-    VERIFIED_FALSE = "verified-false"
-    UNCHECKED = "unchecked"
-
-
-def check_multiplicative(A: SuperAlgebra, alpha: EvenLinearMap) -> IdentityReport:
-    """alpha(mu(ei,ej)) = mu(alpha(ei), alpha(ej)) on all basis pairs."""
-    F = A.field
-    bad = []
-    cols = alpha.cols
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = alpha.apply_payload(A.table[i][j])
-            rhs = A._mul_payload(cols[i], cols[j])
-            res = tuple(F.sub(x, y) for x, y in zip(lhs, rhs))
-            if any(not F.is_zero(x) for x in res):
-                bad.append(((A.basis.names[i], A.basis.names[j]), A._wrap(res)))
-    return IdentityReport("multiplicative", not bad, tuple(bad), A.dim * A.dim)
-
-
 @dataclass
 class HomSuperAlgebra:
     algebra: SuperAlgebra
     alpha: EvenLinearMap
-    multiplicative: Multiplicativity = Multiplicativity.UNCHECKED
 
     def __post_init__(self):
         if self.alpha.dim != self.algebra.dim:
@@ -313,16 +296,10 @@ class HomSuperAlgebra:
 
 
 def hom(A: SuperAlgebra, alpha: Optional[EvenLinearMap] = None) -> HomSuperAlgebra:
-    """Pair an algebra with a twist (identity by default), verifying the
-    multiplicativity flag eagerly."""
+    """Pair an algebra with a twist (identity by default)."""
     if alpha is None:
         alpha = EvenLinearMap.identity(A.field, A.dim)
-    flag = (
-        Multiplicativity.VERIFIED_TRUE
-        if check_multiplicative(A, alpha).holds
-        else Multiplicativity.VERIFIED_FALSE
-    )
-    return HomSuperAlgebra(A, alpha, flag)
+    return HomSuperAlgebra(A, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +323,7 @@ def commutator_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
             )
             row.append(vec)
         table.append(row)
-    return hom_like(H, SuperAlgebra(A.basis, F, table))
+    return HomSuperAlgebra(SuperAlgebra(A.basis, F, table), H.alpha)
 
 
 def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
@@ -368,164 +345,4 @@ def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
             )
             row.append(vec)
         table.append(row)
-    return hom_like(H, SuperAlgebra(A.basis, F, table))
-
-
-def hom_like(H: HomSuperAlgebra, A: SuperAlgebra) -> HomSuperAlgebra:
-    """Same twist as H over a rebuilt product; multiplicativity re-verified."""
-    flag = (
-        Multiplicativity.VERIFIED_TRUE
-        if check_multiplicative(A, H.alpha).holds
-        else Multiplicativity.VERIFIED_FALSE
-    )
-    return HomSuperAlgebra(A, H.alpha, flag)
-
-
-# ---------------------------------------------------------------------------
-# Multilinear forms.  Public entry points take Scalar vectors; the signed
-# forms demand homogeneous arguments wherever the identity reads a parity.
-# ---------------------------------------------------------------------------
-
-
-def _homogeneous_parity(A: SuperAlgebra, u: Vector, slot: str) -> int:
-    p = A.parity_of(u)
-    if p is None:
-        raise HomogeneityError(f"argument {slot} has mixed parity")
-    return p
-
-
-def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """as(x,y,z) = mu(mu(x,y), a(z)) - mu(a(x), mu(y,z)); no signs, any vectors."""
-    A = H.algebra
-    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
-    return A._wrap(_as_payload(H, xp, yp, zp))
-
-
-def _as_payload(H, x, y, z):
-    A = H.algebra
-    al = H.alpha.apply_payload
-    return tuple(
-        A.field.sub(u, v)
-        for u, v in zip(
-            A._mul_payload(A._mul_payload(x, y), al(z)),
-            A._mul_payload(al(x), A._mul_payload(y, z)),
-        )
-    )
-
-
-def _j_payload(H, x, y, z, py: int, pz: int):
-    """Hom-super-Jacobian with the (y,z) sign supplied by the caller."""
-    A = H.algebra
-    F = A.field
-    al = H.alpha.apply_payload
-    t1 = A._mul_payload(A._mul_payload(x, y), al(z))
-    t2 = A._mul_payload(al(x), A._mul_payload(y, z))
-    t3 = A._mul_payload(A._mul_payload(x, z), al(y))
-    sgn = (py * pz) % 2
-    out = []
-    for a, b, c in zip(t1, t2, t3):
-        v = F.sub(a, b)
-        out.append(F.add(v, c) if sgn else F.sub(v, c))
-    return tuple(out)
-
-
-def hom_super_jacobian(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """J(x,y,z) = [[x,y],a(z)] - [a(x),[y,z]] - (-1)^(|y||z|)[[x,z],a(y)].
-
-    y and z must be homogeneous so the sign is defined.
-    """
-    A = H.algebra
-    py = _homogeneous_parity(A, y, "y")
-    pz = _homogeneous_parity(A, z, "z")
-    return A._wrap(_j_payload(H, A._unwrap(x), A._unwrap(y), A._unwrap(z), py, pz))
-
-
-def cyclic_hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """S(x,y,z) = as(x,y,z) + (-1)^(|x|(|y|+|z|)) as(y,z,x)
-                + (-1)^(|z|(|x|+|y|)) as(z,x,y); homogeneous arguments."""
-    A = H.algebra
-    px = _homogeneous_parity(A, x, "x")
-    py = _homogeneous_parity(A, y, "y")
-    pz = _homogeneous_parity(A, z, "z")
-    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
-    return A._wrap(_s_payload(H, xp, yp, zp, px, py, pz))
-
-
-def _s_payload(H, x, y, z, px, py, pz):
-    F = H.algebra.field
-    t1 = _as_payload(H, x, y, z)
-    t2 = _as_payload(H, y, z, x)
-    t3 = _as_payload(H, z, x, y)
-    s2 = (px * (py + pz)) % 2
-    s3 = (pz * (px + py)) % 2
-    out = []
-    for a, b, c in zip(t1, t2, t3):
-        v = F.sub(a, b) if s2 else F.add(a, b)
-        out.append(F.sub(v, c) if s3 else F.add(v, c))
-    return tuple(out)
-
-
-def _bracket_payload(H, u, v, pu, pv):
-    """Super-commutator of mu on payload vectors with given parities."""
-    A = H.algebra
-    F = A.field
-    uv = A._mul_payload(u, v)
-    vu = A._mul_payload(v, u)
-    if (pu * pv) % 2:
-        return tuple(F.add(a, b) for a, b in zip(uv, vu))
-    return tuple(F.sub(a, b) for a, b in zip(uv, vu))
-
-
-def _f_payload(H, t, x, y, z, pt, px, py, pz):
-    """Graded Bruck-Kleinfeld f(t,x,y,z)."""
-    A = H.algebra
-    F = A.field
-    al = H.alpha.apply_payload
-    al2 = lambda v: al(al(v))
-    term1 = _as_payload(H, A._mul_payload(t, x), al(y), al(z))
-    term2 = A._mul_payload(_as_payload(H, x, y, z), al2(t))
-    term3 = A._mul_payload(al2(x), _as_payload(H, t, y, z))
-    s2 = (pt * (px + py + pz)) % 2
-    s3 = (pt * px) % 2
-    out = []
-    for a, b, c in zip(term1, term2, term3):
-        v = F.add(a, b) if s2 else F.sub(a, b)
-        out.append(F.add(v, c) if s3 else F.sub(v, c))
-    return tuple(out)
-
-
-def _F_payload(H, t, x, y, z, pt, px, py, pz):
-    """Graded Bruck-Kleinfeld F via its four-term bracket form."""
-    A = H.algebra
-    F = A.field
-    al = H.alpha.apply_payload
-    al2 = lambda v: al(al(v))
-    Ssum = px + py + pz + pt
-    terms = (
-        (0, al2(t), _as_payload(H, x, y, z), pt),
-        (1 + pz * (Ssum - pz), al2(z), _as_payload(H, t, x, y), pz),
-        ((pt + px) * (py + pz), al2(y), _as_payload(H, z, t, x), py),
-        (1 + pt * (Ssum - pt), al2(x), _as_payload(H, y, z, t), px),
-    )
-    out = [F.zero] * A.dim
-    for sgn_exp, head, tail, phead in terms:
-        br = _bracket_payload(H, head, tail, phead, (Ssum - phead) % 2)
-        if sgn_exp % 2:
-            out = [F.sub(a, b) for a, b in zip(out, br)]
-        else:
-            out = [F.add(a, b) for a, b in zip(out, br)]
-    return tuple(out)
-
-
-def bk_f(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
-    A = H.algebra
-    ps = [_homogeneous_parity(A, v, s) for v, s in ((t, "t"), (x, "x"), (y, "y"), (z, "z"))]
-    vs = [A._unwrap(v) for v in (t, x, y, z)]
-    return A._wrap(_f_payload(H, *vs, *ps))
-
-
-def bk_F(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
-    A = H.algebra
-    ps = [_homogeneous_parity(A, v, s) for v, s in ((t, "t"), (x, "x"), (y, "y"), (z, "z"))]
-    vs = [A._unwrap(v) for v in (t, x, y, z)]
-    return A._wrap(_F_payload(H, *vs, *ps))
+    return HomSuperAlgebra(SuperAlgebra(A.basis, F, table), H.alpha)

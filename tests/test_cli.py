@@ -55,6 +55,15 @@ def test_exit_two_on_bad_input(capsys):
         capsys, "check", "--corpus", "b42", "--identity", "alternative",
         "--set", "a=0", "--set", "s=1",
     )[0] == 2
+    # a counterexample cap below 1 is an input error with a one-line message
+    for cap in ("0", "-1"):
+        code, _, err = run(
+            capsys, "check", "--corpus", "b42", "--identity", "supercommutative",
+            "--max-counterexamples", cap,
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_determinism(capsys):

@@ -195,7 +195,7 @@ def test_jminus_six_term_expansion_two_routes():
         H = hom(A, random_even_map(rng, A))
         C = commutator_algebra(H)
         par = A.basis.parities
-        from homsuper.superalg import hom_associator as as_
+        from homsuper.identities import hom_associator as as_
 
         for i in range(dim):
             for j in range(dim):

@@ -1,10 +1,24 @@
 """Every checker verdict must match the independent brute-force expansion."""
 
+import ast
+import itertools
 import random
+from pathlib import Path
 
 import homsuper.corpus as corpus
 from gen import random_even_map, random_graded_algebra
-from homsuper.identities import CHECKERS, PreconditionError, run_checker
+from homsuper import oracle
+from homsuper.coeff import Scalar
+from homsuper.identities import (
+    CHECKERS,
+    PreconditionError,
+    bk_F,
+    bk_f,
+    cyclic_hom_associator,
+    hom_associator,
+    hom_super_jacobian,
+    run_checker,
+)
 from homsuper.oracle import oracle_value, oracle_verdict
 from homsuper.superalg import hom
 
@@ -55,3 +69,79 @@ def test_oracle_values_match_checker_forms(corpus_instances):
         a = oracle_value(form, H, tup)
         b = form_value(form, H, tup)
         assert all(F.eq(x, s.v) for x, s in zip(a, b)), (key, form)
+
+
+def _combination(rng, A, parities):
+    """Random payload vector supported on basis elements of the given parities."""
+    F = A.field
+    return [
+        F.from_int(rng.randint(-3, 3)) if p in parities else F.zero
+        for p in A.basis.parities
+    ]
+
+
+def _expand(F, dim, args, value_at):
+    """Multilinear expansion: sum over basis tuples of the coefficient
+    product times value_at(index tuple)."""
+    supports = [[(i, a) for i, a in enumerate(v) if not F.is_zero(a)] for v in args]
+    out = [F.zero] * dim
+    for picks in itertools.product(*supports):
+        coeff = F.one
+        for _, a in picks:
+            coeff = F.mul(coeff, a)
+        value = value_at(tuple(i for i, _ in picks))
+        out = [F.add(o, F.mul(coeff, x)) for o, x in zip(out, value)]
+    return out
+
+
+def test_public_forms_match_oracle_on_combinations():
+    # the public forms on non-basis vectors equal the same combination of
+    # oracle values on basis tuples
+    rng = random.Random(2718)
+    for trial in range(12):
+        dim = rng.choice([2, 3, 4])
+        A = random_graded_algebra(rng, dim, rng.randint(0, dim))
+        H = hom(A, random_even_map(rng, A))
+        F, names = A.field, A.basis.names
+        raw = oracle._Raw(H)
+        present = sorted(set(A.basis.parities))
+        wrap = lambda v: tuple(Scalar(F, a) for a in v)
+
+        def same(got, want, label):
+            assert all(F.eq(s.v, w) for s, w in zip(got, want)), (trial, label)
+
+        def named(form):
+            return lambda idx: oracle_value(form, H, tuple(names[i] for i in idx))
+
+        homog = [_combination(rng, A, {rng.choice(present)}) for _ in range(4)]
+        mixed = _combination(rng, A, {0, 1})
+        x, y, z, t = homog
+        for args in ((x, y, z), (mixed, y, z), (mixed, mixed, mixed)):
+            same(hom_associator(H, *map(wrap, args)), _expand(F, dim, args, named("as")), "as")
+        for args in ((x, y, z), (mixed, y, z)):
+            same(hom_super_jacobian(H, *map(wrap, args)), _expand(F, dim, args, named("J")), "J")
+        same(cyclic_hom_associator(H, *map(wrap, (x, y, z))),
+             _expand(F, dim, (x, y, z), named("S")), "S")
+        slots = (t, x, y, z)
+        same(bk_f(H, *map(wrap, slots)),
+             _expand(F, dim, slots, lambda idx: oracle._f_raw(raw, *idx)), "f")
+        same(bk_F(H, *map(wrap, slots)),
+             _expand(F, dim, slots, lambda idx: oracle._F_functorial(raw, *idx)), "F")
+
+
+def test_oracle_shares_no_evaluation_code():
+    # the oracle is the independent second route: it may take the instance
+    # type from superalg and nothing else from the checker route
+    path = Path(__file__).resolve().parents[1] / "src" / "homsuper" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "homsuper" + ("." + module if module else "")
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert not any(n.startswith("homsuper.identities") for n in imported), imported
+    from_superalg = {n for n in imported if n.startswith("homsuper.superalg")}
+    assert from_superalg == {"homsuper.superalg.HomSuperAlgebra"}, imported

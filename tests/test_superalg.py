@@ -4,17 +4,18 @@ import pytest
 
 from gen import Q, random_graded_algebra
 from homsuper.coeff import Scalar
-from homsuper.identities import run_checker
-from homsuper.superalg import (
+from homsuper.identities import (
     HomogeneityError,
-    Multiplicativity,
     bk_F,
     bk_f,
-    commutator_algebra,
     cyclic_hom_associator,
-    hom,
     hom_associator,
     hom_super_jacobian,
+    run_checker,
+)
+from homsuper.superalg import (
+    commutator_algebra,
+    hom,
     is_super_commutative,
     is_super_skewsymmetric,
     multiply,
@@ -226,7 +227,7 @@ def test_multiplicativity_transport(corpus_instances):
     # J . alpha^x3 = alpha . J on multiplicative instances
     inst = corpus_instances[("m3-3-1", "alpha1")]
     H = inst.hom
-    assert H.multiplicative is Multiplicativity.VERIFIED_TRUE
+    assert run_checker("multiplicative", H).holds
     A = H.algebra
     b = A.basis_vector
     for i in range(A.dim):
