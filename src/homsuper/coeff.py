@@ -20,14 +20,25 @@ operator overloads; the evaluation loops elsewhere in the package work on raw
 payloads through the `Field` objects for speed.
 
 All scalar values are immutable after construction and all operations are
-pure, so values can be shared and sent between threads freely.
+pure, so values can be shared and sent between threads freely.  Fraction
+fields lean on that to save memory: every zero result is the field's one
+`zero` payload (`neg` of zero returns its argument), a monic single-monomial
+denominator is one dict per monomial per field, shared by every payload that
+has it, and a product by a coefficient that is the base field's `one` keeps
+the other coefficient object.  `Field.shared_scalar` hash-conses Scalars by
+payload representation for values that are kept, such as reported residuals.
+No code mutates a payload's polynomials, so the sharing is invisible except
+to `is`.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add as _add
+from operator import sub as _sub
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -57,18 +68,37 @@ def _is_identifier(name: str) -> bool:
     return name.isidentifier()
 
 
+# Miller-Rabin with the first thirteen prime bases (2 to 41) is exact for
+# every n below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015); larger moduli are refused.  Bases 2 to 37
+# alone are fooled by 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality test for 0 <= p < 3317044064679887385961981."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise CoeffError(f"GF modulus {p} is too large: primality is decided below {_MR_BOUND}")
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -140,11 +170,26 @@ def poly_neg(a: Poly, base: "Field") -> Poly:
 def poly_mul(a: Poly, b: Poly, base: "Field") -> Poly:
     if not a or not b:
         return {}
+    one = base.one
     out: Poly = {}
     for ea, ca in a.items():
+        a_const = not any(ea)
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = base.mul(ca, cb)
+            # a constant monomial leaves the other exponent tuple as it is,
+            # and a coefficient that is the field's one leaves the other
+            # coefficient as it is, so the product shares them
+            if a_const:
+                e = eb
+            elif any(eb):
+                e = tuple(map(_add, ea, eb))
+            else:
+                e = ea
+            if cb is one:
+                c = ca
+            elif ca is one:
+                c = cb
+            else:
+                c = base.mul(ca, cb)
             if e in out:
                 s = base.add(out[e], c)
                 if base.is_zero(s):
@@ -247,6 +292,22 @@ class Field:
 
     def scalar(self, x) -> "Scalar":
         return Scalar(self, x)
+
+    def key(self, x):
+        """Hashable key, equal exactly for payloads of the same representation."""
+        return x
+
+    def shared_scalar(self, x) -> "Scalar":
+        """Scalar(self, x), hash-consed: while a Scalar made here with a
+        payload of the same representation is alive, that one is returned."""
+        pool = self.__dict__.get("_shared")
+        if pool is None:
+            pool = self._shared = weakref.WeakValueDictionary()
+        key = self.key(x)
+        got = pool.get(key)
+        if got is None:
+            got = pool[key] = Scalar(self, x)
+        return got
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
@@ -351,8 +412,10 @@ class FractionField(Field):
         self.base = base
         self.n = len(params)
         self._zero_exp = (0,) * self.n
-        self.zero = FracPayload({}, {self._zero_exp: base.one})
-        self.one = FracPayload({self._zero_exp: base.one}, {self._zero_exp: base.one})
+        # monic single-monomial denominators, one shared dict per exponent
+        self._mono_dens: Dict[Exponent, Poly] = {self._zero_exp: {self._zero_exp: base.one}}
+        self.zero = FracPayload({}, self._mono_dens[self._zero_exp])
+        self.one = FracPayload({self._zero_exp: base.one}, self._mono_dens[self._zero_exp])
 
     # -- construction helpers
 
@@ -360,10 +423,8 @@ class FractionField(Field):
         if not den:
             raise ZeroInversionError("zero denominator")
         if not num:
-            return FracPayload({}, {self._zero_exp: self.base.one})
+            return self.zero
         num, den = self._cancel_monomial(num, den)
-        den = dict(den)
-        num = dict(num)
         # make the denominator monic in its lex-leading term; when the
         # denominator is a single monomial this leaves a coefficient of 1,
         # which is the common case in the bundled tables
@@ -373,6 +434,11 @@ class FractionField(Field):
             cinv = self.base.inv(c)
             num = poly_scale(num, cinv, self.base)
             den = poly_scale(den, cinv, self.base)
+        if len(den) == 1:
+            shared = self._mono_dens.get(lead)
+            if shared is None:
+                shared = self._mono_dens[lead] = {lead: self.base.one}
+            den = shared
         return FracPayload(num, den)
 
     def _cancel_monomial(self, num: Poly, den: Poly):
@@ -383,7 +449,7 @@ class FractionField(Field):
             lows = tuple(map(min, lows, e))
         if lows is None or not any(lows):
             return num, den
-        shift = lambda e: tuple(a - b for a, b in zip(e, lows))
+        shift = lambda e: tuple(map(_sub, e, lows))
         return {shift(e): c for e, c in num.items()}, {
             shift(e): c for e, c in den.items()
         }
@@ -391,10 +457,10 @@ class FractionField(Field):
     def monomial(self, name: str) -> FracPayload:
         i = self.spec.params.index(name)
         e = tuple(1 if j == i else 0 for j in range(self.n))
-        return FracPayload({e: self.base.one}, {self._zero_exp: self.base.one})
+        return FracPayload({e: self.base.one}, self._mono_dens[self._zero_exp])
 
     def from_poly(self, p: Poly) -> FracPayload:
-        return self._make(p, {self._zero_exp: self.base.one})
+        return self._make(dict(p), self._mono_dens[self._zero_exp])
 
     # -- arithmetic
 
@@ -403,7 +469,7 @@ class FractionField(Field):
             return y
         if not y.num:
             return x
-        if x.den == y.den:
+        if x.den is y.den or x.den == y.den:
             return self._make(poly_add(x.num, y.num, self.base), x.den)
         num = poly_add(
             poly_mul(x.num, y.den, self.base),
@@ -413,6 +479,8 @@ class FractionField(Field):
         return self._make(num, poly_mul(x.den, y.den, self.base))
 
     def neg(self, x: FracPayload):
+        if not x.num:
+            return x
         return FracPayload(poly_neg(x.num, self.base), x.den)
 
     def mul(self, x: FracPayload, y: FracPayload):
@@ -435,9 +503,12 @@ class FractionField(Field):
     def is_zero(self, x: FracPayload):
         return not x.num
 
+    def key(self, x: FracPayload):
+        return tuple(x.num.items()), tuple(x.den.items())
+
     def eq(self, x: FracPayload, y: FracPayload):
         # cross multiplication: exact whatever the normalisation
-        if x.den == y.den:
+        if x.den is y.den or x.den == y.den:
             return x.num == y.num or not poly_add(
                 x.num, poly_neg(y.num, self.base), self.base
             )
@@ -607,7 +678,7 @@ def field_for(spec: FieldSpec) -> Field:
 class Scalar:
     """A payload tagged with its field; operations check field agreement."""
 
-    __slots__ = ("field", "v")
+    __slots__ = ("field", "v", "__weakref__")
 
     def __init__(self, field: Field, v):
         self.field = field

@@ -10,6 +10,20 @@ twists with the kernels of `superalg`.  The public forms (`hom_associator`,
 vectors and evaluate through the same context; the brute-force `oracle` is
 the one independent second route.
 
+Sub-terms that recur across slot orders are kept in tables on the context:
+`_Ctx.term(fn, *slots)` computes a sub-term function such as
+as(e_a e_b, a(e_k), a(e_t)), the bracket [a^2(e_k), as(e_a, e_b, e_c)], a
+Jacobian or the Bruck-Kleinfeld f once per tuple of basis slots, in a flat
+lazily filled list of dim**len(slots) entries per function.  The rule is
+cache, don't reassociate: a residual reads its sub-terms from the tables but
+adds them in the same order and with the same signs as the identity is
+written, so the sums are the very payloads the uncached expression gives.
+That matters over Frac(K[params]), whose payloads are not gcd-reduced, where
+another summation order could print a residual differently.  Stored values
+are zero-normalised (a zero coordinate is the field's shared zero, an
+all-zero vector is `ctx.zero`), and adding `ctx.zero` is skipped, which
+leaves every sum unchanged.
+
 Every checker walks all homogeneous basis tuples of its arity in
 lexicographic order, evaluates the residual LHS - RHS of its identity
 exactly, and reports the failing tuples (capped, lex-first).  Signs are
@@ -66,12 +80,13 @@ class PreconditionError(CheckError):
 
 
 class _Ctx:
-    """Unwrapped evaluation context: raw payload tables, field ops, and the
-    product and map kernels of the algebra and its twist."""
+    """Unwrapped evaluation context: raw payload tables, field ops, the
+    product and map kernels of the algebra and its twist, and the sub-term
+    tables filled by `term`."""
 
     __slots__ = (
         "F", "dim", "par", "names", "c", "acols", "a2cols", "zero",
-        "bvecs", "_as_cache", "mul", "al", "al2",
+        "bvecs", "_tables", "mul", "al", "al2",
     )
 
     def __init__(self, H: HomSuperAlgebra):
@@ -90,26 +105,46 @@ class _Ctx:
             tuple(F.one if i == j else F.zero for i in range(A.dim))
             for j in range(A.dim)
         )
-        self._as_cache: Dict[Tuple[int, int, int], tuple] = {}
+        self._tables: Dict[Callable, list] = {}
         # the kernels themselves, bound: mul(u, v), al(u) = alpha(u),
         # al2(u) = alpha^2(u) on payload vectors
         self.mul = A._mul_payload
         self.al = H.alpha.apply_payload
         self.al2 = alpha2.apply_payload
 
-    # -- vector combinators
+    def term(self, fn, *slots):
+        """fn(self, *slots) for basis indices `slots`, computed once per slot
+        tuple: the value is kept in a flat table of dim**len(slots) entries,
+        one table per sub-term function.  Zero coordinates are stored as the
+        shared F.zero and an all-zero vector as `self.zero`."""
+        table = self._tables.get(fn)
+        if table is None:
+            table = self._tables[fn] = [None] * self.dim ** len(slots)
+        key = 0
+        for s in slots:
+            key = key * self.dim + s
+        got = table[key]
+        if got is None:
+            F = self.F
+            zero, is_zero = F.zero, F.is_zero
+            got = tuple(zero if is_zero(x) else x for x in fn(self, *slots))
+            if all(x is zero for x in got):
+                got = self.zero
+            table[key] = got
+        return got
+
+    # -- vector combinators; adding the shared zero vector is skipped, which
+    #    leaves every sum unchanged
 
     def add(self, u, v):
-        F = self.F
-        return tuple(F.add(a, b) for a, b in zip(u, v))
+        if v is self.zero:
+            return u
+        return tuple(map(self.F.add, u, v))
 
     def sub(self, u, v):
-        F = self.F
-        return tuple(F.sub(a, b) for a, b in zip(u, v))
-
-    def signed(self, u, v, exp: int):
-        """u - (-1)^exp v  (i.e. u +/- v as the LHS-RHS residual builder)."""
-        return self.add(u, v) if exp % 2 else self.sub(u, v)
+        if v is self.zero:
+            return u
+        return tuple(map(self.F.sub, u, v))
 
     def acc(self, u, v, exp: int):
         """u + (-1)^exp v."""
@@ -133,15 +168,7 @@ class _Ctx:
         )
 
     def as_b(self, i: int, j: int, k: int):
-        key = (i, j, k)
-        got = self._as_cache.get(key)
-        if got is None:
-            got = self.sub(
-                self.mul(self.c[i][j], self.acols[k]),
-                self.mul(self.acols[i], self.c[j][k]),
-            )
-            self._as_cache[key] = got
-        return got
+        return self.term(_as_basis, i, j, k)
 
     def jform(self, x, y, z, exp_yz: int):
         """[[x,y],a(z)] - [a(x),[y,z]] - (-1)^exp [[x,z],a(y)], with mu as
@@ -159,6 +186,71 @@ class _Ctx:
     def sform(self, x, y, z, px, py, pz):
         t = self.acc(self.as_vec(x, y, z), self.as_vec(y, z, x), px * (py + pz))
         return self.acc(t, self.as_vec(z, x, y), pz * (px + py))
+
+
+# ---------------------------------------------------------------------------
+# Sub-terms on basis slots, read through `_Ctx.term`.  Each is a function of
+# the basis indices it depends on; the residuals below look them up at the
+# slot orders their identity needs.
+# ---------------------------------------------------------------------------
+
+
+def _as_basis(ctx: _Ctx, i, j, k):
+    """as(e_i, e_j, e_k)."""
+    return ctx.sub(
+        ctx.mul(ctx.c[i][j], ctx.acols[k]),
+        ctx.mul(ctx.acols[i], ctx.c[j][k]),
+    )
+
+
+def _as_prod_first(ctx: _Ctx, a, b, k, t):
+    """as(e_a e_b, a(e_k), a(e_t))."""
+    return ctx.as_vec(ctx.c[a][b], ctx.acols[k], ctx.acols[t])
+
+
+def _as_prod_mid(ctx: _Ctx, t, a, b, k):
+    """as(a(e_t), e_a e_b, a(e_k))."""
+    return ctx.as_vec(ctx.acols[t], ctx.c[a][b], ctx.acols[k])
+
+
+def _as_prod_last(ctx: _Ctx, t, k, a, b):
+    """as(a(e_t), a(e_k), e_a e_b)."""
+    return ctx.as_vec(ctx.acols[t], ctx.acols[k], ctx.c[a][b])
+
+
+def _bracket_a2_as(ctx: _Ctx, k, a, b, c):
+    """[a^2(e_k), as(e_a, e_b, e_c)]."""
+    p = ctx.par
+    return ctx.bracket(ctx.a2cols[k], ctx.as_b(a, b, c), p[k] * (p[a] + p[b] + p[c]))
+
+
+def _jacobian_basis(ctx: _Ctx, i, j, k):
+    """J(e_i, e_j, e_k)."""
+    return ctx.jform(ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], ctx.par[j] * ctx.par[k])
+
+
+def _jacobian_twisted(ctx: _Ctx, t, a, b, c):
+    """J(a(e_t), a(e_a), e_b e_c)."""
+    p = ctx.par
+    return ctx.jform(
+        ctx.al(ctx.bvecs[t]), ctx.al(ctx.bvecs[a]), ctx.c[b][c], p[a] * (p[b] + p[c])
+    )
+
+
+def _as_bracket_last(ctx: _Ctx, t, a, b, c):
+    """as(a(e_t), a(e_a), [e_b, e_c])."""
+    p = ctx.par
+    return ctx.as_vec(
+        ctx.acols[t], ctx.acols[a], ctx.bracket(ctx.bvecs[b], ctx.bvecs[c], p[b] * p[c])
+    )
+
+
+def _as_bracket_first(ctx: _Ctx, a, b, c, d):
+    """as([e_a, e_b], a(e_c), a(e_d))."""
+    p = ctx.par
+    return ctx.as_vec(
+        ctx.bracket(ctx.bvecs[a], ctx.bvecs[b], p[a] * p[b]), ctx.acols[c], ctx.acols[d]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +292,12 @@ def _res_hom_malcev(ctx: _Ctx, idx):
     i, j, k, l = idx
     p = ctx.par
     px, py, pz, pt = p[i], p[j], p[k], p[l]
-    x, y, z, t = ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], ctx.bvecs[l]
-    lhs = ctx.scale_int(2, ctx.mul(ctx.al2(t), ctx.jform(x, y, z, py * pz)))
-    at = ctx.al(t)
-    r1 = ctx.jform(at, ctx.al(x), ctx.c[j][k], px * (py + pz))
-    r2 = ctx.jform(at, ctx.al(y), ctx.c[k][i], py * (pz + px))
-    r3 = ctx.jform(at, ctx.al(z), ctx.c[i][j], pz * (px + py))
+    t = ctx.bvecs[l]
+    term = ctx.term
+    lhs = ctx.scale_int(2, ctx.mul(ctx.al2(t), term(_jacobian_basis, i, j, k)))
+    r1 = term(_jacobian_twisted, l, i, j, k)
+    r2 = term(_jacobian_twisted, l, j, k, i)
+    r3 = term(_jacobian_twisted, l, k, i, j)
     rhs = ctx.acc(ctx.acc(r1, r2, px * (py + pz)), r3, pz * (px + py))
     return ctx.sub(lhs, rhs)
 
@@ -215,14 +307,15 @@ def _res_hom_malcev2(ctx: _Ctx, idx):
     i, j, k, l = idx
     p = ctx.par
     px, py, pz, pt = p[i], p[j], p[k], p[l]
-    x, y, z, t = ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], ctx.bvecs[l]
+    x, t = ctx.bvecs[i], ctx.bvecs[l]
+    term = ctx.term
     lhs = ctx.acc(
-        ctx.jform(ctx.al(x), ctx.al(y), ctx.c[l][k], py * (pt + pz)),
-        ctx.jform(ctx.al(t), ctx.al(y), ctx.c[i][k], py * (px + pz)),
+        term(_jacobian_twisted, i, j, l, k),
+        term(_jacobian_twisted, l, j, i, k),
         px * py + pt * (px + py),
     )
-    jxyz = ctx.jform(x, y, z, py * pz)
-    jtyz = ctx.jform(t, y, z, py * pz)
+    jxyz = term(_jacobian_basis, i, j, k)
+    jtyz = term(_jacobian_basis, l, j, k)
     r1 = ctx.mul(jxyz, ctx.al2(t))
     r2 = ctx.mul(jtyz, ctx.al2(x))
     rhs = ctx.acc(
@@ -268,10 +361,9 @@ def _res_hom_jordan(ctx: _Ctx, idx):
     i, j, k, l = idx
     p = ctx.par
     px, py, pz, pt = p[i], p[j], p[k], p[l]
-    az = ctx.acols[k]
-    t1 = ctx.as_vec(ctx.c[i][j], az, ctx.acols[l])
-    t2 = ctx.as_vec(ctx.c[j][l], az, ctx.acols[i])
-    t3 = ctx.as_vec(ctx.c[l][i], az, ctx.acols[j])
+    t1 = ctx.term(_as_prod_first, i, j, k, l)
+    t2 = ctx.term(_as_prod_first, j, l, k, i)
+    t3 = ctx.term(_as_prod_first, l, i, k, j)
     out = _sgn(ctx, t1, pt * (px + pz))
     out = ctx.acc(out, t2, px * (py + pz))
     out = ctx.acc(out, t3, py * (pt + pz))
@@ -283,9 +375,9 @@ def _res_teichmuller(ctx: _Ctx, idx):
     l, i, j, k = idx
     p = ctx.par
     pt, px, py, pz = p[l], p[i], p[j], p[k]
-    t1 = ctx.as_vec(ctx.c[l][i], ctx.acols[j], ctx.acols[k])
-    t2 = ctx.as_vec(ctx.c[i][j], ctx.acols[k], ctx.acols[l])
-    t3 = ctx.as_vec(ctx.c[j][k], ctx.acols[l], ctx.acols[i])
+    t1 = ctx.term(_as_prod_first, l, i, j, k)
+    t2 = ctx.term(_as_prod_first, i, j, k, l)
+    t3 = ctx.term(_as_prod_first, j, k, l, i)
     lhs = ctx.acc(t1, t2, 1 + pt * (px + py + pz))
     lhs = ctx.acc(lhs, t3, (pt + px) * (py + pz))
     rhs = ctx.add(
@@ -311,19 +403,11 @@ def _F_basis(ctx: _Ctx, l, i, j, k):
     p = ctx.par
     pt, px, py, pz = p[l], p[i], p[j], p[k]
     S = pt + px + py + pz
-    out = ctx.bracket(ctx.a2cols[l], ctx.as_b(i, j, k), pt * (S - pt))
-    out = ctx.acc(
-        out, ctx.bracket(ctx.a2cols[k], ctx.as_b(l, i, j), pz * (S - pz)),
-        1 + pz * (S - pz),
-    )
-    out = ctx.acc(
-        out, ctx.bracket(ctx.a2cols[j], ctx.as_b(k, l, i), py * (S - py)),
-        (pt + px) * (py + pz),
-    )
-    out = ctx.acc(
-        out, ctx.bracket(ctx.a2cols[i], ctx.as_b(j, k, l), px * (S - px)),
-        1 + pt * (S - pt),
-    )
+    term = ctx.term
+    out = term(_bracket_a2_as, l, i, j, k)
+    out = ctx.acc(out, term(_bracket_a2_as, k, l, i, j), 1 + pz * (S - pz))
+    out = ctx.acc(out, term(_bracket_a2_as, j, k, l, i), (pt + px) * (py + pz))
+    out = ctx.acc(out, term(_bracket_a2_as, i, j, k, l), 1 + pt * (S - pt))
     return out
 
 
@@ -332,15 +416,16 @@ def _res_bk_suite(ctx: _Ctx, idx):
     l, i, j, k = idx
     p = ctx.par
     pt, px, py, pz = p[l], p[i], p[j], p[k]
-    f = _f_basis(ctx, l, i, j, k)
+    term = ctx.term
+    f = term(_f_basis, l, i, j, k)
     # super-alternating in each adjacent pair
-    r = ctx.acc(f, _f_basis(ctx, i, l, j, k), pt * px)
+    r = ctx.acc(f, term(_f_basis, i, l, j, k), pt * px)
     if not ctx.is_zero_vec(r):
         return r
-    r = ctx.acc(f, _f_basis(ctx, l, j, i, k), px * py)
+    r = ctx.acc(f, term(_f_basis, l, j, i, k), px * py)
     if not ctx.is_zero_vec(r):
         return r
-    r = ctx.acc(f, _f_basis(ctx, l, i, k, j), py * pz)
+    r = ctx.acc(f, term(_f_basis, l, i, k, j), py * pz)
     if not ctx.is_zero_vec(r):
         return r
     bigF = _F_basis(ctx, l, i, j, k)
@@ -349,16 +434,14 @@ def _res_bk_suite(ctx: _Ctx, idx):
     if not ctx.is_zero_vec(r):
         return r
     # F = f . (Id - rho + rho^2), rho(t,x,y,z) = (x,y,z,t)
-    rho = ctx.acc(f, _f_basis(ctx, i, j, k, l), 1 + pt * (px + py + pz))
-    rho = ctx.acc(rho, _f_basis(ctx, j, k, l, i), (pt + px) * (py + pz))
+    rho = ctx.acc(f, term(_f_basis, i, j, k, l), 1 + pt * (px + py + pz))
+    rho = ctx.acc(rho, term(_f_basis, j, k, l, i), (pt + px) * (py + pz))
     r = ctx.sub(bigF, rho)
     if not ctx.is_zero_vec(r):
         return r
     # f = as([t,x],a(y),a(z)) + (-1)^((y+z)(x+t)) as([y,z],a(t),a(x))
-    b1 = ctx.as_vec(ctx.bracket(ctx.bvecs[l], ctx.bvecs[i], pt * px),
-                    ctx.acols[j], ctx.acols[k])
-    b2 = ctx.as_vec(ctx.bracket(ctx.bvecs[j], ctx.bvecs[k], py * pz),
-                    ctx.acols[l], ctx.acols[i])
+    b1 = term(_as_bracket_first, l, i, j, k)
+    b2 = term(_as_bracket_first, j, k, l, i)
     rhs = ctx.acc(b1, b2, (py + pz) * (px + pt))
     return ctx.sub(f, rhs)
 
@@ -368,13 +451,11 @@ def _res_cyclic_assoc(ctx: _Ctx, idx):
     l, i, j, k = idx
     p = ctx.par
     pt, px, py, pz = p[l], p[i], p[j], p[k]
-    lhs = ctx.scale_int(
-        2, ctx.bracket(ctx.a2cols[l], ctx.as_b(i, j, k), pt * (px + py + pz))
-    )
-    at = ctx.acols[l]
-    r1 = ctx.as_vec(at, ctx.acols[i], ctx.bracket(ctx.bvecs[j], ctx.bvecs[k], py * pz))
-    r2 = ctx.as_vec(at, ctx.acols[j], ctx.bracket(ctx.bvecs[k], ctx.bvecs[i], pz * px))
-    r3 = ctx.as_vec(at, ctx.acols[k], ctx.bracket(ctx.bvecs[i], ctx.bvecs[j], px * py))
+    term = ctx.term
+    lhs = ctx.scale_int(2, term(_bracket_a2_as, l, i, j, k))
+    r1 = term(_as_bracket_last, l, i, j, k)
+    r2 = term(_as_bracket_last, l, j, k, i)
+    r3 = term(_as_bracket_last, l, k, i, j)
     rhs = ctx.acc(ctx.acc(r1, r2, px * (py + pz)), r3, pz * (px + py))
     return ctx.sub(lhs, rhs)
 
@@ -415,44 +496,37 @@ def _make_res_jordan_expansion(ctx: _Ctx, plus_ctx: _Ctx):
     two routes must agree on every quadruple of any algebra (char != 2).
     """
 
-    def plus_term(x_i, y_i, t_i, z_i):
-        return plus_ctx.as_vec(
-            plus_ctx.c[x_i][y_i], plus_ctx.acols[z_i], plus_ctx.acols[t_i]
-        )
-
     def res(_ctx_unused, idx):
         i, j, k, l = idx  # slots (x, y, z, t)
         p = ctx.par
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        lhs = _sgn(plus_ctx, plus_term(i, j, l, k), pt * (px + pz))
-        lhs = plus_ctx.acc(lhs, plus_term(j, l, i, k), px * (py + pz))
-        lhs = plus_ctx.acc(lhs, plus_term(l, i, j, k), py * (pt + pz))
+        plus = plus_ctx.term
+        lhs = _sgn(plus_ctx, plus(_as_prod_first, i, j, k, l), pt * (px + pz))
+        lhs = plus_ctx.acc(lhs, plus(_as_prod_first, j, l, k, i), px * (py + pz))
+        lhs = plus_ctx.acc(lhs, plus(_as_prod_first, l, i, k, j), py * (pt + pz))
         lhs = plus_ctx.scale_int(8, lhs)
 
         rhs = ctx.zero
-        # twelve associator terms per cyclic summand of (x, y, t)
+        term, add = ctx.term, ctx.acc
+        first, mid, last = _as_prod_first, _as_prod_mid, _as_prod_last
+        # twelve associator terms per cyclic summand of (x, y, t); z = k
         for (a, b, t_) in ((i, j, l), (j, l, i), (l, i, j)):
             qa, qb, qt = p[a], p[b], p[t_]
             qz = pz
-            ab = ctx.c[a][b]
-            ba = ctx.c[b][a]
-            at_, az = ctx.acols[t_], ctx.acols[k]
-            add = ctx.acc
-            rhs = add(rhs, ctx.as_vec(ab, az, at_), qt * (qa + qz))
-            rhs = add(rhs, ctx.as_vec(ba, az, at_), qt * (qa + qz) + qa * qb)
-            rhs = add(rhs, ctx.as_vec(at_, az, ab), 1 + qt * qb + qz * (qa + qb))
-            rhs = add(rhs, ctx.as_vec(at_, az, ba), 1 + qb * (qa + qt) + qz * (qa + qb))
-            rhs = add(rhs, ctx.as_vec(at_, ab, az), 1 + qt * qb)
-            rhs = add(rhs, ctx.as_vec(at_, ba, az), 1 + qb * (qa + qt))
-            rhs = add(rhs, ctx.as_vec(az, ba, at_), qa * (qt + qb) + qz * (qa + qb + qt))
-            rhs = add(rhs, ctx.as_vec(az, ab, at_), qt * (qa + qz) + qz * (qa + qb))
-            rhs = add(rhs, ctx.as_vec(az, at_, ab), 1 + qz * (qa + qb + qt) + qt * qb)
-            rhs = add(rhs, ctx.as_vec(ab, at_, az), qt * qa)
-            rhs = add(rhs, ctx.as_vec(az, at_, ba), 1 + qz * (qa + qb + qt) + qb * (qa + qt))
-            rhs = add(rhs, ctx.as_vec(ba, at_, az), qa * (qb + qt))
+            rhs = add(rhs, term(first, a, b, k, t_), qt * (qa + qz))
+            rhs = add(rhs, term(first, b, a, k, t_), qt * (qa + qz) + qa * qb)
+            rhs = add(rhs, term(last, t_, k, a, b), 1 + qt * qb + qz * (qa + qb))
+            rhs = add(rhs, term(last, t_, k, b, a), 1 + qb * (qa + qt) + qz * (qa + qb))
+            rhs = add(rhs, term(mid, t_, a, b, k), 1 + qt * qb)
+            rhs = add(rhs, term(mid, t_, b, a, k), 1 + qb * (qa + qt))
+            rhs = add(rhs, term(mid, k, b, a, t_), qa * (qt + qb) + qz * (qa + qb + qt))
+            rhs = add(rhs, term(mid, k, a, b, t_), qt * (qa + qz) + qz * (qa + qb))
+            rhs = add(rhs, term(last, k, t_, a, b), 1 + qz * (qa + qb + qt) + qt * qb)
+            rhs = add(rhs, term(first, a, b, t_, k), qt * qa)
+            rhs = add(rhs, term(last, k, t_, b, a), 1 + qz * (qa + qb + qt) + qb * (qa + qt))
+            rhs = add(rhs, term(first, b, a, t_, k), qa * (qb + qt))
         # six bracket terms, stated once
         S3 = px + py + pt
-        az2 = ctx.a2cols[k]
         for exp, (a, b, c_) in (
             (px * py, (j, l, i)),
             (py * (px + pt), (l, j, i)),
@@ -461,8 +535,7 @@ def _make_res_jordan_expansion(ctx: _Ctx, plus_ctx: _Ctx):
             (px * pt, (i, j, l)),
             (px * (py + pt), (j, i, l)),
         ):
-            br = ctx.bracket(az2, ctx.as_b(a, b, c_), pz * S3)
-            rhs = ctx.acc(rhs, br, exp + pz * S3)
+            rhs = add(rhs, term(_bracket_a2_as, k, a, b, c_), exp + pz * S3)
         return ctx.sub(lhs, rhs)
 
     return res
@@ -600,28 +673,48 @@ def run_checker(
         if not ctx.is_zero_vec(r):
             holds = False
             if len(bad) < max_counterexamples:
+                # reported coordinates are hash-consed, so every zero is one
+                # Scalar and repeated reports share their values
                 names = tuple(ctx.names[i] for i in idx)
-                bad.append((names, tuple(ctx.F.scalar(x) for x in r)))
+                bad.append((names, tuple(map(ctx.F.shared_scalar, r))))
             else:
                 break
     return IdentityReport(name, holds, tuple(bad), dim**chk.arity)
 
 
+def _slot_indices(ctx: _Ctx, what: str, tuple_names: Sequence[str], arity: int):
+    """Basis indices of `tuple_names`, after checking the slot count and
+    every name."""
+    if len(tuple_names) != arity:
+        raise CheckError(f"{what} expects {arity} slots, got {len(tuple_names)}")
+    for n in tuple_names:
+        if n not in ctx.names:
+            raise CheckError(f"{what}: unknown basis element {n!r}")
+    return tuple(ctx.names.index(n) for n in tuple_names)
+
+
 def residual_at(name: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Exact residual vector of one checker at one basis tuple."""
-    chk = CHECKERS[name]
+    try:
+        chk = CHECKERS[name]
+    except KeyError:
+        raise UnknownCheckerError(name) from None
     ctx, res_fn = chk.make(H)
-    idx = tuple(ctx.names.index(n) for n in tuple_names)
-    if len(idx) != chk.arity:
-        raise CheckError(f"{name} expects {chk.arity} slots")
-    r = res_fn(ctx, idx)
+    r = res_fn(ctx, _slot_indices(ctx, name, tuple_names, chk.arity))
     return tuple(ctx.F.scalar(x) for x in r)
+
+
+_FORM_ARITY = {
+    "product": 2, "as": 3, "S": 3, "J": 3, "J-minus": 3, "leftalt": 3, "jordan": 4,
+}
 
 
 # Named multilinear values used by the corpus claims.
 def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
+    if form not in _FORM_ARITY:
+        raise CheckError(f"unknown value form {form!r}")
     ctx = _Ctx(H)
-    idx = tuple(ctx.names.index(n) for n in tuple_names)
+    idx = _slot_indices(ctx, form, tuple_names, _FORM_ARITY[form])
     if form == "product":
         i, j = idx
         out = ctx.c[i][j]
@@ -641,10 +734,8 @@ def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
         out = mctx.jform(mctx.bvecs[i], mctx.bvecs[j], mctx.bvecs[k], mctx.par[j] * mctx.par[k])
     elif form == "leftalt":
         out = _res_left_alt(ctx, idx)
-    elif form == "jordan":
+    else:  # "jordan"
         out = _res_hom_jordan(ctx, idx)
-    else:
-        raise CheckError(f"unknown value form {form!r}")
     return tuple(ctx.F.scalar(x) for x in out)
 
 

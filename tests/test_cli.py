@@ -160,3 +160,35 @@ def test_out_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["holds"] is True
+
+
+def _gf_document(p):
+    return (
+        "[algebra]\n"
+        "name = big\n"
+        f"field = GF({p})\n"
+        "even = e\n"
+        "odd = u\n"
+        "\n"
+        "[product]\n"
+        "e*e = e\n"
+        "e*u = u\n"
+    )
+
+
+def test_large_gf_modulus(tmp_path, capsys):
+    import time
+
+    prime = tmp_path / "prime.salg"
+    prime.write_text(_gf_document(1000000000000000003), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--file", str(prime))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    # 1000000000000000001 = 101 * 9901 * 999999000001
+    composite = tmp_path / "composite.salg"
+    composite.write_text(_gf_document(1000000000000000001), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(composite))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

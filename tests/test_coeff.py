@@ -156,3 +156,26 @@ def test_render_parse_round_trip():
         s = parse_expression(text, QAB)
         again = parse_expression(repr(s), QAB)
         assert s == again, text
+
+
+def test_is_prime_against_trial_division():
+    from homsuper.coeff import is_prime
+
+    def slow(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == slow(n) for n in range(3000))
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1000000000000000001)  # 101 * 9901 * 999999000001
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 in turn
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_gf_modulus_above_primality_bound_refused():
+    from homsuper.coeff import CoeffError
+
+    with pytest.raises(CoeffError) as info:
+        FieldSpec("GF", 3317044064679887385961981)
+    assert "\n" not in str(info.value)

@@ -5,6 +5,7 @@ import pytest
 from gen import random_graded_algebra, random_even_map, random_multiplicative_skew
 from homsuper.coeff import Scalar
 from homsuper.identities import (
+    CheckError,
     PreconditionError,
     UnknownCheckerError,
     checker_names,
@@ -251,3 +252,24 @@ def test_admissible_checkers_match_derived_algebras(corpus_instances):
     assert run_checker("jordan-admissible", H).holds == run_checker(
         "hom-jordan", plus_algebra(H)
     ).holds
+
+
+def test_residual_at_and_form_value_reject_bad_input(corpus_instances):
+    H = corpus_instances[("b42", "alpha")].hom
+    with pytest.raises(UnknownCheckerError):
+        residual_at("bogus", H, ("e11", "e11", "e11"))
+    cases = (
+        # unknown basis name
+        lambda: residual_at("left-alt", H, ("zz", "e11", "e11")),
+        lambda: form_value("as", H, ("e11", "zz", "e11")),
+        # wrong slot count, checked before any name is looked up
+        lambda: residual_at("left-alt", H, ("e11", "e11")),
+        lambda: residual_at("left-alt", H, ("zz", "e11", "e11", "e11")),
+        lambda: form_value("product", H, ("e11", "e11", "e11")),
+        lambda: form_value("nope", H, ("e11",)),
+    )
+    for case in cases:
+        with pytest.raises(CheckError) as info:
+            case()
+        assert not isinstance(info.value, UnknownCheckerError)
+        assert "\n" not in str(info.value)
