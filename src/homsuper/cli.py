@@ -19,6 +19,7 @@ from .identities import CHECKERS, CheckError, run_checker
 from .io import (
     AlgebraDocument,
     ParseError,
+    decode_document,
     parse_algebra_file,
     serialize_algebra_document,
     serialize_report,
@@ -61,8 +62,8 @@ def _load_instance(args) -> corpus.BuiltInstance:
     if args.corpus:
         return corpus.build(args.corpus, variant, bindings)
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = parse_algebra_file(fh.read())
+        with open(args.file, "rb") as fh:
+            doc = parse_algebra_file(decode_document(fh.read()))
         return corpus.build_from_document(doc, variant, bindings, entry_id=args.file)
     raise CliError("one of --corpus or --file is required")
 

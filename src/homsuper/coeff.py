@@ -2,7 +2,8 @@
 
 Scalars live in one of three kinds of field:
 
-  * Q               -- stdlib Fraction
+  * Q               -- int when the value is integral, stdlib Fraction
+                       only where a denominator remains
   * GF(p)           -- ints in [0, p), p prime
   * Frac(K[x1..xn]) -- fractions of sparse multivariate polynomials over
                        K = Q or GF(p)
@@ -14,6 +15,12 @@ cross-multiplication, which is exact regardless of normalisation.  The only
 normalisation applied is cheap (common monomial factors, monic single-term
 denominators); it keeps the monomial denominators that actually occur in the
 bundled tables from snowballing, without pulling in real gcd machinery.
+
+A Q payload is canonical: every operation demotes an integral Fraction to
+its int numerator, so integral tables and sums run on Python ints and only a
+true denominator pays for Fraction arithmetic.  `Field.normal` brings a
+payload that a caller built by hand (a raw Fraction) into that form;
+`SuperAlgebra` and `EvenLinearMap` apply it to their tables once.
 
 The user-facing value type is `Scalar`, a thin (field, payload) wrapper with
 operator overloads; the evaluation loops elsewhere in the package work on raw
@@ -209,8 +216,12 @@ def poly_scale(a: Poly, c, base: "Field") -> Poly:
 
 def poly_pow(a: Poly, k: int, base: "Field", nvars: int) -> Poly:
     out: Poly = {(0,) * nvars: base.one}
-    for _ in range(k):
-        out = poly_mul(out, a, base)
+    while k:
+        if k & 1:
+            out = poly_mul(out, a, base)
+        k >>= 1
+        if k:
+            a = poly_mul(a, a, base)
     return out
 
 
@@ -277,8 +288,12 @@ class Field:
 
     def pow(self, x, k: int):
         out = self.one
-        for _ in range(k):
-            out = self.mul(out, x)
+        while k:
+            if k & 1:
+                out = self.mul(out, x)
+            k >>= 1
+            if k:
+                x = self.mul(x, x)
         return out
 
     def from_int(self, n: int):
@@ -289,6 +304,11 @@ class Field:
 
     def render(self, x) -> str:
         raise NotImplementedError
+
+    def normal(self, x):
+        """The canonical payload of `x` (the identity unless a field keeps
+        one of several representations canonical)."""
+        return x
 
     def scalar(self, x) -> "Scalar":
         return Scalar(self, x)
@@ -317,39 +337,60 @@ class Field:
 
 
 class RationalField(Field):
+    """Q on canonical payloads: an int for an integral value, a Fraction
+    only where a denominator remains.  Each operation demotes an integral
+    Fraction result to its numerator."""
+
     def __init__(self):
         self.spec = FieldSpec("Q")
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, x, y):
-        return x + y
+        z = x + y
+        if z.__class__ is int:
+            return z
+        return z.numerator if z.denominator == 1 else z
 
     def sub(self, x, y):
-        return x - y
+        z = x - y
+        if z.__class__ is int:
+            return z
+        return z.numerator if z.denominator == 1 else z
 
     def mul(self, x, y):
-        return x * y
+        z = x * y
+        if z.__class__ is int:
+            return z
+        return z.numerator if z.denominator == 1 else z
 
     def neg(self, x):
         return -x
 
     def inv(self, x):
-        if x == 0:
+        if not x:
             raise ZeroInversionError("inverse of zero")
-        return 1 / x
+        return self.normal(Fraction(1) / x)
+
+    def div(self, x, y):
+        if not y:
+            raise ZeroInversionError("inverse of zero")
+        return self.normal(Fraction(x) / y)
 
     def is_zero(self, x):
-        return x == 0
+        return not x
 
     def eq(self, x, y):
         return x == y
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def from_fraction(self, q):
-        return q
+        return self.normal(q)
+
+    def normal(self, x):
+        return x.numerator if x.denominator == 1 else x
 
     def render(self, x):
         return str(x)

@@ -13,16 +13,16 @@ the one independent second route.
 Sub-terms that recur across slot orders are kept in tables on the context:
 `_Ctx.term(fn, *slots)` computes a sub-term function such as
 as(e_a e_b, a(e_k), a(e_t)), the bracket [a^2(e_k), as(e_a, e_b, e_c)], a
-Jacobian or the Bruck-Kleinfeld f once per tuple of basis slots, in a flat
-lazily filled list of dim**len(slots) entries per function.  The rule is
-cache, don't reassociate: a residual reads its sub-terms from the tables but
-adds them in the same order and with the same signs as the identity is
-written, so the sums are the very payloads the uncached expression gives.
-That matters over Frac(K[params]), whose payloads are not gcd-reduced, where
-another summation order could print a residual differently.  Stored values
-are zero-normalised (a zero coordinate is the field's shared zero, an
-all-zero vector is `ctx.zero`), and adding `ctx.zero` is skipped, which
-leaves every sum unchanged.
+Jacobian, a twisted product or the Bruck-Kleinfeld f once per tuple of basis
+slots, in a flat lazily filled list of dim**len(slots) entries per function.
+The rule is cache, don't reassociate: a residual reads its sub-terms from
+the tables but adds them in the same order and with the same signs as the
+identity is written, so the sums are the very payloads the uncached
+expression gives.  That matters over Frac(K[params]), whose payloads are not
+gcd-reduced, where another summation order could print a residual
+differently.  Stored values are zero-normalised (a zero coordinate is the
+field's shared zero, an all-zero vector is `ctx.zero`), and adding
+`ctx.zero` is skipped, which leaves every sum unchanged.
 
 Every checker walks all homogeneous basis tuples of its arity in
 lexicographic order, evaluates the residual LHS - RHS of its identity
@@ -85,7 +85,7 @@ class _Ctx:
     tables filled by `term`."""
 
     __slots__ = (
-        "F", "dim", "par", "names", "c", "acols", "a2cols", "zero",
+        "F", "dim", "par", "names", "slot_names", "c", "acols", "a2cols", "zero",
         "bvecs", "_tables", "mul", "al", "al2",
     )
 
@@ -97,6 +97,7 @@ class _Ctx:
         self.dim = A.dim
         self.par = A.basis.parities
         self.names = A.basis.names
+        self.slot_names = A.basis.slot_names
         self.c = A.table
         self.acols = H.alpha.cols
         self.a2cols = alpha2.cols
@@ -245,6 +246,16 @@ def _as_bracket_last(ctx: _Ctx, t, a, b, c):
     )
 
 
+def _al_prod_prod(ctx: _Ctx, a, b, c, d):
+    """a(e_a e_b . e_c e_d)."""
+    return ctx.al(ctx.mul(ctx.c[a][b], ctx.c[c][d]))
+
+
+def _prod_twisted(ctx: _Ctx, a, b, m, o):
+    """(e_a e_b a(e_m)) a^2(e_o)."""
+    return ctx.mul(ctx.mul(ctx.c[a][b], ctx.acols[m]), ctx.a2cols[o])
+
+
 def _as_bracket_first(ctx: _Ctx, a, b, c, d):
     """as([e_a, e_b], a(e_c), a(e_d))."""
     p = ctx.par
@@ -337,22 +348,21 @@ def _res_hom_malcev3(ctx: _Ctx, idx):
     p = ctx.par
     px, py, pz, pt = p[i], p[j], p[k], p[l]
     lhs = ctx.acc(
-        ctx.al(ctx.mul(ctx.c[i][j], ctx.c[l][k])),
-        ctx.al(ctx.mul(ctx.c[l][j], ctx.c[i][k])),
+        ctx.term(_al_prod_prod, i, j, l, k),
+        ctx.term(_al_prod_prod, l, j, i, k),
         px * py + pt * (px + py),
     )
     terms = (
-        (pt * pz + px * (pt + py + pz), ctx.c[j][k], l, i),
-        (pt * pz + px * (py + pz), ctx.c[j][k], i, l),
-        (pz * (px + pt) + py * (pz + pt), ctx.c[k][i], l, j),
-        (pt * pz + py * (pt + pz) + px * (pt + pz), ctx.c[k][l], i, j),
-        (pt * py + px * (pt + py + pz), ctx.c[l][j], k, i),
-        (pz * pt, ctx.c[i][j], k, l),
+        (pt * pz + px * (pt + py + pz), j, k, l, i),
+        (pt * pz + px * (py + pz), j, k, i, l),
+        (pz * (px + pt) + py * (pz + pt), k, i, l, j),
+        (pt * pz + py * (pt + pz) + px * (pt + pz), k, l, i, j),
+        (pt * py + px * (pt + py + pz), l, j, k, i),
+        (pz * pt, i, j, k, l),
     )
     rhs = ctx.zero
-    for exp, inner, mid, outer in terms:
-        v = ctx.mul(ctx.mul(inner, ctx.acols[mid]), ctx.a2cols[outer])
-        rhs = ctx.acc(rhs, v, exp)
+    for exp, a, b, mid, outer in terms:
+        rhs = ctx.acc(rhs, ctx.term(_prod_twisted, a, b, mid, outer), exp)
     return ctx.sub(lhs, rhs)
 
 
@@ -460,30 +470,24 @@ def _res_cyclic_assoc(ctx: _Ctx, idx):
     return ctx.sub(lhs, rhs)
 
 
-def _jminus_basis(minus_ctx: _Ctx, i, j, k):
-    return minus_ctx.jform(
-        minus_ctx.bvecs[i], minus_ctx.bvecs[j], minus_ctx.bvecs[k],
-        minus_ctx.par[j] * minus_ctx.par[k],
-    )
-
-
 def _make_res_j_eq_6as(ctx: _Ctx, minus_ctx: _Ctx):
     def res(_ctx_unused, idx):
         i, j, k = idx
         return ctx.sub(
-            _jminus_basis(minus_ctx, i, j, k), ctx.scale_int(6, ctx.as_b(i, j, k))
+            minus_ctx.term(_jacobian_basis, i, j, k), ctx.scale_int(6, ctx.as_b(i, j, k))
         )
     return res
 
 
 def _make_res_j_eq_2s(ctx: _Ctx, minus_ctx: _Ctx):
     def res(_ctx_unused, idx):
+        # S(e_i, e_j, e_k) from the associator table at its three rotations
         i, j, k = idx
         p = ctx.par
-        s = ctx.sform(
-            ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], p[i], p[j], p[k]
-        )
-        return ctx.sub(_jminus_basis(minus_ctx, i, j, k), ctx.scale_int(2, s))
+        px, py, pz = p[i], p[j], p[k]
+        s = ctx.acc(ctx.as_b(i, j, k), ctx.as_b(j, k, i), px * (py + pz))
+        s = ctx.acc(s, ctx.as_b(k, i, j), pz * (px + py))
+        return ctx.sub(minus_ctx.term(_jacobian_basis, i, j, k), ctx.scale_int(2, s))
     return res
 
 
@@ -673,10 +677,10 @@ def run_checker(
         if not ctx.is_zero_vec(r):
             holds = False
             if len(bad) < max_counterexamples:
-                # reported coordinates are hash-consed, so every zero is one
-                # Scalar and repeated reports share their values
-                names = tuple(ctx.names[i] for i in idx)
-                bad.append((names, tuple(map(ctx.F.shared_scalar, r))))
+                # reported coordinates are hash-consed and the slot names
+                # come from the basis, so every zero is one Scalar and
+                # repeated reports share their values and names
+                bad.append((ctx.slot_names(idx), tuple(map(ctx.F.shared_scalar, r))))
             else:
                 break
     return IdentityReport(name, holds, tuple(bad), dim**chk.arity)

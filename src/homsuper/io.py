@@ -62,6 +62,14 @@ class ParseError(Exception):
 
 _SYMBOLS = "+-*/^()"
 
+# Fixed input caps.  An exponent above MAX_EXPONENT, counting the exponents
+# of enclosing powers as factors, is refused, so a power never grows a value
+# past what the text could otherwise write; nesting deeper than MAX_DEPTH
+# (parentheses and prefix minus signs) is refused before the recursive
+# descent could exhaust the stack.
+MAX_EXPONENT = 1000
+MAX_DEPTH = 100
+
 
 @dataclass
 class _Tok:
@@ -105,13 +113,15 @@ def _tokenize(text: str, line: int = 1, col0: int = 1) -> List[_Tok]:
 
 
 class _Value:
-    """Tagged scalar-or-vector during expression evaluation."""
+    """Tagged scalar-or-vector during expression evaluation; `power` is the
+    largest product of nested exponents used to build it."""
 
-    __slots__ = ("vec", "v")
+    __slots__ = ("vec", "v", "power")
 
-    def __init__(self, v, vec: bool):
+    def __init__(self, v, vec: bool, power: int = 1):
         self.v = v
         self.vec = vec
+        self.power = power
 
 
 class _ExprParser:
@@ -120,6 +130,7 @@ class _ExprParser:
         self.pos = 0
         self.field = field
         self.basis = basis
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -134,8 +145,14 @@ class _ExprParser:
         raise ParseError(msg, tok.line, tok.col)
 
     # scalar helpers
-    def _sc(self, v) -> _Value:
-        return _Value(v, False)
+    def _sc(self, v, power: int = 1) -> _Value:
+        return _Value(v, False, power)
+
+    def _int(self, tok: _Tok) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # beyond the interpreter's digit limit
+            self.fail(f"integer literal of {len(tok.text)} digits is too long", tok)
 
     def _param(self, name: str):
         f = self.field
@@ -156,12 +173,13 @@ class _ExprParser:
             w = self.term()
             if v.vec != w.vec:
                 self.fail("cannot add a scalar and a vector", op)
+            power = max(v.power, w.power)
             if v.vec:
                 fn = self.field.add if op.kind == "+" else self.field.sub
-                v = _Value([fn(a, b) for a, b in zip(v.v, w.v)], True)
+                v = _Value([fn(a, b) for a, b in zip(v.v, w.v)], True, power)
             else:
                 fn = self.field.add if op.kind == "+" else self.field.sub
-                v = self._sc(fn(v.v, w.v))
+                v = self._sc(fn(v.v, w.v), power)
         return v
 
     def term(self) -> _Value:
@@ -169,14 +187,15 @@ class _ExprParser:
         while self.peek().kind in "*/":
             op = self.take()
             w = self.factor()
+            power = max(v.power, w.power)
             if op.kind == "*":
                 if v.vec and w.vec:
                     self.fail("cannot multiply two vectors", op)
                 if v.vec or w.vec:
                     vec, sc = (v, w) if v.vec else (w, v)
-                    v = _Value([self.field.mul(sc.v, a) for a in vec.v], True)
+                    v = _Value([self.field.mul(sc.v, a) for a in vec.v], True, power)
                 else:
-                    v = self._sc(self.field.mul(v.v, w.v))
+                    v = self._sc(self.field.mul(v.v, w.v), power)
             else:
                 if w.vec:
                     self.fail("cannot divide by a vector", op)
@@ -184,9 +203,9 @@ class _ExprParser:
                     self.fail("division by zero", op)
                 if v.vec:
                     inv = self.field.inv(w.v)
-                    v = _Value([self.field.mul(inv, a) for a in v.v], True)
+                    v = _Value([self.field.mul(inv, a) for a in v.v], True, power)
                 else:
-                    v = self._sc(self.field.div(v.v, w.v))
+                    v = self._sc(self.field.div(v.v, w.v), power)
         return v
 
     def factor(self) -> _Value:
@@ -199,14 +218,18 @@ class _ExprParser:
             self.take()
             if v.vec:
                 self.fail("cannot raise a vector to a power", caret)
-            v = self._sc(self.field.pow(v.v, int(e.text)))
+            k = self._int(e)
+            power = v.power * k
+            if power > MAX_EXPONENT:
+                self.fail(f"exponent {power} is above the cap of {MAX_EXPONENT}", e)
+            v = self._sc(self.field.pow(v.v, k), max(power, 1))
         return v
 
     def atom(self) -> _Value:
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return self._sc(self.field.from_int(int(t.text)))
+            return self._sc(self.field.from_int(self._int(t)))
         if t.kind == "ident":
             self.take()
             p = self._param(t.text)
@@ -221,19 +244,24 @@ class _ExprParser:
                 vec[i] = self.field.one
                 return _Value(vec, True)
             self.fail(f"undeclared parameter {t.text!r}", t)
-        if t.kind == "(":
+        if t.kind in "(-":
+            if self.depth == MAX_DEPTH:
+                self.fail(f"expression nested deeper than {MAX_DEPTH} levels", t)
+            self.depth += 1
             self.take()
-            v = self.expr()
-            if self.peek().kind != ")":
-                self.fail("expected ')'")
-            self.take()
+            if t.kind == "(":
+                v = self.expr()
+                if self.peek().kind != ")":
+                    self.fail("expected ')'")
+                self.take()
+            else:
+                v = self.atom()
+                if v.vec:
+                    v = _Value([self.field.neg(a) for a in v.v], True, v.power)
+                else:
+                    v = self._sc(self.field.neg(v.v), v.power)
+            self.depth -= 1
             return v
-        if t.kind == "-":
-            self.take()
-            v = self.atom()
-            if v.vec:
-                return _Value([self.field.neg(a) for a in v.v], True)
-            return self._sc(self.field.neg(v.v))
         self.fail(f"expected a value, found {t.text or 'end of input'!r}", t)
 
 
@@ -464,6 +492,17 @@ def _parse_claim(key: str, body: str, line: int, field: Field, basis: Basis) -> 
     else:
         raise ParseError(f"unknown claim kind {kind!r}", line, 1)
     return ClaimSpec(key, variant, kind, target, where, expected, bindings, fragile, note)
+
+
+def decode_document(data: bytes) -> str:
+    """The text of a .salg file; a byte sequence that is not UTF-8 is a
+    ParseError at its line and column."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"file is not valid UTF-8 ({exc.reason})", line, col) from None
 
 
 def parse_algebra_file(text: str) -> AlgebraDocument:

@@ -25,6 +25,11 @@ from .superalg import (
 )
 
 
+# The n-th derived algebra uses alpha^(2^n); past this level the entries
+# of that power outgrow any table worth printing.
+MAX_DERIVED_LEVEL = 10
+
+
 class MapError(AlgebraError):
     pass
 
@@ -110,8 +115,12 @@ def power(f: EvenLinearMap, k: int) -> EvenLinearMap:
     if k < 0:
         raise MapError("negative power")
     out = EvenLinearMap.identity(f.field, f.dim)
-    for _ in range(k):
-        out = compose(f, out)
+    while k:
+        if k & 1:
+            out = compose(f, out)
+        k >>= 1
+        if k:
+            f = compose(f, f)
     return out
 
 
@@ -174,6 +183,8 @@ def derived(H: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     """n-th derived algebra: product alpha^(2^n - 1) . mu, twist alpha^(2^n)."""
     if n < 0:
         raise MapError("derived level must be nonnegative")
+    if n > MAX_DERIVED_LEVEL:
+        raise MapError(f"derived level {n} is above the cap of {MAX_DERIVED_LEVEL}")
     if not is_weak_morphism(H.algebra, H.algebra, H.alpha).holds:
         raise MultiplicativityError(
             "derived algebra needs verified multiplicativity"

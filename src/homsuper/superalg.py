@@ -3,7 +3,8 @@ and map kernels, the grading checks and the commutator / plus constructions.
 
 An algebra is an ordered homogeneous basis (names + parities) together with a
 dense 3-index table: `c[i][j]` is the coordinate vector of the product of
-basis elements i and j.  Entries are raw field payloads (see coeff); the
+basis elements i and j.  Entries are raw field payloads (see coeff), brought
+into the field's canonical form (`Field.normal`) once on construction; the
 public operations speak `Scalar` vectors and unwrap at the boundary.
 
 The multilinear forms built from these kernels (twisted associator,
@@ -12,8 +13,8 @@ Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field as dc_field
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .coeff import Field, FieldMismatchError, Scalar
 from .report import IdentityReport, Vector
@@ -31,6 +32,10 @@ class DimensionError(AlgebraError):
 class Basis:
     names: Tuple[str, ...]
     parities: Tuple[int, ...]
+    # slot tuple -> names tuple, filled by slot_names
+    _slot_names: Dict[Tuple[int, ...], Tuple[str, ...]] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.names) != len(self.parities):
@@ -48,6 +53,15 @@ class Basis:
             return self.names.index(name)
         except ValueError:
             raise AlgebraError(f"unknown basis element {name!r}") from None
+
+    def slot_names(self, idx: Tuple[int, ...]) -> Tuple[str, ...]:
+        """The names of the basis slots `idx`, one tuple per slot tuple for
+        as long as the basis lives, so reports that name the same slots
+        share it."""
+        got = self._slot_names.get(idx)
+        if got is None:
+            got = self._slot_names[idx] = tuple(self.names[i] for i in idx)
+        return got
 
 
 PayloadVector = Tuple[object, ...]
@@ -68,7 +82,8 @@ class SuperAlgebra:
                     raise DimensionError("structure vector of wrong length")
         self.basis = basis
         self.field = field
-        self.table = tuple(tuple(tuple(vec) for vec in row) for row in table)
+        normal = field.normal
+        self.table = tuple(tuple(tuple(map(normal, vec)) for vec in row) for row in table)
         # _nz[i][j]: the (k, c[i][j][k]) pairs with a nonzero constant
         isz = field.is_zero
         self._nz = tuple(
@@ -215,7 +230,8 @@ class EvenLinearMap:
         if any(len(c) != n for c in cols):
             raise DimensionError("map matrix is not square")
         self.field = field
-        self.cols = tuple(tuple(c) for c in cols)
+        normal = field.normal
+        self.cols = tuple(tuple(map(normal, c)) for c in cols)
         # _nz[j]: the (i, m[i][j]) pairs with a nonzero entry in column j
         isz = field.is_zero
         self._nz = tuple(

@@ -192,3 +192,64 @@ def test_large_gf_modulus(tmp_path, capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+_HEAD = "[algebra]\nname = hostile\nfield = Q\neven = e\nodd = u\n\n[product]\n"
+
+_HOSTILE_FILES = {
+    # a huge exponent would take minutes (and print past the digit limit)
+    "exponent": (_HEAD + "u*u = 3^2000000*u\n").encode(),
+    # nested powers multiply their exponents
+    "nested-exponent": (_HEAD + "e*e = (3^1000)^1000*e\n").encode(),
+    # 5000 nested parentheses or prefix minus signs would exhaust the stack
+    "parentheses": (_HEAD + "e*e = " + "(" * 5000 + "e" + ")" * 5000 + "\n").encode(),
+    "minus-signs": (_HEAD + "e*e = " + "-" * 5000 + "e\n").encode(),
+    # beyond the interpreter's integer digit limit
+    "literal": (_HEAD + "e*e = " + "7" * 5000 + "*e\n").encode(),
+    # not UTF-8
+    "encoding": _HEAD.encode() + b"e*e = e \xff\xfe\n",
+}
+
+
+def _assert_one_line_exit_two(capsys, argv, bound=5.0):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < bound, argv
+    assert code == 2, (argv, code)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    return err
+
+
+def test_hostile_files_end_in_one_error_line(tmp_path, capsys):
+    for name, data in _HOSTILE_FILES.items():
+        path = tmp_path / f"{name}.salg"
+        path.write_bytes(data)
+        err = _assert_one_line_exit_two(capsys, ["validate", "--file", str(path)])
+        assert "line 8, col " in err, (name, err)
+    err = _assert_one_line_exit_two(
+        capsys, ["validate", "--file", str(tmp_path / "encoding.salg")]
+    )
+    assert "line 8, col 9" in err and "UTF-8" in err
+
+
+def test_exponent_and_depth_caps_admit_their_limits(tmp_path, capsys):
+    from homsuper.io import MAX_DEPTH, MAX_EXPONENT
+
+    body = "(" * (MAX_DEPTH - 1) + "e" + ")" * (MAX_DEPTH - 1)
+    path = tmp_path / "limits.salg"
+    path.write_text(_HEAD + f"e*e = 1^{MAX_EXPONENT}*{body}\n", encoding="utf-8")
+    code, _, err = run(capsys, "validate", "--file", str(path))
+    assert code == 0 and err == ""
+
+
+def test_derive_level_cap(capsys):
+    err = _assert_one_line_exit_two(
+        capsys,
+        ["derive", "--corpus", "b42", "--map", "alpha", "--set", "a=1", "--set", "s=1",
+         "--n", "40"],
+    )
+    assert "cap" in err

@@ -179,3 +179,71 @@ def test_gf_modulus_above_primality_bound_refused():
     with pytest.raises(CoeffError) as info:
         FieldSpec("GF", 3317044064679887385961981)
     assert "\n" not in str(info.value)
+
+
+# Q payloads: an int for an integral value, a Fraction otherwise
+rationals_st = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+).map(lambda x: x.numerator if x.denominator == 1 else x)
+
+
+def _canonical(x):
+    assert not isinstance(x, float) and not isinstance(x, bool)
+    if isinstance(x, Fraction):
+        assert x.denominator != 1, x
+    else:
+        assert type(x) is int, x
+    return Fraction(x)
+
+
+@given(rationals_st, rationals_st)
+def test_rational_payloads_are_canonical_and_exact(x, y):
+    fx, fy = Fraction(x), Fraction(y)
+    assert _canonical(Q.add(x, y)) == fx + fy
+    assert _canonical(Q.sub(x, y)) == fx - fy
+    assert _canonical(Q.mul(x, y)) == fx * fy
+    assert _canonical(Q.neg(x)) == -fx
+    assert Q.eq(x, y) is (fx == fy)
+    assert Q.is_zero(x) is (fx == 0)
+    if fy:
+        assert _canonical(Q.inv(y)) == 1 / fy
+        assert _canonical(Q.div(x, y)) == fx / fy
+    else:
+        with pytest.raises(ZeroInversionError):
+            Q.inv(y)
+        with pytest.raises(ZeroInversionError):
+            Q.div(x, y)
+    assert _canonical(Q.from_fraction(fx)) == fx
+    assert _canonical(Q.normal(fx)) == fx
+
+
+def test_rational_constants_and_integer_division():
+    assert type(Q.zero) is int and type(Q.one) is int
+    assert type(Q.from_int(7)) is int
+    # int / int would give a float; Q.div and Q.inv stay exact
+    assert Q.div(1, 3) == Fraction(1, 3) and isinstance(Q.div(1, 3), Fraction)
+    assert Q.div(6, 3) == 2 and type(Q.div(6, 3)) is int
+    assert Q.inv(Fraction(1, 3)) == 3 and type(Q.inv(Fraction(1, 3))) is int
+    assert Q.mul(Fraction(2, 3), Fraction(3, 2)) == 1
+    assert type(Q.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    # the parser and the fraction field over Q run on the same payloads
+    assert type(parse_expression("6/3", Q).v) is int
+    assert type(parse_expression("1/3", Q).v) is Fraction
+    half = parse_expression("a/2", QAB)
+    assert all(isinstance(c, Fraction) for c in half.v.num.values())
+    assert all(type(c) is int for c in parse_expression("2*a + 4", QAB).v.num.values())
+
+
+@given(rationals_st, st.integers(min_value=0, max_value=40))
+def test_binary_power_matches_repeated_product(x, k):
+    want = Fraction(1)
+    for _ in range(k):
+        want *= Fraction(x)
+    assert _canonical(Q.pow(x, k)) == want
+    assert GF3.pow(2, k) == pow(2, k, 3)
+    s = sym("a + 2*b")
+    slow = sym("1")
+    for _ in range(k % 9):
+        slow = slow * s
+    assert s ** (k % 9) == slow

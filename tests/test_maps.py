@@ -195,3 +195,25 @@ def test_beta_remains_weak_endo_of_twist(corpus_instances):
     for key in (("b42", "alpha"), ("m3-3-1", "alpha1")):
         inst = corpus_instances[key]
         assert is_weak_morphism(inst.hom.algebra, inst.hom.algebra, inst.map_used).holds
+
+
+def test_power_by_squaring_matches_repeated_composition(corpus_instances):
+    for key in (("m3-3-1", "alpha1"), ("dt-jordan", "alpha")):
+        alpha = corpus_instances[key].hom.alpha
+        F = alpha.field
+        slow = EvenLinearMap.identity(F, alpha.dim)
+        for k in range(9):
+            fast = power(alpha, k)
+            assert all(
+                F.eq(x, y) for cx, cy in zip(fast.cols, slow.cols) for x, y in zip(cx, cy)
+            ), (key, k)
+            slow = compose(alpha, slow)
+
+
+def test_derived_level_cap(corpus_instances):
+    from homsuper.maps import MAX_DERIVED_LEVEL, MapError
+
+    H = corpus_instances[("m3-3-1", "alpha1")].hom
+    with pytest.raises(MapError, match="cap"):
+        derived(H, MAX_DERIVED_LEVEL + 1)
+    assert derived(H, MAX_DERIVED_LEVEL).dim == H.dim

@@ -271,3 +271,26 @@ def test_bk_functions_vanish_on_associative():
         for j in range(4):
             assert A.vector_is_zero(bk_f(H, b(i), b(j), b(i), b(j)))
             assert A.vector_is_zero(bk_F(H, b(i), b(j), b(i), b(j)))
+
+
+def test_tables_and_maps_hold_canonical_rational_payloads():
+    from fractions import Fraction
+
+    from homsuper.superalg import Basis, EvenLinearMap, SuperAlgebra
+
+    basis = Basis(("e", "u"), (0, 1))
+    raw = [
+        [(Fraction(3), Fraction(0)), (Fraction(0), Fraction(1, 2))],
+        [(Fraction(0), Fraction(-2)), (Fraction(0), Fraction(0))],
+    ]
+    A = SuperAlgebra(basis, Q, raw)
+    assert A.table == (((3, 0), (0, Fraction(1, 2))), ((0, -2), (0, 0)))
+    for row in A.table:
+        for vec in row:
+            for x in vec:
+                assert type(x) is int or x.denominator != 1
+    m = EvenLinearMap(Q, [(Fraction(3), Fraction(0)), (Fraction(0), Fraction(4, 2))])
+    assert [type(x) for col in m.cols for x in col] == [int] * 4
+    assert m.cols == ((3, 0), (0, 2))
+    # the nonzero index skips a Fraction(0) entry like an int zero
+    assert m._nz == (((0, 3),), ((1, 2),))
