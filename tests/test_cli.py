@@ -225,15 +225,13 @@ def _assert_one_line_exit_two(capsys, argv, bound=5.0):
 
 
 def test_hostile_files_end_in_one_error_line(tmp_path, capsys):
+    errors = {}
     for name, data in _HOSTILE_FILES.items():
         path = tmp_path / f"{name}.salg"
         path.write_bytes(data)
-        err = _assert_one_line_exit_two(capsys, ["validate", "--file", str(path)])
-        assert "line 8, col " in err, (name, err)
-    err = _assert_one_line_exit_two(
-        capsys, ["validate", "--file", str(tmp_path / "encoding.salg")]
-    )
-    assert "line 8, col 9" in err and "UTF-8" in err
+        errors[name] = _assert_one_line_exit_two(capsys, ["validate", "--file", str(path)])
+        assert "line 8, col " in errors[name], (name, errors[name])
+    assert "line 8, col 9" in errors["encoding"] and "UTF-8" in errors["encoding"]
 
 
 def test_exponent_and_depth_caps_admit_their_limits(tmp_path, capsys):
