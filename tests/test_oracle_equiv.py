@@ -3,12 +3,13 @@
 import ast
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import homsuper.corpus as corpus
 from gen import random_even_map, random_graded_algebra
 from homsuper import oracle
-from homsuper.coeff import Scalar
+from homsuper.coeff import FieldSpec, Scalar, field_for
 from homsuper.identities import (
     CHECKERS,
     PreconditionError,
@@ -20,7 +21,7 @@ from homsuper.identities import (
     run_checker,
 )
 from homsuper.oracle import oracle_value, oracle_verdict
-from homsuper.superalg import hom
+from homsuper.superalg import EvenLinearMap, SuperAlgebra, hom
 
 
 def _compare_all(H, label):
@@ -40,13 +41,66 @@ def test_oracle_matches_on_corpus(corpus_instances):
         _compare_all(inst.hom, key)
 
 
-def test_oracle_matches_on_random_instances():
+def _random_instances():
     rng = random.Random(1618)
     for trial in range(40):
         dim = rng.choice([2, 3])
         A = random_graded_algebra(rng, dim, rng.randint(0, dim))
-        H = hom(A, random_even_map(rng, A))
-        _compare_all(H, f"random-{trial}")
+        yield f"random-{trial}", hom(A, random_even_map(rng, A))
+
+
+def test_oracle_matches_on_random_instances():
+    for label, H in _random_instances():
+        _compare_all(H, label)
+
+
+def _carried(H, F, lift):
+    """H with every rational constant c of its table and twist replaced by
+    lift(F, c, position)."""
+    A = H.algebra
+    table = [
+        [tuple(lift(F, c, (i, j, k)) for k, c in enumerate(A.table[i][j])) for j in range(A.dim)]
+        for i in range(A.dim)
+    ]
+    cols = [tuple(lift(F, c, (j, i)) for i, c in enumerate(col)) for j, col in enumerate(H.alpha.cols)]
+    return hom(SuperAlgebra(A.basis, F, table), EvenLinearMap(F, cols))
+
+
+def _assert_residuals_match_oracle(H, label):
+    F = H.field
+    raw = oracle._Raw(H)
+    for name, chk in CHECKERS.items():
+        ctx, res = chk.make(H)
+        for idx in itertools.product(range(ctx.dim), repeat=chk.arity):
+            got = res(ctx, idx)
+            want = oracle._residual(name, raw, idx)
+            assert all(F.eq(a, b) for a, b in zip(got, want)), (label, name, idx)
+
+
+def test_full_residuals_match_oracle_on_every_tuple():
+    # not only verdicts: every residual vector on every tuple, also where
+    # the checker's standing hypothesis fails (both routes evaluate the same
+    # written identity there)
+    for label, H in _random_instances():
+        _assert_residuals_match_oracle(H, label)
+    rng = random.Random(3)
+    A = random_graded_algebra(rng, 3, 1)
+    H = hom(A, random_even_map(rng, A))
+    gf3 = field_for(FieldSpec("GF", 3))
+    _assert_residuals_match_oracle(
+        _carried(H, gf3, lambda F, c, _: F.from_fraction(Fraction(c))), "GF(3)"
+    )
+    A = random_graded_algebra(rng, 2, 1)
+    H = hom(A, random_even_map(rng, A))
+    frac = field_for(FieldSpec("Q", None, ("a",)))
+    a = frac.monomial("a")
+
+    def lift(F, c, pos):
+        # constants at odd positions pick up the parameter: c*a + 1
+        v = F.from_fraction(Fraction(c))
+        return F.add(F.mul(v, a), F.one) if sum(pos) % 2 and c else v
+
+    _assert_residuals_match_oracle(_carried(H, frac, lift), "Frac(Q[a])")
 
 
 def test_oracle_values_match_checker_forms(corpus_instances):
