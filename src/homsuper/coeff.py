@@ -40,6 +40,7 @@ to `is`.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,7 +394,12 @@ class RationalField(Field):
         return x.numerator if x.denominator == 1 else x
 
     def render(self, x):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the interpreter's integer digit limit
+            raise CoeffError(
+                f"rational with more than {sys.get_int_max_str_digits()} digits cannot be rendered"
+            ) from None
 
 
 class PrimeField(Field):

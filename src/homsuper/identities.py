@@ -1,47 +1,50 @@
-"""The twisted multilinear forms, the identity checkers built from them,
-and the runner.
+"""The identity checkers as data, the one compiler that evaluates them, and
+the runner.
 
-Each form has one definition here, on the evaluation context `_Ctx`: the
-twisted associator `as_vec`, the Hom-super-Jacobian `jform`, the cyclic sum
-`sform`, the super-commutator `bracket`, and the graded Bruck-Kleinfeld
-functions on basis slots, `_f_basis` and `_F_basis`.  `_Ctx` multiplies and
-twists with the kernels of `superalg`.  The public forms (`hom_associator`,
-`hom_super_jacobian`, `cyclic_hom_associator`, `bk_f`, `bk_F`) take Scalar
-vectors and evaluate through the same context; the brute-force `oracle` is
-the one independent second route.
+Words are Python expressions over letters, the slots of an identity bound
+to the basis elements of one tuple: u*v is the product mu, a(u) the twist
+alpha, a2(u) alpha^2, and `_FORMS` holds as, br, J, S, f and F (twisted
+associator, super-commutator, Hom-super-Jacobian, cyclic sum, graded
+Bruck-Kleinfeld functions) as signed sums of words.  A checker is a tuple
+of parts `left = right` (no right side means 0), each side an integer scale
+`n*(...)` times a signed list of terms; `@minus` / `@plus` runs a term on
+the super-commutator / plus algebra.  The first part whose left - right is
+nonzero gives the residual.
 
-Sub-terms that recur across slot orders are kept in tables on the context:
-`_Ctx.term(fn, *slots)` computes a sub-term function such as
-as(e_a e_b, a(e_k), a(e_t)), the bracket [a^2(e_k), as(e_a, e_b, e_c)], a
-Jacobian, a twisted product or the Bruck-Kleinfeld f once per tuple of basis
-slots, in a flat lazily filled list of dim**len(slots) entries per function.
-The rule is cache, don't reassociate: a residual reads its sub-terms from
-the tables but adds them in the same order and with the same signs as the
-identity is written, so the sums are the very payloads the uncached
-expression gives.  That matters over Frac(K[params]), whose payloads are not
-gcd-reduced, where another summation order could print a residual
-differently.  Stored values are zero-normalised (a zero coordinate is the
-field's shared zero, an all-zero vector is `ctx.zero`), and adding
-`ctx.zero` is skipped, which leaves every sum unchanged.
+Signs: a term is written with its constant sign only.  `_koszul` adds p_a
+p_b for each pair of letters read out of slot order, and the identity's
+prefactor as letter pairs: (t,x)+(t,z), the paper's (-1)^(|t|(|x|+|z|)),
+for hom-jordan and jordan-expansion, (t,x)+(t,y)+(t,z) for hom-malcev and
+(t,z) for hom-malcev-2 and -3.  Inside a form the rule runs over its
+arguments, whose parity is that of their letters: J's (-1)^(|y||z|) is the
+Koszul sign of its third term.  So signs follow the formula parity of the
+letters even on tables whose grading is broken (the bundled examples have
+one such twist).  Each sign is tabulated for all 2^arity parity patterns.
 
-Every checker walks all homogeneous basis tuples of its arity in
-lexicographic order, evaluates the residual LHS - RHS of its identity
-exactly, and reports the failing tuples (capped, lex-first).  Signs are
-computed from the parities of the tuple slots as the identity is written;
-derived arguments such as brackets or alpha-images inherit the formula
-parity of the letters they were built from, so the checks stay well defined
-even on tables whose grading is broken (the bundled examples contain one
-such twist).  The public forms read their signs from the parities of their
-arguments, so the signed ones insist on homogeneous arguments.
+Shape tables: a shape is a word with its letters renumbered by first
+appearance, compiled once at import; `_Ctx.term` keeps its values in a
+lazily filled table of dim**letters entries.  A composite sub-word (beyond
+a letter or a lookup e_i*e_j, a(e_i), a2(e_i)) is read from its table when
+it has fewer letters than the word around it, as is a term whose shape
+occurs more than once in its sum (a checker's or a form's).
 
-The module-level CHECKERS registry maps the stable checker names used by
-the CLI to their implementations.
+Fold rule, cache, don't reassociate: a side is summed left to right as
+written, its first term negated when its sign is odd, then scaled, so the
+sums are the payloads the written expression gives (Frac(K[params])
+payloads are not gcd-reduced; another order could print differently).
+Stored values are zero-normalised and adding the shared `ctx.zero` is
+skipped, which leaves every sum as it is.  The public forms are the
+multilinear extensions of the same words; `oracle` is the second route.
 """
 
 from __future__ import annotations
 
+import ast
+import copy
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .maps import compose
@@ -49,7 +52,6 @@ from .report import IdentityReport, Vector
 from .superalg import (
     AlgebraError,
     HomSuperAlgebra,
-    SuperAlgebra,
     commutator_algebra,
     is_super_commutative,
     is_super_skewsymmetric,
@@ -80,44 +82,29 @@ class PreconditionError(CheckError):
 
 
 class _Ctx:
-    """Unwrapped evaluation context: raw payload tables, field ops, the
-    product and map kernels of the algebra and its twist, and the sub-term
-    tables filled by `term`."""
+    """Unwrapped evaluation context: raw payload tables, the product and map
+    kernels of the algebra and its twist, the shape tables filled by `term`,
+    and the derived contexts that marked terms run on."""
 
     __slots__ = (
         "F", "dim", "par", "names", "slot_names", "c", "acols", "a2cols", "zero",
-        "bvecs", "_tables", "mul", "al", "al2",
+        "_tables", "mul", "al", "al2", "derived",
     )
 
-    def __init__(self, H: HomSuperAlgebra):
-        A = H.algebra
-        F = A.field
-        alpha2 = compose(H.alpha, H.alpha)
-        self.F = F
-        self.dim = A.dim
-        self.par = A.basis.parities
-        self.names = A.basis.names
-        self.slot_names = A.basis.slot_names
-        self.c = A.table
-        self.acols = H.alpha.cols
-        self.a2cols = alpha2.cols
-        self.zero = tuple(F.zero for _ in range(A.dim))
-        self.bvecs = tuple(
-            tuple(F.one if i == j else F.zero for i in range(A.dim))
-            for j in range(A.dim)
-        )
+    def __init__(self, H: HomSuperAlgebra, zero=None):
+        A, F, alpha2 = H.algebra, H.algebra.field, compose(H.alpha, H.alpha)
+        self.F, self.dim, self.c = F, A.dim, A.table
+        self.par, self.names, self.slot_names = A.basis.parities, A.basis.names, A.basis.slot_names
+        self.acols, self.a2cols = H.alpha.cols, alpha2.cols
+        self.zero = zero or tuple(F.zero for _ in range(A.dim))
         self._tables: Dict[Callable, list] = {}
-        # the kernels themselves, bound: mul(u, v), al(u) = alpha(u),
-        # al2(u) = alpha^2(u) on payload vectors
-        self.mul = A._mul_payload
-        self.al = H.alpha.apply_payload
-        self.al2 = alpha2.apply_payload
+        self.derived: Dict[str, _Ctx] = {}
+        # the kernels, bound: mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u)
+        self.mul, self.al, self.al2 = A._mul_payload, H.alpha.apply_payload, alpha2.apply_payload
 
-    def term(self, fn, *slots):
-        """fn(self, *slots) for basis indices `slots`, computed once per slot
-        tuple: the value is kept in a flat table of dim**len(slots) entries,
-        one table per sub-term function.  Zero coordinates are stored as the
-        shared F.zero and an all-zero vector as `self.zero`."""
+    def term(self, fn, slots):
+        """fn(self, slots) for a tuple of basis indices, computed once per
+        tuple and kept in a flat table of dim**len(slots) entries per shape."""
         table = self._tables.get(fn)
         if table is None:
             table = self._tables[fn] = [None] * self.dim ** len(slots)
@@ -126,548 +113,346 @@ class _Ctx:
             key = key * self.dim + s
         got = table[key]
         if got is None:
-            F = self.F
-            zero, is_zero = F.zero, F.is_zero
-            got = tuple(zero if is_zero(x) else x for x in fn(self, *slots))
+            zero, is_zero = self.F.zero, self.F.is_zero
+            got = tuple(zero if is_zero(x) else x for x in fn(self, slots))
             if all(x is zero for x in got):
                 got = self.zero
             table[key] = got
         return got
 
-    # -- vector combinators; adding the shared zero vector is skipped, which
-    #    leaves every sum unchanged
-
-    def add(self, u, v):
-        if v is self.zero:
-            return u
-        return tuple(map(self.F.add, u, v))
-
-    def sub(self, u, v):
-        if v is self.zero:
-            return u
-        return tuple(map(self.F.sub, u, v))
-
     def acc(self, u, v, exp: int):
-        """u + (-1)^exp v."""
-        return self.sub(u, v) if exp % 2 else self.add(u, v)
+        """u + (-1)^exp v; adding the shared zero vector is skipped."""
+        if v is self.zero:
+            return u
+        return tuple(map(self.F.sub if exp else self.F.add, u, v))
 
     def scale_int(self, n: int, u):
-        F = self.F
-        c = F.from_int(n)
-        return tuple(F.mul(c, x) for x in u)
+        c = self.F.from_int(n)
+        return tuple(self.F.mul(c, x) for x in u)
 
     def is_zero_vec(self, u) -> bool:
-        F = self.F
-        return all(F.is_zero(x) for x in u)
-
-    # -- forms
-
-    def as_vec(self, x, y, z):
-        return self.sub(
-            self.mul(self.mul(x, y), self.al(z)),
-            self.mul(self.al(x), self.mul(y, z)),
-        )
-
-    def as_b(self, i: int, j: int, k: int):
-        return self.term(_as_basis, i, j, k)
-
-    def jform(self, x, y, z, exp_yz: int):
-        """[[x,y],a(z)] - [a(x),[y,z]] - (-1)^exp [[x,z],a(y)], with mu as
-        the bracket (callers pass a skew product)."""
-        t = self.sub(
-            self.mul(self.mul(x, y), self.al(z)),
-            self.mul(self.al(x), self.mul(y, z)),
-        )
-        return self.acc(t, self.mul(self.mul(x, z), self.al(y)), 1 + exp_yz)
-
-    def bracket(self, u, v, exp: int):
-        """Super-commutator of mu: uv - (-1)^exp vu."""
-        return self.acc(self.mul(u, v), self.mul(v, u), 1 + exp)
-
-    def sform(self, x, y, z, px, py, pz):
-        t = self.acc(self.as_vec(x, y, z), self.as_vec(y, z, x), px * (py + pz))
-        return self.acc(t, self.as_vec(z, x, y), pz * (px + py))
+        return all(map(self.F.is_zero, u))
 
 
-# ---------------------------------------------------------------------------
-# Sub-terms on basis slots, read through `_Ctx.term`.  Each is a function of
-# the basis indices it depends on; the residuals below look them up at the
-# slot orders their identity needs.
-# ---------------------------------------------------------------------------
+# -- Words: a letter (its slot position) or (head, *args), head "m" (the
+# product), "a", "a2", a form name, or "@minus" / "@plus" marking a term.
 
 
-def _as_basis(ctx: _Ctx, i, j, k):
-    """as(e_i, e_j, e_k)."""
-    return ctx.sub(
-        ctx.mul(ctx.c[i][j], ctx.acols[k]),
-        ctx.mul(ctx.acols[i], ctx.c[j][k]),
+def _parse(text: str, letters: str):
+    """`side [= side]` as two (scale, [(sign bit, word)])."""
+
+    def word(node):
+        if isinstance(node, ast.Name):
+            return letters.index(node.id)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return ("m", word(node.left), word(node.right))
+        if isinstance(node, ast.Call):  # `as` is a Python keyword: as_ here
+            return (node.func.id.rstrip("_"), *map(word, node.args))
+        raise SyntaxError(f"{text!r}: {ast.dump(node)}")
+
+    def walk(node, bit, terms):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            walk(node.left, bit, terms)
+            walk(node.right, bit ^ isinstance(node.op, ast.Sub), terms)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            terms.append((bit, ("@" + node.right.id, word(node.left))))
+        else:
+            terms.append((bit, word(node)))
+        return tuple(terms)
+
+    def side(source):
+        node = ast.parse(source.strip().replace("as(", "as_("), mode="eval").body
+        if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant):
+            return node.left.value, walk(node.right, 0, [])
+        return 1, walk(node, 0, [])
+
+    left, _, right = text.partition("=")
+    return side(left), side(right) if right else (1, ())
+
+
+def _letters(node) -> Tuple[int, ...]:
+    """The letters of a word in reading order (first appearance)."""
+    if isinstance(node, int):
+        return (node,)
+    return tuple(dict.fromkeys(x for arg in node[1:] for x in _letters(arg)))
+
+
+def _subst(node, args):
+    """The word with letter k replaced by args[k]."""
+    if isinstance(node, int):
+        return args[node]
+    return (node[0],) + tuple(_subst(a, args) for a in node[1:])
+
+
+def _shape(node):
+    """(the word with its letters renumbered by first appearance, those letters)."""
+    order = _letters(node)
+    return _subst(node, {x: k for k, x in enumerate(order)}), order
+
+
+def _koszul(seq, bit: int, pairs, n: int, rank=None) -> Tuple[int, ...]:
+    """Sign exponents of a term for all 2**n parity patterns: its constant
+    bit, p_a p_b for each pair of letters of `seq` read out of slot order
+    (or of `rank` order), and the prefactor letter pairs."""
+    rank = rank or {x: x for x in seq}
+    pairs = [*pairs, *((a, b) for i, a in enumerate(seq) for b in seq[i + 1:] if rank[a] > rank[b])]
+    return tuple(
+        (bit + sum((pat >> a) & (pat >> b) & 1 for a, b in pairs)) % 2 for pat in range(1 << n)
     )
 
 
-def _as_prod_first(ctx: _Ctx, a, b, k, t):
-    """as(e_a e_b, a(e_k), a(e_t))."""
-    return ctx.as_vec(ctx.c[a][b], ctx.acols[k], ctx.acols[t])
+# name -> (letters, signed terms); a body may use the forms above it
+_FORMS: Dict[str, Tuple[str, tuple]] = {}
+for _name, _args, _body in (
+    ("as", "xyz", "(x*y)*a(z) - a(x)*(y*z)"),
+    ("br", "xy", "x*y - y*x"),
+    ("J", "xyz", "(x*y)*a(z) - a(x)*(y*z) - (x*z)*a(y)"),
+    ("S", "xyz", "as(x,y,z) + as(y,z,x) + as(z,x,y)"),
+    ("f", "txyz", "as(t*x,a(y),a(z)) - as(x,y,z)*a2(t) - a2(x)*as(t,y,z)"),
+    ("F", "txyz", "br(a2(t),as(x,y,z)) - br(a2(z),as(t,x,y)) + br(a2(y),as(z,t,x))"
+                  " - br(a2(x),as(y,z,t))"),
+):
+    _FORMS[_name] = (_args, _parse(_body, _args)[0][1])
 
 
-def _as_prod_mid(ctx: _Ctx, t, a, b, k):
-    """as(a(e_t), e_a e_b, a(e_k))."""
-    return ctx.as_vec(ctx.acols[t], ctx.c[a][b], ctx.acols[k])
+# -- The compiler: a word inside a word of n letters becomes ev(ctx, s, pat),
+# s the basis indices of the n letters and bit k of pat the parity of letter k.
 
 
-def _as_prod_last(ctx: _Ctx, t, k, a, b):
-    """as(a(e_t), a(e_k), e_a e_b)."""
-    return ctx.as_vec(ctx.acols[t], ctx.acols[k], ctx.c[a][b])
+def _pattern(par, slots) -> int:
+    return sum(par[i] << k for k, i in enumerate(slots))
 
 
-def _bracket_a2_as(ctx: _Ctx, k, a, b, c):
-    """[a^2(e_k), as(e_a, e_b, e_c)]."""
-    p = ctx.par
-    return ctx.bracket(ctx.a2cols[k], ctx.as_b(a, b, c), p[k] * (p[a] + p[b] + p[c]))
+def _is_lookup(node) -> bool:
+    return isinstance(node, int) or node[0] in ("m", "a", "a2") and all(
+        isinstance(a, int) for a in node[1:])
 
 
-def _jacobian_basis(ctx: _Ctx, i, j, k):
-    """J(e_i, e_j, e_k)."""
-    return ctx.jform(ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], ctx.par[j] * ctx.par[k])
+def _compile(node, n: int):
+    """`node` evaluated in place."""
+    if isinstance(node, int):
+        return lambda ctx, s, pat: tuple(
+            ctx.F.one if i == s[node] else ctx.F.zero for i in range(ctx.dim))
+    head, args = node[0], node[1:]
+    if head[0] == "@":
+        ev = _compile(args[0], n)
+        return lambda ctx, s, pat: ev(ctx.derived[head[1:]], s, pat)
+    if head in _FORMS:
+        # the form's terms over the argument words, signed by the Koszul
+        # rule on the order of the arguments' letters
+        rank = {x: r for r, x in enumerate(x for a in args for x in _letters(a))}
+        terms = [(bit, _subst(w, args)) for bit, w in _FORMS[head][1]]
+        return _fold(terms, n, Counter(_shape(w)[0] for _, w in terms), rank=rank)
+    if _is_lookup(node):
+        i, j = args[0], args[-1]
+        if head == "m":
+            return lambda ctx, s, pat: ctx.c[s[i]][s[j]]
+        if head == "a":
+            return lambda ctx, s, pat: ctx.acols[s[i]]
+        return lambda ctx, s, pat: ctx.a2cols[s[i]]
+    # a composite argument on fewer letters is shared through its table
+    evs = [_compile(a, n) if _is_lookup(a) or len(_letters(a)) >= n else _reader(*_shape(a))
+           for a in args]
+    u, v = evs[0], evs[-1]
+    if head == "m":
+        return lambda ctx, s, pat: ctx.mul(u(ctx, s, pat), v(ctx, s, pat))
+    if head == "a":
+        return lambda ctx, s, pat: ctx.al(u(ctx, s, pat))
+    return lambda ctx, s, pat: ctx.al2(u(ctx, s, pat))
 
 
-def _jacobian_twisted(ctx: _Ctx, t, a, b, c):
-    """J(a(e_t), a(e_a), e_b e_c)."""
-    p = ctx.par
-    return ctx.jform(
-        ctx.al(ctx.bvecs[t]), ctx.al(ctx.bvecs[a]), ctx.c[b][c], p[a] * (p[b] + p[c])
-    )
+def _fold(terms, n: int, seen, pairs=(), rank=None, scale=1):
+    """`scale` times the sum of [(sign bit, word)] left to right, the first
+    term negated when its sign is odd; a word whose shape occurs more than
+    once in `seen` is read from its table."""
+    (first, signs0), *rest = [
+        (_reader(shape, order) if seen[shape] > 1 else _compile(w, n),
+         _koszul(order, bit, pairs, n, rank))
+        for bit, w in terms for shape, order in [_shape(w)]
+    ]
+    if not rest and not any(signs0) and scale == 1:
+        return first
+
+    def ev(ctx, s, pat):
+        out = first(ctx, s, pat)
+        if signs0[pat]:
+            out = ctx.acc(ctx.zero, out, 1)
+        for f, signs in rest:
+            out = ctx.acc(out, f(ctx, s, pat), signs[pat])
+        return out if scale == 1 else ctx.scale_int(scale, out)
+
+    return ev
 
 
-def _as_bracket_last(ctx: _Ctx, t, a, b, c):
-    """as(a(e_t), a(e_a), [e_b, e_c])."""
-    p = ctx.par
-    return ctx.as_vec(
-        ctx.acols[t], ctx.acols[a], ctx.bracket(ctx.bvecs[b], ctx.bvecs[c], p[b] * p[c])
-    )
+_SHAPES: Dict[tuple, Callable] = {}
 
 
-def _al_prod_prod(ctx: _Ctx, a, b, c, d):
-    """a(e_a e_b . e_c e_d)."""
-    return ctx.al(ctx.mul(ctx.c[a][b], ctx.c[c][d]))
+def _reader(shape, order):
+    """The word `shape` at the letters `order`, read from its table."""
+    fn = _SHAPES.get(shape)
+    if fn is None:
+        ev = _compile(shape, len(order))
+        fn = _SHAPES[shape] = lambda ctx, slots: ev(ctx, slots, _pattern(ctx.par, slots))
+    pick = itemgetter(*order) if len(order) > 1 else (lambda s, i=order[0]: (s[i],))
+    return lambda ctx, s, pat: ctx.term(fn, pick(s))
 
 
-def _prod_twisted(ctx: _Ctx, a, b, m, o):
-    """(e_a e_b a(e_m)) a^2(e_o)."""
-    return ctx.mul(ctx.mul(ctx.c[a][b], ctx.acols[m]), ctx.a2cols[o])
+class _Identity:
+    """A checker or named value as data (letters, parts, standing hypothesis
+    "skew" / "commutative", the algebra "minus" / "plus" its unmarked terms
+    run on, prefactor), compiled once into `residual(ctx, idx)`."""
+
+    def __init__(self, letters: str, *parts: str, requires="", context="", prefactor=""):
+        self.letters, self.parts, self.requires, self.context = letters, parts, requires, context
+        self.arity = n = len(letters)
+        pairs = [tuple(map(letters.index, pair)) for pair in prefactor.split()]
+        parsed = [_parse(p, letters) for p in parts]
+        words = [w for part in parsed for _, side in part for _, w in side]
+        seen = Counter(_shape(w)[0] for w in words)
+        self.marks = sorted({w[0][1:] for w in words if w[0][0] == "@"})
+
+        def part(left, right):
+            lhs = _fold(left[1], n, seen, pairs, scale=left[0])
+            if not right[1]:
+                return lhs
+            rhs = _fold(right[1], n, seen, pairs, scale=right[0])
+            return lambda ctx, s, pat: ctx.acc(lhs(ctx, s, pat), rhs(ctx, s, pat), 1)
+
+        *first, last = [part(*p) for p in parsed]
+
+        def residual(ctx, idx):
+            pat = _pattern(ctx.par, idx)
+            for ev in first:
+                r = ev(ctx, idx, pat)
+                if not ctx.is_zero_vec(r):
+                    return r
+            return last(ctx, idx, pat)
+
+        self.residual = residual
+
+    def on(self, context: str) -> "_Identity":
+        # a derived product is super-skew (minus) or -commutative (plus)
+        other = copy.copy(self)
+        other.context, other.requires = context, ""
+        return other
+
+    def make(self, H: HomSuperAlgebra):
+        ctx = _Ctx(_algebra(H, self.context))
+        for mark in self.marks:
+            ctx.derived[mark] = _Ctx(_algebra(H, mark), ctx.zero)
+        return ctx, self.residual
 
 
-def _as_bracket_first(ctx: _Ctx, a, b, c, d):
-    """as([e_a, e_b], a(e_c), a(e_d))."""
-    p = ctx.par
-    return ctx.as_vec(
-        ctx.bracket(ctx.bvecs[a], ctx.bvecs[b], p[a] * p[b]), ctx.acols[c], ctx.acols[d]
-    )
+def _algebra(H: HomSuperAlgebra, context: str) -> HomSuperAlgebra:
+    # the constructions are looked up as module globals at call time
+    if context == "minus":
+        return commutator_algebra(H)
+    return plus_algebra(H) if context == "plus" else H
 
 
-# ---------------------------------------------------------------------------
-# Residuals, one per identity; idx slots are documented per checker.
-# ---------------------------------------------------------------------------
+# -- The identities; each term carries its constant sign only.
 
+_LEFT_ALT = _Identity("xyz", "as(x,y,z) + as(y,x,z)")
+_RIGHT_ALT = _Identity("xyz", "as(x,y,z) + as(x,z,y)")
+_HOM_LIE = _Identity("xyz", "J(x,y,z)", requires="skew")
+_HOM_MALCEV = _Identity(
+    "xyzt", "2*(a2(t)*J(x,y,z)) = J(a(t),a(x),y*z) + J(a(t),a(y),z*x) + J(a(t),a(z),x*y)",
+    requires="skew", prefactor="tx ty tz")
+_HOM_JORDAN = _Identity(
+    "xyzt", "as(x*y,a(z),a(t)) + as(y*t,a(z),a(x)) + as(t*x,a(z),a(y))",
+    requires="commutative", prefactor="tx tz")
+# jordan-expansion, route 2: twelve associators of mu for each cyclic
+# summand (p,q,r) of (x,y,t), z fixed, then six brackets [a^2(z), as]
+_JORDAN_TERMS = (
+    "as(p*q,a(z),a(r)) + as(q*p,a(z),a(r)) - as(a(r),a(z),p*q) - as(a(r),a(z),q*p)"
+    " - as(a(r),p*q,a(z)) - as(a(r),q*p,a(z)) + as(a(z),q*p,a(r)) + as(a(z),p*q,a(r))"
+    " - as(a(z),a(r),p*q) + as(p*q,a(r),a(z)) - as(a(z),a(r),q*p) + as(q*p,a(r),a(z))"
+)
+_IDENTITIES = {
+    "left-alt": _LEFT_ALT,
+    "right-alt": _RIGHT_ALT,
+    "alternative": _Identity("xyz", *_LEFT_ALT.parts, *_RIGHT_ALT.parts),
+    "flexible": _Identity("xyz", "as(x,y,z) + as(z,y,x)"),
+    "hom-lie": _HOM_LIE,
+    "hom-malcev": _HOM_MALCEV,
+    "hom-malcev-2": _Identity(
+        "xyzt", "J(a(x),a(y),t*z) + J(a(t),a(y),x*z) = J(x,y,z)*a2(t) + J(t,y,z)*a2(x)",
+        requires="skew", prefactor="tz"),
+    "hom-malcev-3": _Identity(
+        "xyzt", "a((x*y)*(t*z)) + a((t*y)*(x*z)) = ((y*z)*a(t))*a2(x) + ((y*z)*a(x))*a2(t)"
+        " + ((z*x)*a(t))*a2(y) + ((z*t)*a(x))*a2(y) + ((t*y)*a(z))*a2(x) + ((x*y)*a(z))*a2(t)",
+        requires="skew", prefactor="tz"),
+    "hom-jordan": _HOM_JORDAN,
+    "lie-admissible": _HOM_LIE.on("minus"),
+    "malcev-admissible": _HOM_MALCEV.on("minus"),
+    "jordan-admissible": _HOM_JORDAN.on("plus"),
+    "teichmuller": _Identity("txyz", "as(t*x,a(y),a(z)) - as(x*y,a(z),a(t)) + as(y*z,a(t),a(x))"
+                             " = a2(t)*as(x,y,z) + as(t,x,y)*a2(z)"),
+    # f super-alternating in each adjacent pair; F = 3f, multiplied out so it
+    # stays meaningful in characteristic 3; F = f.(Id - rho + rho^2) with
+    # rho(t,x,y,z) = (x,y,z,t); f through brackets
+    "bk-suite": _Identity(
+        "txyz", "f(t,x,y,z) + f(x,t,y,z)", "f(t,x,y,z) + f(t,y,x,z)", "f(t,x,y,z) + f(t,x,z,y)",
+        "F(t,x,y,z) = 3*f(t,x,y,z)", "F(t,x,y,z) = f(t,x,y,z) - f(x,y,z,t) + f(y,z,t,x)",
+        "f(t,x,y,z) = as(br(t,x),a(y),a(z)) + as(br(y,z),a(t),a(x))"),
+    "cyclic-assoc": _Identity("txyz", "2*br(a2(t),as(x,y,z)) = as(a(t),a(x),br(y,z))"
+                              " + as(a(t),a(y),br(z,x)) + as(a(t),a(z),br(x,y))"),
+    "j-eq-6as": _Identity("xyz", "J(x,y,z)@minus = 6*as(x,y,z)"),
+    "j-eq-2s": _Identity("xyz", "J(x,y,z)@minus = 2*S(x,y,z)"),
+    "jordan-expansion": _Identity(
+        "xyzt", "8*(as(x*y,a(z),a(t))@plus + as(y*t,a(z),a(x))@plus + as(t*x,a(z),a(y))@plus)"
+        " = " + " + ".join(_JORDAN_TERMS.translate(str.maketrans("pqr", cycle))
+                           for cycle in ("xyt", "ytx", "txy"))
+        + " + br(a2(z),as(y,t,x)) + br(a2(z),as(t,y,x)) + br(a2(z),as(t,x,y))"
+        " + br(a2(z),as(x,t,y)) + br(a2(z),as(x,y,t)) + br(a2(z),as(y,x,t))",
+        prefactor="tx tz"),
+    "supercommutative": _Identity("xy", "x*y - y*x"),
+    "superskew": _Identity("xy", "x*y + y*x"),
+    "multiplicative": _Identity("xy", "a(x*y) = a(x)*a(y)"),
+}
 
-def _res_left_alt(ctx: _Ctx, idx):
-    i, j, k = idx
-    return ctx.acc(ctx.as_b(i, j, k), ctx.as_b(j, i, k), ctx.par[i] * ctx.par[j])
-
-
-def _res_right_alt(ctx: _Ctx, idx):
-    i, j, k = idx
-    return ctx.acc(ctx.as_b(i, j, k), ctx.as_b(i, k, j), ctx.par[j] * ctx.par[k])
-
-
-def _res_alternative(ctx: _Ctx, idx):
-    r = _res_left_alt(ctx, idx)
-    if ctx.is_zero_vec(r):
-        r = _res_right_alt(ctx, idx)
-    return r
-
-
-def _res_flexible(ctx: _Ctx, idx):
-    i, j, k = idx
-    p = ctx.par
-    e = p[i] * p[j] + p[i] * p[k] + p[j] * p[k]
-    return ctx.acc(ctx.as_b(i, j, k), ctx.as_b(k, j, i), e)
-
-
-def _res_hom_lie(ctx: _Ctx, idx):
-    i, j, k = idx
-    return ctx.jform(ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], ctx.par[j] * ctx.par[k])
-
-
-def _res_hom_malcev(ctx: _Ctx, idx):
-    # slots (x, y, z, t); product is the (skew) bracket itself
-    i, j, k, l = idx
-    p = ctx.par
-    px, py, pz, pt = p[i], p[j], p[k], p[l]
-    t = ctx.bvecs[l]
-    term = ctx.term
-    lhs = ctx.scale_int(2, ctx.mul(ctx.al2(t), term(_jacobian_basis, i, j, k)))
-    r1 = term(_jacobian_twisted, l, i, j, k)
-    r2 = term(_jacobian_twisted, l, j, k, i)
-    r3 = term(_jacobian_twisted, l, k, i, j)
-    rhs = ctx.acc(ctx.acc(r1, r2, px * (py + pz)), r3, pz * (px + py))
-    return ctx.sub(lhs, rhs)
-
-
-def _res_hom_malcev2(ctx: _Ctx, idx):
-    # slots (x, y, z, t)
-    i, j, k, l = idx
-    p = ctx.par
-    px, py, pz, pt = p[i], p[j], p[k], p[l]
-    x, t = ctx.bvecs[i], ctx.bvecs[l]
-    term = ctx.term
-    lhs = ctx.acc(
-        term(_jacobian_twisted, i, j, l, k),
-        term(_jacobian_twisted, l, j, i, k),
-        px * py + pt * (px + py),
-    )
-    jxyz = term(_jacobian_basis, i, j, k)
-    jtyz = term(_jacobian_basis, l, j, k)
-    r1 = ctx.mul(jxyz, ctx.al2(t))
-    r2 = ctx.mul(jtyz, ctx.al2(x))
-    rhs = ctx.acc(
-        _sgn(ctx, r1, pt * pz),
-        r2,
-        px * (py + pz + pt) + pt * py,
-    )
-    return ctx.sub(lhs, rhs)
-
-
-def _sgn(ctx: _Ctx, u, exp: int):
-    return tuple(ctx.F.neg(a) for a in u) if exp % 2 else u
-
-
-def _res_hom_malcev3(ctx: _Ctx, idx):
-    # slots (x, y, z, t); multiplicative + skew instances make this
-    # equivalent to the other two forms
-    i, j, k, l = idx
-    p = ctx.par
-    px, py, pz, pt = p[i], p[j], p[k], p[l]
-    lhs = ctx.acc(
-        ctx.term(_al_prod_prod, i, j, l, k),
-        ctx.term(_al_prod_prod, l, j, i, k),
-        px * py + pt * (px + py),
-    )
-    terms = (
-        (pt * pz + px * (pt + py + pz), j, k, l, i),
-        (pt * pz + px * (py + pz), j, k, i, l),
-        (pz * (px + pt) + py * (pz + pt), k, i, l, j),
-        (pt * pz + py * (pt + pz) + px * (pt + pz), k, l, i, j),
-        (pt * py + px * (pt + py + pz), l, j, k, i),
-        (pz * pt, i, j, k, l),
-    )
-    rhs = ctx.zero
-    for exp, a, b, mid, outer in terms:
-        rhs = ctx.acc(rhs, ctx.term(_prod_twisted, a, b, mid, outer), exp)
-    return ctx.sub(lhs, rhs)
-
-
-def _res_hom_jordan(ctx: _Ctx, idx):
-    # slots (x, y, z, t); cyclic sum over (x, y, t)
-    i, j, k, l = idx
-    p = ctx.par
-    px, py, pz, pt = p[i], p[j], p[k], p[l]
-    t1 = ctx.term(_as_prod_first, i, j, k, l)
-    t2 = ctx.term(_as_prod_first, j, l, k, i)
-    t3 = ctx.term(_as_prod_first, l, i, k, j)
-    out = _sgn(ctx, t1, pt * (px + pz))
-    out = ctx.acc(out, t2, px * (py + pz))
-    out = ctx.acc(out, t3, py * (pt + pz))
-    return out
-
-
-def _res_teichmuller(ctx: _Ctx, idx):
-    # slots (t, x, y, z)
-    l, i, j, k = idx
-    p = ctx.par
-    pt, px, py, pz = p[l], p[i], p[j], p[k]
-    t1 = ctx.term(_as_prod_first, l, i, j, k)
-    t2 = ctx.term(_as_prod_first, i, j, k, l)
-    t3 = ctx.term(_as_prod_first, j, k, l, i)
-    lhs = ctx.acc(t1, t2, 1 + pt * (px + py + pz))
-    lhs = ctx.acc(lhs, t3, (pt + px) * (py + pz))
-    rhs = ctx.add(
-        ctx.mul(ctx.a2cols[l], ctx.as_b(i, j, k)),
-        ctx.mul(ctx.as_b(l, i, j), ctx.a2cols[k]),
-    )
-    return ctx.sub(lhs, rhs)
-
-
-def _f_basis(ctx: _Ctx, l, i, j, k):
-    """Bruck-Kleinfeld f(t,x,y,z) on basis slots (l,i,j,k) = (t,x,y,z)."""
-    p = ctx.par
-    pt, px, py, pz = p[l], p[i], p[j], p[k]
-    t1 = ctx.as_vec(ctx.c[l][i], ctx.acols[j], ctx.acols[k])
-    t2 = ctx.mul(ctx.as_b(i, j, k), ctx.a2cols[l])
-    t3 = ctx.mul(ctx.a2cols[i], ctx.as_b(l, j, k))
-    out = ctx.acc(t1, t2, 1 + pt * (px + py + pz))
-    return ctx.acc(out, t3, 1 + pt * px)
-
-
-def _F_basis(ctx: _Ctx, l, i, j, k):
-    """Bruck-Kleinfeld F via the explicit four-bracket form."""
-    p = ctx.par
-    pt, px, py, pz = p[l], p[i], p[j], p[k]
-    S = pt + px + py + pz
-    term = ctx.term
-    out = term(_bracket_a2_as, l, i, j, k)
-    out = ctx.acc(out, term(_bracket_a2_as, k, l, i, j), 1 + pz * (S - pz))
-    out = ctx.acc(out, term(_bracket_a2_as, j, k, l, i), (pt + px) * (py + pz))
-    out = ctx.acc(out, term(_bracket_a2_as, i, j, k, l), 1 + pt * (S - pt))
-    return out
-
-
-def _res_bk_suite(ctx: _Ctx, idx):
-    # slots (t, x, y, z); first failing sub-identity wins
-    l, i, j, k = idx
-    p = ctx.par
-    pt, px, py, pz = p[l], p[i], p[j], p[k]
-    term = ctx.term
-    f = term(_f_basis, l, i, j, k)
-    # super-alternating in each adjacent pair
-    r = ctx.acc(f, term(_f_basis, i, l, j, k), pt * px)
-    if not ctx.is_zero_vec(r):
-        return r
-    r = ctx.acc(f, term(_f_basis, l, j, i, k), px * py)
-    if not ctx.is_zero_vec(r):
-        return r
-    r = ctx.acc(f, term(_f_basis, l, i, k, j), py * pz)
-    if not ctx.is_zero_vec(r):
-        return r
-    bigF = _F_basis(ctx, l, i, j, k)
-    # F = 3f, multiplied out so it stays meaningful in characteristic 3
-    r = ctx.sub(bigF, ctx.scale_int(3, f))
-    if not ctx.is_zero_vec(r):
-        return r
-    # F = f . (Id - rho + rho^2), rho(t,x,y,z) = (x,y,z,t)
-    rho = ctx.acc(f, term(_f_basis, i, j, k, l), 1 + pt * (px + py + pz))
-    rho = ctx.acc(rho, term(_f_basis, j, k, l, i), (pt + px) * (py + pz))
-    r = ctx.sub(bigF, rho)
-    if not ctx.is_zero_vec(r):
-        return r
-    # f = as([t,x],a(y),a(z)) + (-1)^((y+z)(x+t)) as([y,z],a(t),a(x))
-    b1 = term(_as_bracket_first, l, i, j, k)
-    b2 = term(_as_bracket_first, j, k, l, i)
-    rhs = ctx.acc(b1, b2, (py + pz) * (px + pt))
-    return ctx.sub(f, rhs)
-
-
-def _res_cyclic_assoc(ctx: _Ctx, idx):
-    # slots (t, x, y, z); bracket is the super-commutator of mu
-    l, i, j, k = idx
-    p = ctx.par
-    pt, px, py, pz = p[l], p[i], p[j], p[k]
-    term = ctx.term
-    lhs = ctx.scale_int(2, term(_bracket_a2_as, l, i, j, k))
-    r1 = term(_as_bracket_last, l, i, j, k)
-    r2 = term(_as_bracket_last, l, j, k, i)
-    r3 = term(_as_bracket_last, l, k, i, j)
-    rhs = ctx.acc(ctx.acc(r1, r2, px * (py + pz)), r3, pz * (px + py))
-    return ctx.sub(lhs, rhs)
-
-
-def _make_res_j_eq_6as(ctx: _Ctx, minus_ctx: _Ctx):
-    def res(_ctx_unused, idx):
-        i, j, k = idx
-        return ctx.sub(
-            minus_ctx.term(_jacobian_basis, i, j, k), ctx.scale_int(6, ctx.as_b(i, j, k))
-        )
-    return res
-
-
-def _make_res_j_eq_2s(ctx: _Ctx, minus_ctx: _Ctx):
-    def res(_ctx_unused, idx):
-        # S(e_i, e_j, e_k) from the associator table at its three rotations
-        i, j, k = idx
-        p = ctx.par
-        px, py, pz = p[i], p[j], p[k]
-        s = ctx.acc(ctx.as_b(i, j, k), ctx.as_b(j, k, i), px * (py + pz))
-        s = ctx.acc(s, ctx.as_b(k, i, j), pz * (px + py))
-        return ctx.sub(minus_ctx.term(_jacobian_basis, i, j, k), ctx.scale_int(2, s))
-    return res
-
-
-def _make_res_jordan_expansion(ctx: _Ctx, plus_ctx: _Ctx):
-    """Two-route expansion of the plus-product cyclic associator sum.
-
-    Route 1 evaluates the cyclic twisted-associator sum inside the plus
-    algebra; route 2 expands the same sum into associators and commutator
-    brackets of the original product.  The identity is unconditional, so the
-    two routes must agree on every quadruple of any algebra (char != 2).
-    """
-
-    def res(_ctx_unused, idx):
-        i, j, k, l = idx  # slots (x, y, z, t)
-        p = ctx.par
-        px, py, pz, pt = p[i], p[j], p[k], p[l]
-        plus = plus_ctx.term
-        lhs = _sgn(plus_ctx, plus(_as_prod_first, i, j, k, l), pt * (px + pz))
-        lhs = plus_ctx.acc(lhs, plus(_as_prod_first, j, l, k, i), px * (py + pz))
-        lhs = plus_ctx.acc(lhs, plus(_as_prod_first, l, i, k, j), py * (pt + pz))
-        lhs = plus_ctx.scale_int(8, lhs)
-
-        rhs = ctx.zero
-        term, add = ctx.term, ctx.acc
-        first, mid, last = _as_prod_first, _as_prod_mid, _as_prod_last
-        # twelve associator terms per cyclic summand of (x, y, t); z = k
-        for (a, b, t_) in ((i, j, l), (j, l, i), (l, i, j)):
-            qa, qb, qt = p[a], p[b], p[t_]
-            qz = pz
-            rhs = add(rhs, term(first, a, b, k, t_), qt * (qa + qz))
-            rhs = add(rhs, term(first, b, a, k, t_), qt * (qa + qz) + qa * qb)
-            rhs = add(rhs, term(last, t_, k, a, b), 1 + qt * qb + qz * (qa + qb))
-            rhs = add(rhs, term(last, t_, k, b, a), 1 + qb * (qa + qt) + qz * (qa + qb))
-            rhs = add(rhs, term(mid, t_, a, b, k), 1 + qt * qb)
-            rhs = add(rhs, term(mid, t_, b, a, k), 1 + qb * (qa + qt))
-            rhs = add(rhs, term(mid, k, b, a, t_), qa * (qt + qb) + qz * (qa + qb + qt))
-            rhs = add(rhs, term(mid, k, a, b, t_), qt * (qa + qz) + qz * (qa + qb))
-            rhs = add(rhs, term(last, k, t_, a, b), 1 + qz * (qa + qb + qt) + qt * qb)
-            rhs = add(rhs, term(first, a, b, t_, k), qt * qa)
-            rhs = add(rhs, term(last, k, t_, b, a), 1 + qz * (qa + qb + qt) + qb * (qa + qt))
-            rhs = add(rhs, term(first, b, a, t_, k), qa * (qb + qt))
-        # six bracket terms, stated once
-        S3 = px + py + pt
-        for exp, (a, b, c_) in (
-            (px * py, (j, l, i)),
-            (py * (px + pt), (l, j, i)),
-            (pt * py, (l, i, j)),
-            (pt * (px + py), (i, l, j)),
-            (px * pt, (i, j, l)),
-            (px * (py + pt), (j, i, l)),
-        ):
-            rhs = add(rhs, term(_bracket_a2_as, k, a, b, c_), exp + pz * S3)
-        return ctx.sub(lhs, rhs)
-
-    return res
-
-
-# ---------------------------------------------------------------------------
-# Runner and registry
-# ---------------------------------------------------------------------------
+# Named multilinear values: the corpus claims' forms, then the public ones.
+_VALUES: Dict[str, _Identity] = {
+    "product": _Identity("xy", "x*y"), "as": _Identity("xyz", "as(x,y,z)"),
+    "S": _Identity("xyz", "S(x,y,z)"), "J": _Identity("xyz", "J(x,y,z)"),
+    "J-minus": _Identity("xyz", "J(x,y,z)@minus"), "leftalt": _LEFT_ALT, "jordan": _HOM_JORDAN,
+    "f": _Identity("txyz", "f(t,x,y,z)"), "F": _Identity("txyz", "F(t,x,y,z)"),
+}
+_VALUE_FORMS = tuple(_VALUES)[:7]
 
 
 @dataclass(frozen=True)
 class Checker:
     name: str
     arity: int
-    make: Callable[[HomSuperAlgebra], Callable]  # H -> residual(ctx, idx)
+    make: Callable[[HomSuperAlgebra], Callable]  # H -> (ctx, residual(ctx, idx))
     requires: str = ""  # "", "skew", "commutative"
 
 
-def _plain(res_fn):
-    def make(H):
-        ctx = _Ctx(H)
-        return ctx, res_fn
-    return make
-
-
-def _with_minus(factory):
-    def make(H):
-        ctx = _Ctx(H)
-        minus_ctx = _Ctx(commutator_algebra(H))
-        return ctx, factory(ctx, minus_ctx)
-    return make
-
-
-def _with_plus(factory):
-    def make(H):
-        ctx = _Ctx(H)
-        plus_ctx = _Ctx(plus_algebra(H))
-        return ctx, factory(ctx, plus_ctx)
-    return make
-
-
-def _on_minus(res_fn):
-    def make(H):
-        ctx = _Ctx(commutator_algebra(H))
-        return ctx, res_fn
-    return make
-
-
-def _on_plus(res_fn):
-    def make(H):
-        ctx = _Ctx(plus_algebra(H))
-        return ctx, res_fn
-    return make
-
-
-def _res_supercommutative(ctx: _Ctx, idx):
-    i, j = idx
-    return ctx.acc(ctx.c[i][j], ctx.c[j][i], 1 + ctx.par[i] * ctx.par[j])
-
-
-def _res_superskew(ctx: _Ctx, idx):
-    i, j = idx
-    return ctx.acc(ctx.c[i][j], ctx.c[j][i], ctx.par[i] * ctx.par[j])
-
-
-def _res_multiplicative(ctx: _Ctx, idx):
-    i, j = idx
-    return ctx.sub(ctx.al(ctx.c[i][j]), ctx.mul(ctx.acols[i], ctx.acols[j]))
-
-
-CHECKERS: Dict[str, Checker] = {}
-
-
-def _register(name, arity, make, requires=""):
-    CHECKERS[name] = Checker(name, arity, make, requires)
-
-
-_register("left-alt", 3, _plain(_res_left_alt))
-_register("right-alt", 3, _plain(_res_right_alt))
-_register("alternative", 3, _plain(_res_alternative))
-_register("flexible", 3, _plain(_res_flexible))
-_register("hom-lie", 3, _plain(_res_hom_lie), requires="skew")
-_register("hom-malcev", 4, _plain(_res_hom_malcev), requires="skew")
-_register("hom-malcev-2", 4, _plain(_res_hom_malcev2), requires="skew")
-_register("hom-malcev-3", 4, _plain(_res_hom_malcev3), requires="skew")
-_register("hom-jordan", 4, _plain(_res_hom_jordan), requires="commutative")
-_register("lie-admissible", 3, _on_minus(_res_hom_lie))
-_register("malcev-admissible", 4, _on_minus(_res_hom_malcev))
-_register("jordan-admissible", 4, _on_plus(_res_hom_jordan))
-_register("teichmuller", 4, _plain(_res_teichmuller))
-_register("bk-suite", 4, _plain(_res_bk_suite))
-_register("cyclic-assoc", 4, _plain(_res_cyclic_assoc))
-_register("j-eq-6as", 3, _with_minus(_make_res_j_eq_6as))
-_register("j-eq-2s", 3, _with_minus(_make_res_j_eq_2s))
-_register("jordan-expansion", 4, _with_plus(_make_res_jordan_expansion))
-_register("supercommutative", 2, _plain(_res_supercommutative))
-_register("superskew", 2, _plain(_res_superskew))
-_register("multiplicative", 2, _plain(_res_multiplicative))
+CHECKERS: Dict[str, Checker] = {
+    name: Checker(name, spec.arity, spec.make, spec.requires) for name, spec in _IDENTITIES.items()
+}
 
 
 def checker_names() -> Tuple[str, ...]:
     return tuple(CHECKERS)
 
 
-def _check_requirement(name: str, H: HomSuperAlgebra, requires: str):
-    if requires == "skew":
-        rep = is_super_skewsymmetric(H.algebra)
-        if not rep.holds:
-            raise PreconditionError(name, "a super-skewsymmetric product", rep)
-    elif requires == "commutative":
-        rep = is_super_commutative(H.algebra)
-        if not rep.holds:
-            raise PreconditionError(name, "a super-commutative product", rep)
-
-
 def run_checker(
     name: str, H: HomSuperAlgebra, max_counterexamples: int = 16
 ) -> IdentityReport:
     """Run one registry checker over all homogeneous basis tuples."""
-    try:
-        chk = CHECKERS[name]
-    except KeyError:
-        raise UnknownCheckerError(name) from None
+    chk = CHECKERS.get(name)
+    if chk is None:
+        raise UnknownCheckerError(name)
     if max_counterexamples < 1:
-        raise CheckError(
-            f"max_counterexamples must be at least 1, got {max_counterexamples}"
-        )
-    _check_requirement(name, H, chk.requires)
+        raise CheckError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
+    if chk.requires:
+        skew = chk.requires == "skew"
+        rep = (is_super_skewsymmetric if skew else is_super_commutative)(H.algebra)
+        if not rep.holds:
+            kind = "skewsymmetric" if skew else "commutative"
+            raise PreconditionError(name, f"a super-{kind} product", rep)
     ctx, res_fn = chk.make(H)
     dim = ctx.dim
     bad = []
@@ -686,133 +471,78 @@ def run_checker(
     return IdentityReport(name, holds, tuple(bad), dim**chk.arity)
 
 
-def _slot_indices(ctx: _Ctx, what: str, tuple_names: Sequence[str], arity: int):
-    """Basis indices of `tuple_names`, after checking the slot count and
-    every name."""
+def _value_at(what: str, make, arity: int, H: HomSuperAlgebra, tuple_names: Sequence[str]):
+    """Exact value at one named basis tuple, after checking every slot."""
+    ctx, res_fn = make(H)
     if len(tuple_names) != arity:
         raise CheckError(f"{what} expects {arity} slots, got {len(tuple_names)}")
     for n in tuple_names:
         if n not in ctx.names:
             raise CheckError(f"{what}: unknown basis element {n!r}")
-    return tuple(ctx.names.index(n) for n in tuple_names)
+    r = res_fn(ctx, tuple(ctx.names.index(n) for n in tuple_names))
+    return tuple(ctx.F.scalar(x) for x in r)
 
 
 def residual_at(name: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Exact residual vector of one checker at one basis tuple."""
-    try:
-        chk = CHECKERS[name]
-    except KeyError:
-        raise UnknownCheckerError(name) from None
-    ctx, res_fn = chk.make(H)
-    r = res_fn(ctx, _slot_indices(ctx, name, tuple_names, chk.arity))
-    return tuple(ctx.F.scalar(x) for x in r)
+    chk = CHECKERS.get(name)
+    if chk is None:
+        raise UnknownCheckerError(name)
+    return _value_at(name, chk.make, chk.arity, H, tuple_names)
 
 
-_FORM_ARITY = {
-    "product": 2, "as": 3, "S": 3, "J": 3, "J-minus": 3, "leftalt": 3, "jordan": 4,
-}
-
-
-# Named multilinear values used by the corpus claims.
 def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
-    if form not in _FORM_ARITY:
+    """Named multilinear value used by the corpus claims."""
+    if form not in _VALUE_FORMS:
         raise CheckError(f"unknown value form {form!r}")
-    ctx = _Ctx(H)
-    idx = _slot_indices(ctx, form, tuple_names, _FORM_ARITY[form])
-    if form == "product":
-        i, j = idx
-        out = ctx.c[i][j]
-    elif form == "as":
-        i, j, k = idx
-        out = ctx.as_b(i, j, k)
-    elif form == "S":
-        i, j, k = idx
-        p = ctx.par
-        out = ctx.sform(ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], p[i], p[j], p[k])
-    elif form == "J":
-        i, j, k = idx
-        out = ctx.jform(ctx.bvecs[i], ctx.bvecs[j], ctx.bvecs[k], ctx.par[j] * ctx.par[k])
-    elif form == "J-minus":
-        mctx = _Ctx(commutator_algebra(H))
-        i, j, k = idx
-        out = mctx.jform(mctx.bvecs[i], mctx.bvecs[j], mctx.bvecs[k], mctx.par[j] * mctx.par[k])
-    elif form == "leftalt":
-        out = _res_left_alt(ctx, idx)
-    else:  # "jordan"
-        out = _res_hom_jordan(ctx, idx)
-    return tuple(ctx.F.scalar(x) for x in out)
+    return _value_at(form, _VALUES[form].make, _VALUES[form].arity, H, tuple_names)
 
 
-# ---------------------------------------------------------------------------
-# Public forms.  They take Scalar vectors and evaluate through _Ctx; the
-# signed forms demand homogeneous arguments wherever the identity reads a
-# parity.
-# ---------------------------------------------------------------------------
+# -- Public forms: multilinear extensions of the named values over the
+# nonzero coordinates of Scalar vectors; the signed ones demand homogeneous
+# arguments wherever the identity reads a parity.
 
 
-def _homogeneous_parity(A: SuperAlgebra, u: Vector, slot: str) -> int:
-    p = A.parity_of(u)
-    if p is None:
-        raise HomogeneityError(f"argument {slot} has mixed parity")
-    return p
-
-
-def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """as(x,y,z) = mu(mu(x,y), a(z)) - mu(a(x), mu(y,z)); no signs, any vectors."""
-    A = H.algebra
-    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
-    return A._wrap(_Ctx(H).as_vec(xp, yp, zp))
-
-
-def hom_super_jacobian(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """J(x,y,z) = [[x,y],a(z)] - [a(x),[y,z]] - (-1)^(|y||z|)[[x,z],a(y)].
-
-    y and z must be homogeneous so the sign is defined.
-    """
-    A = H.algebra
-    py = _homogeneous_parity(A, y, "y")
-    pz = _homogeneous_parity(A, z, "z")
-    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
-    return A._wrap(_Ctx(H).jform(xp, yp, zp, py * pz))
-
-
-def cyclic_hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    """S(x,y,z) = as(x,y,z) + (-1)^(|x|(|y|+|z|)) as(y,z,x)
-                + (-1)^(|z|(|x|+|y|)) as(z,x,y); homogeneous arguments."""
-    A = H.algebra
-    px = _homogeneous_parity(A, x, "x")
-    py = _homogeneous_parity(A, y, "y")
-    pz = _homogeneous_parity(A, z, "z")
-    xp, yp, zp = A._unwrap(x), A._unwrap(y), A._unwrap(z)
-    return A._wrap(_Ctx(H).sform(xp, yp, zp, px, py, pz))
-
-
-def _bk_extension(H: HomSuperAlgebra, basis_form, args) -> Vector:
-    """Multilinear extension of a basis-slot form over the nonzero
-    coordinates of its homogeneous arguments (t, x, y, z)."""
-    A = H.algebra
-    for v, slot in zip(args, "txyz"):
-        _homogeneous_parity(A, v, slot)
-    ctx = _Ctx(H)
+def _extension(H: HomSuperAlgebra, form: str, args, homogeneous: str) -> Vector:
+    spec, A = _VALUES[form], H.algebra
+    for v, slot in zip(args, spec.letters):
+        if slot in homogeneous and A.parity_of(v) is None:
+            raise HomogeneityError(f"argument {slot} has mixed parity")
+    ctx, res_fn = spec.make(H)
     F = ctx.F
-    supports = [
-        [(i, a) for i, a in enumerate(A._unwrap(v)) if not F.is_zero(a)] for v in args
-    ]
+    supports = [[(i, a) for i, a in enumerate(A._unwrap(v)) if not F.is_zero(a)] for v in args]
     out = ctx.zero
     for picks in itertools.product(*supports):
         coeff = F.one
         for _, a in picks:
             coeff = F.mul(coeff, a)
-        term = basis_form(ctx, *(i for i, _ in picks))
-        out = ctx.add(out, tuple(F.mul(coeff, x) for x in term))
+        term = res_fn(ctx, tuple(i for i, _ in picks))
+        out = ctx.acc(out, tuple(F.mul(coeff, x) for x in term), 0)
     return A._wrap(out)
+
+
+def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
+    """as(x,y,z) = mu(mu(x,y), a(z)) - mu(a(x), mu(y,z)); no signs, any vectors."""
+    return _extension(H, "as", (x, y, z), "")
+
+
+def hom_super_jacobian(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
+    """J(x,y,z) = [[x,y],a(z)] - [a(x),[y,z]] - (-1)^(|y||z|)[[x,z],a(y)];
+    y and z must be homogeneous so the sign is defined."""
+    return _extension(H, "J", (x, y, z), "yz")
+
+
+def cyclic_hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
+    """S(x,y,z) = as(x,y,z) + (-1)^(|x|(|y|+|z|)) as(y,z,x)
+                + (-1)^(|z|(|x|+|y|)) as(z,x,y); homogeneous arguments."""
+    return _extension(H, "S", (x, y, z), "xyz")
 
 
 def bk_f(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
     """Graded Bruck-Kleinfeld f(t,x,y,z); homogeneous arguments."""
-    return _bk_extension(H, _f_basis, (t, x, y, z))
+    return _extension(H, "f", (t, x, y, z), "txyz")
 
 
 def bk_F(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
     """Graded Bruck-Kleinfeld F(t,x,y,z); homogeneous arguments."""
-    return _bk_extension(H, _F_basis, (t, x, y, z))
+    return _extension(H, "F", (t, x, y, z), "txyz")

@@ -448,14 +448,20 @@ def _parse_bindings(s: str, line: int) -> Dict[str, Fraction]:
     return out
 
 
-def _parse_claim(key: str, body: str, line: int, field: Field, basis: Basis) -> ClaimSpec:
+def _parse_claim(
+    key: str, body: str, line: int, field: Field, basis: Basis, col: int = 1
+) -> ClaimSpec:
     # everything from "note:" onward is one free-text locator segment
     note = ""
     if "note:" in body:
         body, _, tail = body.partition("note:")
         note = tail.strip()
         body = body.rstrip().rstrip(";")
-    segs = [s.strip() for s in body.split(";")]
+    segs, cols = [], []  # each segment and the column it starts at
+    for raw in body.split(";"):
+        segs.append(raw.strip())
+        cols.append(col + len(raw) - len(raw.lstrip()))
+        col += len(raw) + 1
     if len(segs) < 2:
         raise ParseError("claim needs at least 'variant ; kind ; ...'", line, 1)
     variant, kind = segs[0], segs[1]
@@ -463,13 +469,15 @@ def _parse_claim(key: str, body: str, line: int, field: Field, basis: Basis) -> 
     bindings: Dict[str, Fraction] = {}
     fragile = False
     core: List[str] = []
-    for seg in rest:
+    core_cols: List[int] = []
+    for seg, seg_col in zip(rest, cols[2:]):
         if seg.startswith("set "):
             bindings = _parse_bindings(seg[4:], line)
         elif seg == "fragile":
             fragile = True
         else:
             core.append(seg)
+            core_cols.append(seg_col)
     if kind == "check":
         if len(core) != 2 or core[1] not in ("holds", "fails"):
             raise ParseError(
@@ -487,7 +495,7 @@ def _parse_claim(key: str, body: str, line: int, field: Field, basis: Basis) -> 
         for nm in where:
             if nm not in basis.names:
                 raise ParseError(f"unknown basis element {nm!r} in claim", line, 1)
-        vec = parse_vector_expr(core[2], field, basis, line=line)
+        vec = parse_vector_expr(core[2], field, basis, line=line, col0=core_cols[2])
         expected = render_vector(field, basis, vec)
     else:
         raise ParseError(f"unknown claim kind {kind!r}", line, 1)
@@ -512,9 +520,10 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     algebra_kv: Dict[str, Tuple[str, int]] = {}
     nonzero: List[str] = []
     zero: List[str] = []
-    product_lines: List[Tuple[str, str, int]] = []
-    map_lines: Dict[str, List[Tuple[str, str, int]]] = {}
-    claim_lines: List[Tuple[str, str, int]] = []
+    # (key, value, line, column of the value)
+    product_lines: List[Tuple[str, str, int, int]] = []
+    map_lines: Dict[str, List[Tuple[str, str, int, int]]] = {}
+    claim_lines: List[Tuple[str, str, int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -543,6 +552,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         if "=" not in line:
             raise ParseError("expected 'key = value'", lineno, 1)
         key, _, value = line.partition("=")
+        col = len(key) + 2 + len(value) - len(value.lstrip())
         key = key.strip()
         value = value.strip()
         if section == "algebra":
@@ -555,11 +565,11 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
                     raise ParseError(f"duplicate key {key!r}", lineno, 1)
                 algebra_kv[key] = (value, lineno)
         elif section == "product":
-            product_lines.append((key, value, lineno))
+            product_lines.append((key, value, lineno, col))
         elif section == "map":
-            map_lines[map_name].append((key, value, lineno))
+            map_lines[map_name].append((key, value, lineno, col))
         else:
-            claim_lines.append((key, value, lineno))
+            claim_lines.append((key, value, lineno, col))
 
     def need(key: str) -> Tuple[str, int]:
         if key not in algebra_kv:
@@ -600,7 +610,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         raise ParseError(str(exc), 1, 1) from None
 
     products: Dict[Tuple[str, str], Tuple[object, ...]] = {}
-    for key, value, lineno in product_lines:
+    for key, value, lineno, col in product_lines:
         toks = _tokenize(key, lineno, 1)
         if (
             len(toks) != 4
@@ -615,12 +625,12 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
                 raise ParseError(f"undeclared basis name {nm!r}", lineno, toks[0].col)
         if (a, b) in products:
             raise ParseError(f"duplicate product {a}*{b}", lineno, 1)
-        vec = parse_vector_expr(value, field, basis, line=lineno)
+        vec = parse_vector_expr(value, field, basis, line=lineno, col0=col)
         products[(a, b)] = vec
 
     # grading of every stated product
     parities = dict(zip(basis.names, basis.parities))
-    line_of = {key.replace(" ", ""): lineno for key, _, lineno in product_lines}
+    line_of = {key.replace(" ", ""): lineno for key, _, lineno, _ in product_lines}
     for (a, b), vec in products.items():
         want = (parities[a] + parities[b]) % 2
         for nm, component in zip(basis.names, vec):
@@ -635,10 +645,10 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     maps: Dict[str, EvenLinearMap] = {}
     for mname, lines in map_lines.items():
         cols = {name: tuple(field.zero for _ in basis.names) for name in basis.names}
-        for key, value, lineno in lines:
+        for key, value, lineno, col in lines:
             if key not in basis.names:
                 raise ParseError(f"undeclared basis name {key!r}", lineno, 1)
-            cols[key] = parse_vector_expr(value, field, basis, line=lineno)
+            cols[key] = parse_vector_expr(value, field, basis, line=lineno, col0=col)
         maps[mname] = EvenLinearMap(field, [cols[n] for n in basis.names])
 
     twist = algebra_kv.get("twist", (None, 0))[0]
@@ -650,8 +660,8 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     )
 
     claims = tuple(
-        _parse_claim(key, value, lineno, field, basis)
-        for key, value, lineno in claim_lines
+        _parse_claim(key, value, lineno, field, basis, col)
+        for key, value, lineno, col in claim_lines
     )
     seen = set()
     for c in claims:

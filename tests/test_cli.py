@@ -232,6 +232,14 @@ def test_hostile_files_end_in_one_error_line(tmp_path, capsys):
         errors[name] = _assert_one_line_exit_two(capsys, ["validate", "--file", str(path)])
         assert "line 8, col " in errors[name], (name, errors[name])
     assert "line 8, col 9" in errors["encoding"] and "UTF-8" in errors["encoding"]
+    # a value's error points into the value: the exponent of 3^2000000
+    assert "line 8, col 9" in errors["exponent"], errors["exponent"]
+    # a table entry past the integer digit limit, the product of two
+    # literals under it, cannot be printed by a construction
+    path = tmp_path / "render.salg"
+    path.write_text(_HEAD + f"e*e = {'7' * 3000}*{'7' * 3000}*e\n", encoding="utf-8")
+    err = _assert_one_line_exit_two(capsys, ["plus", "--file", str(path)])
+    assert "cannot be rendered" in err
 
 
 def test_exponent_and_depth_caps_admit_their_limits(tmp_path, capsys):
