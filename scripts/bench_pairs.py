@@ -52,6 +52,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def label(tree: Path) -> str:
+    """The tree's short commit id, or its directory name outside git."""
+    done = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return done.stdout.strip() if done.returncode == 0 else tree.resolve().name
+
+
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3}
@@ -79,10 +86,6 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeatable; all three by default")
-    ap.add_argument("--labels", nargs=2, default=("parent", "change"), metavar=("PARENT", "CHANGE"),
-                    help="names recorded for the two trees, such as their commits")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -90,11 +93,11 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     report = {
-        "parent": args.labels[0], "change": args.labels[1],
+        "parent": label(args.parent), "change": label(args.change),
         "python": platform.python_version(), "cores": os.cpu_count(),
         "seconds": seconds, "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         pairs = []
         for k in range(args.pairs):
             seed = args.seed + k

@@ -302,8 +302,8 @@ class _Identity:
     "skew" / "commutative", the algebra "minus" / "plus" its unmarked terms
     run on, prefactor), compiled once into `residual(ctx, idx)`."""
 
-    def __init__(self, letters: str, *parts: str, requires="", context="", prefactor=""):
-        self.letters, self.parts, self.requires, self.context = letters, parts, requires, context
+    def __init__(self, letters: str, *parts: str, requires="", prefactor=""):
+        self.letters, self.parts, self.requires, self.context = letters, parts, requires, ""
         self.arity = n = len(letters)
         pairs = [tuple(map(letters.index, pair)) for pair in prefactor.split()]
         parsed = [_parse(p, letters) for p in parts]
@@ -411,14 +411,13 @@ _IDENTITIES = {
     "multiplicative": _Identity("xy", "a(x*y) = a(x)*a(y)"),
 }
 
-# Named multilinear values: the corpus claims' forms, then the public ones.
-_VALUES: Dict[str, _Identity] = {
+# Named multilinear values: the corpus claims' forms, and f, F for bk_f, bk_F.
+_CLAIM_FORMS: Dict[str, _Identity] = {
     "product": _Identity("xy", "x*y"), "as": _Identity("xyz", "as(x,y,z)"),
     "S": _Identity("xyz", "S(x,y,z)"), "J": _Identity("xyz", "J(x,y,z)"),
     "J-minus": _Identity("xyz", "J(x,y,z)@minus"), "leftalt": _LEFT_ALT, "jordan": _HOM_JORDAN,
-    "f": _Identity("txyz", "f(t,x,y,z)"), "F": _Identity("txyz", "F(t,x,y,z)"),
 }
-_VALUE_FORMS = tuple(_VALUES)[:7]
+_BK_f, _BK_F = _Identity("txyz", "f(t,x,y,z)"), _Identity("txyz", "F(t,x,y,z)")
 
 
 @dataclass(frozen=True)
@@ -493,9 +492,10 @@ def residual_at(name: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
 
 def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Named multilinear value used by the corpus claims."""
-    if form not in _VALUE_FORMS:
+    spec = _CLAIM_FORMS.get(form)
+    if spec is None:
         raise CheckError(f"unknown value form {form!r}")
-    return _value_at(form, _VALUES[form].make, _VALUES[form].arity, H, tuple_names)
+    return _value_at(form, spec.make, spec.arity, H, tuple_names)
 
 
 # -- Public forms: multilinear extensions of the named values over the
@@ -503,8 +503,8 @@ def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
 # arguments wherever the identity reads a parity.
 
 
-def _extension(H: HomSuperAlgebra, form: str, args, homogeneous: str) -> Vector:
-    spec, A = _VALUES[form], H.algebra
+def _extension(H: HomSuperAlgebra, spec: _Identity, args, homogeneous: str) -> Vector:
+    A = H.algebra
     for v, slot in zip(args, spec.letters):
         if slot in homogeneous and A.parity_of(v) is None:
             raise HomogeneityError(f"argument {slot} has mixed parity")
@@ -523,26 +523,26 @@ def _extension(H: HomSuperAlgebra, form: str, args, homogeneous: str) -> Vector:
 
 def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """as(x,y,z) = mu(mu(x,y), a(z)) - mu(a(x), mu(y,z)); no signs, any vectors."""
-    return _extension(H, "as", (x, y, z), "")
+    return _extension(H, _CLAIM_FORMS["as"], (x, y, z), "")
 
 
 def hom_super_jacobian(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """J(x,y,z) = [[x,y],a(z)] - [a(x),[y,z]] - (-1)^(|y||z|)[[x,z],a(y)];
     y and z must be homogeneous so the sign is defined."""
-    return _extension(H, "J", (x, y, z), "yz")
+    return _extension(H, _CLAIM_FORMS["J"], (x, y, z), "yz")
 
 
 def cyclic_hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """S(x,y,z) = as(x,y,z) + (-1)^(|x|(|y|+|z|)) as(y,z,x)
                 + (-1)^(|z|(|x|+|y|)) as(z,x,y); homogeneous arguments."""
-    return _extension(H, "S", (x, y, z), "xyz")
+    return _extension(H, _CLAIM_FORMS["S"], (x, y, z), "xyz")
 
 
 def bk_f(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
     """Graded Bruck-Kleinfeld f(t,x,y,z); homogeneous arguments."""
-    return _extension(H, "f", (t, x, y, z), "txyz")
+    return _extension(H, _BK_f, (t, x, y, z), "txyz")
 
 
 def bk_F(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
     """Graded Bruck-Kleinfeld F(t,x,y,z); homogeneous arguments."""
-    return _extension(H, "F", (t, x, y, z), "txyz")
+    return _extension(H, _BK_F, (t, x, y, z), "txyz")

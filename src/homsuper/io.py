@@ -449,7 +449,7 @@ def _parse_bindings(s: str, line: int) -> Dict[str, Fraction]:
 
 
 def _parse_claim(
-    key: str, body: str, line: int, field: Field, basis: Basis, col: int = 1
+    key: str, body: str, line: int, field: Field, basis: Basis, col: int
 ) -> ClaimSpec:
     # everything from "note:" onward is one free-text locator segment
     note = ""
