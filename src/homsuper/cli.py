@@ -144,6 +144,8 @@ def _construction(args, kind: str) -> int:
         beta_inst = corpus.build_from_document(
             inst.doc, map_name, inst.bindings, entry_id=inst.entry
         )
+        if beta_inst.map_used is None:
+            raise CliError(f"twist needs --map NAME of a map, got {map_name!r}")
         H = yau_twist(inst.hom, beta_inst.map_used)
         name = f"{inst.doc.name}-{map_name}"
         _emit(serialize_algebra_document(_document_from(name, H)), args.out)

@@ -64,6 +64,10 @@ def test_exit_two_on_bad_input(capsys):
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+    # twisting needs a map: the base variant names none
+    code, _, err = run(capsys, "twist", "--corpus", "m3-3-1", "--map", "base")
+    assert code == 2
+    assert err == "error: twist needs --map NAME of a map, got 'base'\n"
 
 
 def test_determinism(capsys):
