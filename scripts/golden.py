@@ -8,7 +8,10 @@ Every invocation runs `cli.main` in-process and records one sha256 of
 (exit code, stdout, stderr).  The sweep covers every checker on every corpus
 entry and variant at its `suggest` bindings (text and `--json`), the same
 with the parameters left free (`--json`), and `verify-paper` (text and
-`--json`).  A refactor that keeps these digests keeps every byte of output.
+`--json`); then `validate`, `twist`, `commutator`, `plus` and
+`derive --n 0..3`, which reach the product and map kernels through `maps`,
+on every entry and variant, at `suggest` and with the parameters free.  A
+refactor that keeps these digests keeps every byte of output.
 """
 
 from __future__ import annotations
@@ -27,19 +30,27 @@ def invocations():
     from homsuper import corpus
     from homsuper.identities import CHECKERS
 
+    sources = []
     for entry in corpus.ENTRY_IDS:
         sets = []
         for name, value in sorted(corpus.suggested_bindings(entry).items()):
             sets += ["--set", f"{name}={value}"]
         for variant in corpus.variant_names(entry):
-            source = ["--corpus", entry, "--map", variant]
-            for name in CHECKERS:
-                argv = ["check", *source, "--identity", name]
-                yield argv + sets
-                yield argv + sets + ["--json"]
-                yield argv + ["--json"]
+            sources.append((["--corpus", entry, "--map", variant], sets))
+    for source, sets in sources:
+        for name in CHECKERS:
+            argv = ["check", *source, "--identity", name]
+            yield argv + sets
+            yield argv + sets + ["--json"]
+            yield argv + ["--json"]
     yield ["verify-paper"]
     yield ["verify-paper", "--json"]
+    constructions = [["validate"], ["twist"], ["commutator"], ["plus"]]
+    constructions += [["derive", "--n", str(n)] for n in range(4)]
+    for source, sets in sources:
+        for command in constructions:
+            yield command + source + sets
+            yield command + source
 
 
 def digest(argv) -> str:
