@@ -32,9 +32,25 @@ Fold rule, cache, don't reassociate: a side is summed left to right as
 written, its first term negated when its sign is odd, then scaled, so the
 sums are the payloads the written expression gives (Frac(K[params])
 payloads are not gcd-reduced; another order could print differently).
-Stored values are zero-normalised and adding the shared `ctx.zero` is
-skipped, which leaves every sum as it is.  The public forms are the
-multilinear extensions of the same words; `oracle` is the second route.
+
+Values are sparse vectors (see superalg): (index, payload) pairs sorted by
+index, nonzero payloads only, `()` for zero.  A letter is a cached
+`((i, one),)`, a lookup is the algebra's or the map's sparse cell as it is,
+`acc` merges two vectors and `scale_int` drops what the characteristic
+kills (3*f in GF(3) is `()`).  Vectors are densified only for reports.  The
+payloads are those of a dense evaluation, for three reasons:
+  1. each coordinate receives its additions in the dense loops' order: i
+     ascending, then j ascending, then written term order;
+  2. the dense operations skipped are F.add(F.zero, v) on a coordinate's
+     first term, F.add(u, F.zero) / F.sub(u, F.zero) on a coordinate only u
+     carries, and F.sub(F.zero, v), for which F.neg(v) is taken; on
+     canonical payloads each gives v, u, u and F.neg(v) under `F.key`, for
+     every field kind (pinned by tests/test_sparse.py);
+  3. a coordinate that cancels is densified as F.zero, the payload every
+     field's cancelling sum already is (0 on Q and GF(p), the shared zero
+     on Frac).
+The public forms are the multilinear extensions of the same words;
+`oracle` is the second route.
 """
 
 from __future__ import annotations
@@ -53,9 +69,11 @@ from .superalg import (
     AlgebraError,
     HomSuperAlgebra,
     commutator_algebra,
+    dense,
     is_super_commutative,
     is_super_skewsymmetric,
     plus_algebra,
+    sparse,
 )
 
 
@@ -82,21 +100,21 @@ class PreconditionError(CheckError):
 
 
 class _Ctx:
-    """Unwrapped evaluation context: raw payload tables, the product and map
-    kernels of the algebra and its twist, the shape tables filled by `term`,
-    and the derived contexts that marked terms run on."""
+    """Unwrapped evaluation context: the sparse cells of the product and the
+    twists, the letters, the product and map kernels, the shape tables
+    filled by `term`, and the derived contexts that marked terms run on."""
 
     __slots__ = (
-        "F", "dim", "par", "names", "slot_names", "c", "acols", "a2cols", "zero",
+        "F", "dim", "par", "names", "slot_names", "c", "acols", "a2cols", "letters",
         "_tables", "mul", "al", "al2", "derived",
     )
 
-    def __init__(self, H: HomSuperAlgebra, zero=None):
+    def __init__(self, H: HomSuperAlgebra):
         A, F, alpha2 = H.algebra, H.algebra.field, compose(H.alpha, H.alpha)
-        self.F, self.dim, self.c = F, A.dim, A.table
+        self.F, self.dim, self.c = F, A.dim, A._nz
         self.par, self.names, self.slot_names = A.basis.parities, A.basis.names, A.basis.slot_names
-        self.acols, self.a2cols = H.alpha.cols, alpha2.cols
-        self.zero = zero or tuple(F.zero for _ in range(A.dim))
+        self.acols, self.a2cols = H.alpha._nz, alpha2._nz
+        self.letters = tuple(((i, F.one),) for i in range(A.dim))
         self._tables: Dict[Callable, list] = {}
         self.derived: Dict[str, _Ctx] = {}
         # the kernels, bound: mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u)
@@ -113,25 +131,34 @@ class _Ctx:
             key = key * self.dim + s
         got = table[key]
         if got is None:
-            zero, is_zero = self.F.zero, self.F.is_zero
-            got = tuple(zero if is_zero(x) else x for x in fn(self, slots))
-            if all(x is zero for x in got):
-                got = self.zero
-            table[key] = got
+            got = table[key] = fn(self, slots)
         return got
 
     def acc(self, u, v, exp: int):
-        """u + (-1)^exp v; adding the shared zero vector is skipped."""
-        if v is self.zero:
+        """u + (-1)^exp v, merged by index: a coordinate one side carries is
+        taken as it is (negated from v when exp is odd), one that cancels
+        is dropped."""
+        if not v:
             return u
-        return tuple(map(self.F.sub if exp else self.F.add, u, v))
+        F = self.F
+        if not u:
+            return tuple((k, F.neg(x)) for k, x in v) if exp else v
+        op, is_zero = F.sub if exp else F.add, F.is_zero
+        out = dict(u)
+        for k, x in v:
+            y = out.get(k)
+            if y is None:
+                out[k] = F.neg(x) if exp else x
+            elif is_zero(y := op(y, x)):
+                del out[k]
+            else:
+                out[k] = y
+        return tuple(sorted(out.items()))
 
     def scale_int(self, n: int, u):
-        c = self.F.from_int(n)
-        return tuple(self.F.mul(c, x) for x in u)
-
-    def is_zero_vec(self, u) -> bool:
-        return all(map(self.F.is_zero, u))
+        F = self.F
+        c = F.from_int(n)
+        return () if F.is_zero(c) else tuple((k, F.mul(c, x)) for k, x in u)
 
 
 # -- Words: a letter (its slot position) or (head, *args), head "m" (the
@@ -231,8 +258,7 @@ def _is_lookup(node) -> bool:
 def _compile(node, n: int):
     """`node` evaluated in place."""
     if isinstance(node, int):
-        return lambda ctx, s, pat: tuple(
-            ctx.F.one if i == s[node] else ctx.F.zero for i in range(ctx.dim))
+        return lambda ctx, s, pat: ctx.letters[s[node]]
     head, args = node[0], node[1:]
     if head[0] == "@":
         ev = _compile(args[0], n)
@@ -276,7 +302,7 @@ def _fold(terms, n: int, seen, pairs=(), rank=None, scale=1):
     def ev(ctx, s, pat):
         out = first(ctx, s, pat)
         if signs0[pat]:
-            out = ctx.acc(ctx.zero, out, 1)
+            out = ctx.acc((), out, 1)
         for f, signs in rest:
             out = ctx.acc(out, f(ctx, s, pat), signs[pat])
         return out if scale == 1 else ctx.scale_int(scale, out)
@@ -324,7 +350,7 @@ class _Identity:
             pat = _pattern(ctx.par, idx)
             for ev in first:
                 r = ev(ctx, idx, pat)
-                if not ctx.is_zero_vec(r):
+                if r:
                     return r
             return last(ctx, idx, pat)
 
@@ -339,7 +365,7 @@ class _Identity:
     def make(self, H: HomSuperAlgebra):
         ctx = _Ctx(_algebra(H, self.context))
         for mark in self.marks:
-            ctx.derived[mark] = _Ctx(_algebra(H, mark), ctx.zero)
+            ctx.derived[mark] = _Ctx(_algebra(H, mark))
         return ctx, self.residual
 
 
@@ -458,12 +484,13 @@ def run_checker(
     holds = True
     for idx in itertools.product(range(dim), repeat=chk.arity):
         r = res_fn(ctx, idx)
-        if not ctx.is_zero_vec(r):
+        if r:
             holds = False
             if len(bad) < max_counterexamples:
                 # reported coordinates are hash-consed and the slot names
                 # come from the basis, so every zero is one Scalar and
                 # repeated reports share their values and names
+                r = dense(ctx.F, dim, r)
                 bad.append((ctx.slot_names(idx), tuple(map(ctx.F.shared_scalar, r))))
             else:
                 break
@@ -479,7 +506,7 @@ def _value_at(what: str, make, arity: int, H: HomSuperAlgebra, tuple_names: Sequ
         if n not in ctx.names:
             raise CheckError(f"{what}: unknown basis element {n!r}")
     r = res_fn(ctx, tuple(ctx.names.index(n) for n in tuple_names))
-    return tuple(ctx.F.scalar(x) for x in r)
+    return tuple(map(ctx.F.scalar, dense(ctx.F, ctx.dim, r)))
 
 
 def residual_at(name: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
@@ -510,15 +537,14 @@ def _extension(H: HomSuperAlgebra, spec: _Identity, args, homogeneous: str) -> V
             raise HomogeneityError(f"argument {slot} has mixed parity")
     ctx, res_fn = spec.make(H)
     F = ctx.F
-    supports = [[(i, a) for i, a in enumerate(A._unwrap(v)) if not F.is_zero(a)] for v in args]
-    out = ctx.zero
-    for picks in itertools.product(*supports):
+    out = ()
+    for picks in itertools.product(*(sparse(F, A._unwrap(v)) for v in args)):
         coeff = F.one
         for _, a in picks:
             coeff = F.mul(coeff, a)
         term = res_fn(ctx, tuple(i for i, _ in picks))
-        out = ctx.acc(out, tuple(F.mul(coeff, x) for x in term), 0)
-    return A._wrap(out)
+        out = ctx.acc(out, tuple((k, F.mul(coeff, x)) for k, x in term), 0)
+    return A._wrap(dense(F, A.dim, out))
 
 
 def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:

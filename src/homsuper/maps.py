@@ -22,6 +22,7 @@ from .superalg import (
     EvenLinearMap,
     HomSuperAlgebra,
     SuperAlgebra,
+    dense,
 )
 
 
@@ -74,12 +75,12 @@ def is_weak_morphism(
         raise DimensionError("dimension mismatch")
     if src.field != dst.field or f.field != src.field:
         raise FieldMismatchError("weak morphism across different fields")
-    F = src.field
+    F, n = src.field, src.dim
     bad = []
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = f.apply_payload(src.table[i][j])
-            rhs = dst._mul_payload(f.cols[i], f.cols[j])
+    for i in range(n):
+        for j in range(n):
+            lhs = dense(F, n, f.apply_payload(src._nz[i][j]))
+            rhs = dense(F, n, dst._mul_payload(f._nz[i], f._nz[j]))
             res = tuple(F.sub(a, b) for a, b in zip(lhs, rhs))
             if any(not F.is_zero(x) for x in res):
                 bad.append(((src.basis.names[i], src.basis.names[j]), src._wrap(res)))
@@ -91,11 +92,11 @@ def is_morphism(
 ) -> IdentityReport:
     """Weak morphism plus the commuting square f . alpha = alpha' . f."""
     weak = is_weak_morphism(src.algebra, dst.algebra, f)
-    F = src.field
+    F, n = src.field, src.dim
     bad = list(weak.counterexamples)
-    for j in range(src.dim):
-        lhs = f.apply_payload(src.alpha.cols[j])
-        rhs = dst.alpha.apply_payload(f.cols[j])
+    for j in range(n):
+        lhs = dense(F, n, f.apply_payload(src.alpha._nz[j]))
+        rhs = dense(F, n, dst.alpha.apply_payload(f._nz[j]))
         res = tuple(F.sub(a, b) for a, b in zip(lhs, rhs))
         if any(not F.is_zero(x) for x in res):
             bad.append(((src.algebra.basis.names[j],), src.algebra._wrap(res)))
@@ -108,7 +109,7 @@ def compose(f: EvenLinearMap, g: EvenLinearMap) -> EvenLinearMap:
     """Matrix of f . g (apply g first)."""
     if f.dim != g.dim or f.field != g.field:
         raise DimensionError("composition dimension/field mismatch")
-    return EvenLinearMap(f.field, [f.apply_payload(col) for col in g.cols])
+    return EvenLinearMap(f.field, [dense(f.field, f.dim, f.apply_payload(col)) for col in g._nz])
 
 
 def power(f: EvenLinearMap, k: int) -> EvenLinearMap:
@@ -158,10 +159,7 @@ def matrix_inverse(f: EvenLinearMap) -> EvenLinearMap:
 
 def compose_product(A: SuperAlgebra, beta: EvenLinearMap) -> SuperAlgebra:
     """Structure constants of beta . mu over the same basis."""
-    table = [
-        [beta.apply_payload(A.table[i][j]) for j in range(A.dim)]
-        for i in range(A.dim)
-    ]
+    table = [[dense(A.field, A.dim, beta.apply_payload(cell)) for cell in row] for row in A._nz]
     return SuperAlgebra(A.basis, A.field, table)
 
 

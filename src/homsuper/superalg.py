@@ -7,6 +7,14 @@ basis elements i and j.  Entries are raw field payloads (see coeff), brought
 into the field's canonical form (`Field.normal`) once on construction; the
 public operations speak `Scalar` vectors and unwrap at the boundary.
 
+The kernels work on sparse vectors: a tuple of (index, payload) pairs sorted
+by index, nonzero payloads only, `()` the zero vector.  Next to its dense
+table an algebra keeps the sparse cells `_nz[i][j]` (a map its sparse
+columns), and `_mul_payload` / `apply_payload` walk nonzero pairs through
+them: a coordinate starts at its first term, takes the later ones with
+`add` in ascending (i, j) order, and is dropped if it cancels.  `sparse`
+and `dense` convert at the boundary of every dense caller.
+
 The multilinear forms built from these kernels (twisted associator,
 Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`.
 """
@@ -65,6 +73,20 @@ class Basis:
 
 
 PayloadVector = Tuple[object, ...]
+SparseVector = Tuple[Tuple[int, object], ...]
+
+
+def sparse(F: Field, u: PayloadVector) -> SparseVector:
+    """The (index, payload) pairs of the nonzero coordinates of `u`."""
+    return tuple((k, x) for k, x in enumerate(u) if not F.is_zero(x))
+
+
+def dense(F: Field, n: int, r: SparseVector) -> PayloadVector:
+    """The length-n payload vector of `r`: F.zero off its support."""
+    out = [F.zero] * n
+    for k, x in r:
+        out[k] = x
+    return tuple(out)
 
 
 class SuperAlgebra:
@@ -84,12 +106,8 @@ class SuperAlgebra:
         self.field = field
         normal = field.normal
         self.table = tuple(tuple(tuple(map(normal, vec)) for vec in row) for row in table)
-        # _nz[i][j]: the (k, c[i][j][k]) pairs with a nonzero constant
-        isz = field.is_zero
-        self._nz = tuple(
-            tuple(tuple((k, ck) for k, ck in enumerate(vec) if not isz(ck)) for vec in row)
-            for row in self.table
-        )
+        # _nz[i][j]: c[i][j] as a sparse vector
+        self._nz = tuple(tuple(sparse(field, vec) for vec in row) for row in self.table)
 
     @property
     def dim(self) -> int:
@@ -148,28 +166,39 @@ class SuperAlgebra:
 
     # -- raw product --------------------------------------------------------
 
-    def _mul_payload(self, u: PayloadVector, v: PayloadVector) -> PayloadVector:
-        """The product kernel: bilinear extension over the nonzero constants."""
+    def _mul_payload(self, u: SparseVector, v: SparseVector) -> SparseVector:
+        """The product kernel: bilinear extension over the nonzero cells."""
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz
-        out = [F.zero] * len(nz)
-        for i, ui in enumerate(u):
-            if is_zero(ui):
-                continue
+        if len(u) == 1 == len(v):  # one term per coordinate
+            (i, ui), (j, vj) = u[0], v[0]
+            cell = nz[i][j]
+            uv = mul(ui, vj) if cell else None
+            return tuple((k, mul(uv, ck)) for k, ck in cell)
+        out: Dict[int, object] = {}
+        for i, ui in u:
             row = nz[i]
-            for j, vj in enumerate(v):
-                if is_zero(vj):
-                    continue
-                uv = mul(ui, vj)
-                for k, ck in row[j]:
-                    out[k] = add(out[k], mul(uv, ck))
-        return tuple(out)
+            for j, vj in v:
+                cell = row[j]
+                if cell:
+                    uv = mul(ui, vj)
+                    for k, ck in cell:
+                        x = mul(uv, ck)
+                        y = out.get(k)
+                        if y is None:
+                            out[k] = x
+                        elif is_zero(y := add(y, x)):
+                            del out[k]
+                        else:
+                            out[k] = y
+        return tuple(sorted(out.items()))
 
 
 def multiply(A: SuperAlgebra, u: Vector, v: Vector) -> Vector:
     """Bilinear extension of the structure constants."""
-    return A._wrap(A._mul_payload(A._unwrap(u), A._unwrap(v)))
+    F = A.field
+    return A._wrap(dense(F, A.dim, A._mul_payload(sparse(F, A._unwrap(u)), sparse(F, A._unwrap(v)))))
 
 
 def validate(A: SuperAlgebra) -> IdentityReport:
@@ -232,11 +261,8 @@ class EvenLinearMap:
         self.field = field
         normal = field.normal
         self.cols = tuple(tuple(map(normal, c)) for c in cols)
-        # _nz[j]: the (i, m[i][j]) pairs with a nonzero entry in column j
-        isz = field.is_zero
-        self._nz = tuple(
-            tuple((i, m) for i, m in enumerate(col) if not isz(m)) for col in self.cols
-        )
+        # _nz[j]: column j as a sparse vector
+        self._nz = tuple(sparse(field, col) for col in self.cols)
 
     @property
     def dim(self) -> int:
@@ -274,21 +300,30 @@ class EvenLinearMap:
     def entry(self, i: int, j: int) -> Scalar:
         return Scalar(self.field, self.cols[j][i])
 
-    def apply_payload(self, u: PayloadVector) -> PayloadVector:
+    def apply_payload(self, u: SparseVector) -> SparseVector:
         """The map kernel: matrix-vector product over the nonzero entries."""
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz
-        out = [F.zero] * len(nz)
-        for j, uj in enumerate(u):
-            if is_zero(uj):
-                continue
+        if len(u) == 1:  # one term per coordinate
+            j, uj = u[0]
+            return tuple((i, mul(m, uj)) for i, m in nz[j])
+        out: Dict[int, object] = {}
+        for j, uj in u:
             for i, m in nz[j]:
-                out[i] = add(out[i], mul(m, uj))
-        return tuple(out)
+                x = mul(m, uj)
+                y = out.get(i)
+                if y is None:
+                    out[i] = x
+                elif is_zero(y := add(y, x)):
+                    del out[i]
+                else:
+                    out[i] = y
+        return tuple(sorted(out.items()))
 
     def apply(self, A: SuperAlgebra, u: Vector) -> Vector:
-        return A._wrap(self.apply_payload(A._unwrap(u)))
+        F = self.field
+        return A._wrap(dense(F, self.dim, self.apply_payload(sparse(F, A._unwrap(u)))))
 
 
 @dataclass

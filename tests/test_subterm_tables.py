@@ -1,7 +1,7 @@
 """The sub-term tables on the checker context.
 
 A residual read from tables filled in one order must equal the residual
-computed on a fresh context, and filling the tables over a fraction field
+computed on a fresh context (both densified, as reports see them), and filling the tables over a fraction field
 must leave the field's shared payloads untouched.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from gen import random_even_map, random_graded_algebra, random_multiplicative_skew
 from homsuper import corpus
 from homsuper.identities import CHECKERS, run_checker
-from homsuper.superalg import hom
+from homsuper.superalg import dense, hom
 
 
 def _random_instances():
@@ -32,10 +32,10 @@ def _assert_reverse_order_matches_fresh(H, name):
     ctx, res = chk.make(H)
     F = ctx.F
     tuples = list(itertools.product(range(ctx.dim), repeat=chk.arity))[::-1]
-    filled = [res(ctx, idx) for idx in tuples]
+    filled = [dense(F, ctx.dim, res(ctx, idx)) for idx in tuples]
     for idx, got in zip(tuples, filled):
         fresh_ctx, fresh_res = chk.make(H)
-        want = fresh_res(fresh_ctx, idx)
+        want = dense(F, ctx.dim, fresh_res(fresh_ctx, idx))
         assert all(F.eq(a, b) for a, b in zip(got, want)), (name, idx)
         assert [F.render(a) for a in got] == [F.render(b) for b in want], (name, idx)
 
