@@ -434,17 +434,22 @@ def _split_list(s: str) -> List[str]:
     return [x for x in items if x]
 
 
-def _parse_bindings(s: str, line: int) -> Dict[str, Fraction]:
+def _parse_bindings(s: str, line: int, col: int) -> Dict[str, Fraction]:
+    """Comma-separated name=value items; `col` is the column of s[0]."""
     out: Dict[str, Fraction] = {}
-    for item in _split_list(s):
+    for raw in s.split(","):
+        item, item_col = raw.strip(), col + len(raw) - len(raw.lstrip())
+        col += len(raw) + 1
+        if not item:
+            continue
         if "=" not in item:
-            raise ParseError(f"binding {item!r} must look like name=value", line, 1)
+            raise ParseError(f"binding {item!r} must look like name=value", line, item_col)
         name, _, val = item.partition("=")
-        name = name.strip()
         try:
-            out[name] = Fraction(val.strip())
+            out[name.strip()] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad numeric value {val.strip()!r}", line, 1) from None
+            val_col = item_col + len(name) + 1 + len(val) - len(val.lstrip())
+            raise ParseError(f"bad numeric value {val.strip()!r}", line, val_col) from None
     return out
 
 
@@ -472,7 +477,7 @@ def _parse_claim(
     core_cols: List[int] = []
     for seg, seg_col in zip(rest, cols[2:]):
         if seg.startswith("set "):
-            bindings = _parse_bindings(seg[4:], line)
+            bindings = _parse_bindings(seg[4:], line, seg_col + 4)
         elif seg == "fragile":
             fragile = True
         else:
@@ -517,7 +522,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     """Parse and validate a .salg document."""
     section = None
     map_name = None
-    algebra_kv: Dict[str, Tuple[str, int]] = {}
+    algebra_kv: Dict[str, Tuple[str, int, int]] = {}  # key -> (value, line, col)
     nonzero: List[str] = []
     zero: List[str] = []
     # (key, value, line, column of the value)
@@ -563,7 +568,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
             else:
                 if key in algebra_kv:
                     raise ParseError(f"duplicate key {key!r}", lineno, 1)
-                algebra_kv[key] = (value, lineno)
+                algebra_kv[key] = (value, lineno, col)
         elif section == "product":
             product_lines.append((key, value, lineno, col))
         elif section == "map":
@@ -574,11 +579,11 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     def need(key: str) -> Tuple[str, int]:
         if key not in algebra_kv:
             raise ParseError(f"[algebra] section is missing {key!r}", 1, 1)
-        return algebra_kv[key]
+        return algebra_kv[key][:2]
 
     name = need("name")[0]
     field_str, field_line = need("field")
-    params = tuple(_split_list(algebra_kv.get("params", ("", 0))[0]))
+    params = tuple(_split_list(algebra_kv.get("params", ("",))[0]))
     try:
         if field_str == "Q":
             spec = FieldSpec("Q", None, params)
@@ -594,8 +599,8 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         raise ParseError(str(exc), field_line, 1) from None
     field = field_for(spec)
 
-    even = tuple(_split_list(algebra_kv.get("even", ("", 0))[0]))
-    odd = tuple(_split_list(algebra_kv.get("odd", ("", 0))[0]))
+    even = tuple(_split_list(algebra_kv.get("even", ("",))[0]))
+    odd = tuple(_split_list(algebra_kv.get("odd", ("",))[0]))
     if not even and not odd:
         raise ParseError("empty basis", 1, 1)
     overlap = set(even) & set(odd)
@@ -651,7 +656,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
             cols[key] = parse_vector_expr(value, field, basis, line=lineno, col0=col)
         maps[mname] = EvenLinearMap(field, [cols[n] for n in basis.names])
 
-    twist = algebra_kv.get("twist", (None, 0))[0]
+    twist = algebra_kv.get("twist", (None,))[0]
     if twist is not None and twist not in maps:
         raise ParseError(f"twist map {twist!r} is not defined", algebra_kv["twist"][1], 1)
 
