@@ -246,6 +246,25 @@ def test_hostile_files_end_in_one_error_line(tmp_path, capsys):
     assert "cannot be rendered" in err
 
 
+def test_binding_errors_point_into_the_binding(tmp_path, capsys):
+    head = "[algebra]\nname = b\nfield = Q\nparams = a\neven = e\n"
+    cases = {
+        # `suggest = a=1/0`: the value starts at col 13
+        head + "suggest = a=1/0\n[product]\ne*e = e\n":
+            "error: line 6, col 13: bad numeric value '1/0'\n",
+        head + "suggest = a=1,  b\n[product]\ne*e = e\n":
+            "error: line 6, col 17: binding 'b' must look like name=value\n",
+        head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set a=zz\n":
+            "error: line 9, col 45: bad numeric value 'zz'\n",
+        head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set a=1, b\n":
+            "error: line 9, col 48: binding 'b' must look like name=value\n",
+    }
+    for text, want in cases.items():
+        path = tmp_path / "bindings.salg"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "validate", "--file", str(path)) == (2, "", want), text
+
+
 def test_exponent_and_depth_caps_admit_their_limits(tmp_path, capsys):
     from homsuper.io import MAX_DEPTH, MAX_EXPONENT
 
@@ -263,3 +282,58 @@ def test_derive_level_cap(capsys):
          "--n", "40"],
     )
     assert "cap" in err
+
+
+# -- Fuzzed files: bundled documents with a few byte-level edits, and bare
+# random bytes, through `validate --file` and `check --file`.
+
+_TOKENS = [b"=", b";", b",", b"*", b"/", b"^", b"(", b")", b"-", b"+", b"0", b"/0", b"1/2", b"\n",
+           b"[", b"]", b"e1", b"x", b"a", b"t", b"999999999999", b"^1000", b"set ", b"note:",
+           b"fragile", b" ; ", b"[map twist]\n", b"twist = alpha\n", b"nonzero = a\n", b"zero = a\n",
+           b"suggest = ", b"field = GF(3)\n", b"params = \n", b"even = \n", b"\xff", b"\x00"]
+
+
+def _fuzzed_documents():
+    from hypothesis import strategies as st
+
+    import homsuper.corpus as corpus
+
+    bundled = [corpus.entry_text(e).encode() for e in corpus.ENTRY_IDS]
+    chunk = st.one_of(st.sampled_from(_TOKENS), st.binary(max_size=8))
+
+    @st.composite
+    def edited(draw):
+        data = bytearray(draw(st.sampled_from(bundled)))
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(data)))
+            j = draw(st.integers(i, min(len(data), i + 24)))
+            data[i:j] = draw(chunk) if draw(st.booleans()) else b""
+        return bytes(data)
+
+    return st.one_of(edited(), st.binary(max_size=200))
+
+
+def test_fuzzed_files_end_in_exit_0_1_or_2(tmp_path_factory):
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+
+    path = tmp_path_factory.mktemp("fuzz") / "doc.salg"
+
+    @settings(max_examples=200, deadline=2000)
+    @given(_fuzzed_documents())
+    def check(data):
+        path.write_bytes(data)
+        for argv in (["validate", "--file", str(path)],
+                     ["check", "--file", str(path), "--identity", "left-alt"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in (0, 1, 2), (argv, data)
+            assert "Traceback" not in err, (argv, data)
+            if code == 2:
+                assert len(err.splitlines()) <= 1 and err.startswith("error: "), (err, data)
+
+    check()
