@@ -91,12 +91,8 @@ def _document_from(name: str, H: HomSuperAlgebra) -> AlgebraDocument:
     basis = A.basis
     even = tuple(n for n, p in zip(basis.names, basis.parities) if p == 0)
     odd = tuple(n for n, p in zip(basis.names, basis.parities) if p == 1)
-    products = {}
-    for i, a in enumerate(basis.names):
-        for j, b in enumerate(basis.names):
-            vec = A.table[i][j]
-            if any(not A.field.is_zero(x) for x in vec):
-                products[(a, b)] = vec
+    names = basis.names
+    products = {(a, b): A.table[i][j] for i, a in enumerate(names) for j, b in enumerate(names) if A._nz[i][j]}
     maps = {}
     twist = None
     if not H.alpha.is_identity():

@@ -33,24 +33,19 @@ written, its first term negated when its sign is odd, then scaled, so the
 sums are the payloads the written expression gives (Frac(K[params])
 payloads are not gcd-reduced; another order could print differently).
 
-Values are sparse vectors (see superalg): (index, payload) pairs sorted by
-index, nonzero payloads only, `()` for zero.  A letter is a cached
-`((i, one),)`, a lookup is the algebra's or the map's sparse cell as it is,
-`acc` merges two vectors and `scale_int` drops what the characteristic
-kills (3*f in GF(3) is `()`).  Vectors are densified only for reports.  The
-payloads are those of a dense evaluation, for three reasons:
-  1. each coordinate receives its additions in the dense loops' order: i
-     ascending, then j ascending, then written term order;
-  2. the dense operations skipped are F.add(F.zero, v) on a coordinate's
-     first term, F.add(u, F.zero) / F.sub(u, F.zero) on a coordinate only u
-     carries, and F.sub(F.zero, v), for which F.neg(v) is taken; on
-     canonical payloads each gives v, u, u and F.neg(v) under `F.key`, for
-     every field kind (pinned by tests/test_sparse.py);
-  3. a coordinate that cancels is densified as F.zero, the payload every
-     field's cancelling sum already is (0 on Q and GF(p), the shared zero
-     on Frac).
-The public forms are the multilinear extensions of the same words;
-`oracle` is the second route.
+Values are sparse vectors (see superalg), `()` for zero: a letter is a
+cached `((i, one),)`, a lookup the sparse cell as it is; `acc` merges,
+`scale_int` drops what the characteristic kills (3*f in GF(3) is `()`),
+and only reports densify.  The payloads are the dense evaluation's:
+(1) each coordinate takes its additions in the dense order (i ascending,
+then j, then written term order); (2) the dense operations skipped,
+F.add(F.zero, v) on a first term, F.add(u, F.zero) and F.sub(u, F.zero)
+where only u has the coordinate, and F.sub(F.zero, v) (F.neg(v) instead),
+give v, u, u and F.neg(v) under `F.key` on every field kind (pinned in
+tests/test_sparse.py); (3) a cancelling sum is F.zero (0 on Q and GF(p),
+the shared zero on Frac), as a dropped coordinate densifies and as a
+later term finds it in the dense loop.  The public forms are the
+multilinear extensions of the same words; `oracle` is the second route.
 """
 
 from __future__ import annotations
@@ -105,14 +100,14 @@ class _Ctx:
     filled by `term`, and the derived contexts that marked terms run on."""
 
     __slots__ = (
-        "F", "dim", "par", "names", "slot_names", "c", "acols", "a2cols", "letters",
+        "F", "dim", "par", "names", "basis", "c", "acols", "a2cols", "letters",
         "_tables", "mul", "al", "al2", "derived",
     )
 
     def __init__(self, H: HomSuperAlgebra):
         A, F, alpha2 = H.algebra, H.algebra.field, compose(H.alpha, H.alpha)
         self.F, self.dim, self.c = F, A.dim, A._nz
-        self.par, self.names, self.slot_names = A.basis.parities, A.basis.names, A.basis.slot_names
+        self.par, self.names, self.basis = A.basis.parities, A.basis.names, A.basis
         self.acols, self.a2cols = H.alpha._nz, alpha2._nz
         self.letters = tuple(((i, F.one),) for i in range(A.dim))
         self._tables: Dict[Callable, list] = {}
@@ -247,7 +242,10 @@ for _name, _args, _body in (
 
 
 def _pattern(par, slots) -> int:
-    return sum(par[i] << k for k, i in enumerate(slots))
+    pat = 0
+    for i in reversed(slots):
+        pat = pat << 1 | par[i]
+    return pat
 
 
 def _is_lookup(node) -> bool:
@@ -487,11 +485,9 @@ def run_checker(
         if r:
             holds = False
             if len(bad) < max_counterexamples:
-                # reported coordinates are hash-consed and the slot names
-                # come from the basis, so every zero is one Scalar and
-                # repeated reports share their values and names
-                r = dense(ctx.F, dim, r)
-                bad.append((ctx.slot_names(idx), tuple(map(ctx.F.shared_scalar, r))))
+                # entries are shared through the basis and their
+                # coordinates hash-consed: every zero is one Scalar
+                bad.append(ctx.basis.counterexample(ctx.F, idx, r))
             else:
                 break
     return IdentityReport(name, holds, tuple(bad), dim**chk.arity)

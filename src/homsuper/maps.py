@@ -53,17 +53,12 @@ def is_even(f: EvenLinearMap, basis: Basis) -> IdentityReport:
     """Parity-block check: entry (i,j) must vanish when parities differ."""
     if f.dim != len(basis):
         raise DimensionError("map dimension does not match basis")
-    F = f.field
+    F, par = f.field, basis.parities
     bad = []
     for j, col in enumerate(f.cols):
-        offending = [
-            F.zero if basis.parities[i] == basis.parities[j] else col[i]
-            for i in range(f.dim)
-        ]
+        offending = [F.zero if par[i] == par[j] else x for i, x in enumerate(col)]
         if any(not F.is_zero(x) for x in offending):
-            bad.append(
-                ((basis.names[j],), tuple(map(lambda v: F.scalar(v), offending)))
-            )
+            bad.append(((basis.names[j],), tuple(map(F.scalar, offending))))
     return IdentityReport("even", not bad, tuple(bad), f.dim)
 
 
@@ -79,9 +74,8 @@ def is_weak_morphism(
     bad = []
     for i in range(n):
         for j in range(n):
-            lhs = dense(F, n, f.apply_payload(src._nz[i][j]))
-            rhs = dense(F, n, dst._mul_payload(f._nz[i], f._nz[j]))
-            res = tuple(F.sub(a, b) for a, b in zip(lhs, rhs))
+            res = tuple(map(F.sub, dense(F, n, f.apply_payload(src._nz[i][j])),
+                            dense(F, n, dst._mul_payload(f._nz[i], f._nz[j]))))
             if any(not F.is_zero(x) for x in res):
                 bad.append(((src.basis.names[i], src.basis.names[j]), src._wrap(res)))
     return IdentityReport("weak-morphism", not bad, tuple(bad), src.dim * src.dim)
@@ -95,9 +89,8 @@ def is_morphism(
     F, n = src.field, src.dim
     bad = list(weak.counterexamples)
     for j in range(n):
-        lhs = dense(F, n, f.apply_payload(src.alpha._nz[j]))
-        rhs = dense(F, n, dst.alpha.apply_payload(f._nz[j]))
-        res = tuple(F.sub(a, b) for a, b in zip(lhs, rhs))
+        res = tuple(map(F.sub, dense(F, n, f.apply_payload(src.alpha._nz[j])),
+                        dense(F, n, dst.alpha.apply_payload(f._nz[j]))))
         if any(not F.is_zero(x) for x in res):
             bad.append(((src.algebra.basis.names[j],), src.algebra._wrap(res)))
     return IdentityReport(

@@ -7,13 +7,12 @@ basis elements i and j.  Entries are raw field payloads (see coeff), brought
 into the field's canonical form (`Field.normal`) once on construction; the
 public operations speak `Scalar` vectors and unwrap at the boundary.
 
-The kernels work on sparse vectors: a tuple of (index, payload) pairs sorted
-by index, nonzero payloads only, `()` the zero vector.  Next to its dense
-table an algebra keeps the sparse cells `_nz[i][j]` (a map its sparse
-columns), and `_mul_payload` / `apply_payload` walk nonzero pairs through
-them: a coordinate starts at its first term, takes the later ones with
-`add` in ascending (i, j) order, and is dropped if it cancels.  `sparse`
-and `dense` convert at the boundary of every dense caller.
+The kernels work on sparse vectors: (index, payload) pairs sorted by index,
+nonzero payloads only, `()` for zero.  `_mul_payload` and `apply_payload`
+walk nonzero pairs through the sparse cells `_nz` of the table (of a map's
+columns): a coordinate starts at its first term, adds the later ones in
+ascending (i, j) order and is dropped if it cancels.  Dense callers
+convert with `sparse` and `dense` at their boundary.
 
 The multilinear forms built from these kernels (twisted associator,
 Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`.
@@ -21,8 +20,9 @@ Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .coeff import Field, FieldMismatchError, Scalar
 from .report import IdentityReport, Vector
@@ -40,10 +40,8 @@ class DimensionError(AlgebraError):
 class Basis:
     names: Tuple[str, ...]
     parities: Tuple[int, ...]
-    # slot tuple -> names tuple, filled by slot_names
-    _slot_names: Dict[Tuple[int, ...], Tuple[str, ...]] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # (slots, ids of the reported Scalars) -> entry, filled by counterexample
+    _entries: Dict[tuple, tuple] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.parities):
@@ -62,13 +60,17 @@ class Basis:
         except ValueError:
             raise AlgebraError(f"unknown basis element {name!r}") from None
 
-    def slot_names(self, idx: Tuple[int, ...]) -> Tuple[str, ...]:
-        """The names of the basis slots `idx`, one tuple per slot tuple for
-        as long as the basis lives, so reports that name the same slots
-        share it."""
-        got = self._slot_names.get(idx)
+    def counterexample(self, F: Field, idx: Tuple[int, ...], r: SparseVector):
+        """(slot names, reported vector) of the sparse residual `r` at the
+        slots `idx`, one tuple per distinct entry for as long as the basis
+        lives, so repeated reports share their entries.  The coordinates are
+        hash-consed Scalars, which the entry keeps alive: their ids name
+        their values."""
+        vec = tuple(map(F.shared_scalar, dense(F, len(self.names), r)))
+        key = idx, tuple(map(id, vec))
+        got = self._entries.get(key)
         if got is None:
-            got = self._slot_names[idx] = tuple(self.names[i] for i in idx)
+            got = self._entries[key] = (tuple(self.names[i] for i in idx), vec)
         return got
 
 
@@ -127,14 +129,6 @@ class SuperAlgebra:
             for j in range(self.dim)
         )
 
-    def vector(self, coeffs: Mapping[str, Scalar]) -> Vector:
-        out = [self.field.zero] * self.dim
-        for name, s in coeffs.items():
-            if s.field != self.field:
-                raise FieldMismatchError(name)
-            out[self.basis.index(name)] = s.v
-        return tuple(Scalar(self.field, v) for v in out)
-
     def _unwrap(self, u: Vector) -> PayloadVector:
         if len(u) != self.dim:
             raise DimensionError("vector length does not match basis")
@@ -171,11 +165,6 @@ class SuperAlgebra:
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz
-        if len(u) == 1 == len(v):  # one term per coordinate
-            (i, ui), (j, vj) = u[0], v[0]
-            cell = nz[i][j]
-            uv = mul(ui, vj) if cell else None
-            return tuple((k, mul(uv, ck)) for k, ck in cell)
         out: Dict[int, object] = {}
         for i, ui in u:
             row = nz[i]
@@ -203,36 +192,32 @@ def multiply(A: SuperAlgebra, u: Vector, v: Vector) -> Vector:
 
 def validate(A: SuperAlgebra) -> IdentityReport:
     """Grading check: c[i][j][k] = 0 unless parity(k) = parity(i)+parity(j)."""
-    par = A.basis.parities
+    F, par, names = A.field, A.basis.parities, A.basis.names
     bad = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            vec = A.table[i][j]
-            offending = [
-                A.field.zero if par[k] == (par[i] + par[j]) % 2 else vec[k]
-                for k in range(A.dim)
-            ]
-            if any(not A.field.is_zero(x) for x in offending):
-                bad.append(((A.basis.names[i], A.basis.names[j]), A._wrap(offending)))
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        offending = [F.zero if par[k] == (par[i] + par[j]) % 2 else x for k, x in enumerate(A.table[i][j])]
+        if any(not F.is_zero(x) for x in offending):
+            bad.append(((names[i], names[j]), A._wrap(offending)))
     return IdentityReport("grading", not bad, tuple(bad), A.dim * A.dim)
+
+
+def _graded_sums(A: SuperAlgebra, sign: int):
+    """The table c[i][j] + sign*(-1)^(p_i p_j) c[j][i]: the super-commutator
+    product for sign -1, twice the plus product for +1."""
+    F, par = A.field, A.basis.parities
+    return [
+        [tuple(map(F.sub if sign * (-1) ** (par[i] * par[j]) < 0 else F.add, A.table[i][j], A.table[j][i]))
+         for j in range(A.dim)]
+        for i in range(A.dim)
+    ]
 
 
 def _pairwise_report(A: SuperAlgebra, name: str, sign: int) -> IdentityReport:
     # residual = mu(ei,ej) - sign*(-1)^(pi pj) mu(ej,ei)
-    F = A.field
-    par = A.basis.parities
-    bad = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            s = -1 if (par[i] * par[j]) % 2 else 1
-            s *= sign
-            res = []
-            for k in range(A.dim):
-                x = A.table[i][j][k]
-                y = A.table[j][i][k]
-                res.append(F.sub(x, y) if s > 0 else F.add(x, y))
-            if any(not F.is_zero(x) for x in res):
-                bad.append(((A.basis.names[i], A.basis.names[j]), A._wrap(res)))
+    F, names = A.field, A.basis.names
+    bad = [((names[i], names[j]), A._wrap(res))
+           for i, row in enumerate(_graded_sums(A, -sign)) for j, res in enumerate(row)
+           if any(not F.is_zero(x) for x in res)]
     return IdentityReport(name, not bad, tuple(bad), A.dim * A.dim)
 
 
@@ -278,16 +263,6 @@ class EvenLinearMap:
             ],
         )
 
-    @classmethod
-    def from_columns(cls, field: Field, cols: Sequence[Vector]) -> "EvenLinearMap":
-        payload = []
-        for col in cols:
-            for s in col:
-                if s.field != field:
-                    raise FieldMismatchError("matrix entry over a different field")
-            payload.append(tuple(s.v for s in col))
-        return cls(field, payload)
-
     def is_identity(self) -> bool:
         F = self.field
         for j, col in enumerate(self.cols):
@@ -305,9 +280,6 @@ class EvenLinearMap:
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz
-        if len(u) == 1:  # one term per coordinate
-            j, uj = u[0]
-            return tuple((i, mul(m, uj)) for i, m in nz[j])
         out: Dict[int, object] = {}
         for j, uj in u:
             for i, m in nz[j]:
@@ -361,20 +333,7 @@ def hom(A: SuperAlgebra, alpha: Optional[EvenLinearMap] = None) -> HomSuperAlgeb
 def commutator_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
     """[x,y] = mu(x,y) - (-1)^(|x||y|) mu(y,x), same twist."""
     A = H.algebra
-    F = A.field
-    par = A.basis.parities
-    table = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            s = (par[i] * par[j]) % 2
-            vec = tuple(
-                F.add(x, y) if s else F.sub(x, y)
-                for x, y in zip(A.table[i][j], A.table[j][i])
-            )
-            row.append(vec)
-        table.append(row)
-    return HomSuperAlgebra(SuperAlgebra(A.basis, F, table), H.alpha)
+    return HomSuperAlgebra(SuperAlgebra(A.basis, A.field, _graded_sums(A, -1)), H.alpha)
 
 
 def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
@@ -384,16 +343,5 @@ def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
     if F.spec.characteristic == 2:
         raise AlgebraError("plus product needs 1/2: characteristic 2 field")
     half = F.inv(F.from_int(2))
-    par = A.basis.parities
-    table = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            s = (par[i] * par[j]) % 2
-            vec = tuple(
-                F.mul(half, F.sub(x, y) if s else F.add(x, y))
-                for x, y in zip(A.table[i][j], A.table[j][i])
-            )
-            row.append(vec)
-        table.append(row)
+    table = [[tuple(F.mul(half, x) for x in vec) for vec in row] for row in _graded_sums(A, 1)]
     return HomSuperAlgebra(SuperAlgebra(A.basis, F, table), H.alpha)

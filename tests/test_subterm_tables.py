@@ -90,13 +90,14 @@ def test_reported_coordinates_are_hash_consed():
 
 
 def test_reported_slot_names_are_shared_across_runs():
-    # the names tuple of a slot tuple lives on the basis, so runs on the
-    # same algebra (and on its commutator algebra) report the same tuples
+    # counterexample entries live on the basis, so runs on the same algebra
+    # report the same (names, vector) tuples
     H = corpus.build("m3-3-1", "alpha1-untwisted").hom
     for name in ("left-alt", "lie-admissible", "malcev-admissible"):
         first = run_checker(name, H)
         again = run_checker(name, H)
         assert not first.holds, name
-        for (names, _), (names2, _) in zip(first.counterexamples, again.counterexamples):
-            assert names is names2
+        for entry, entry2 in zip(first.counterexamples, again.counterexamples):
+            names, names2 = entry[0], entry2[0]
+            assert entry is entry2 and names is names2
             assert all(n in H.algebra.basis.names for n in names)
