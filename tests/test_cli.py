@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 
+from hypothesis import given, settings, strategies as st
+
+import homsuper.corpus as corpus
 from homsuper.cli import main
 
 
@@ -294,10 +299,6 @@ _TOKENS = [b"=", b";", b",", b"*", b"/", b"^", b"(", b")", b"-", b"+", b"0", b"/
 
 
 def _fuzzed_documents():
-    from hypothesis import strategies as st
-
-    import homsuper.corpus as corpus
-
     bundled = [corpus.entry_text(e).encode() for e in corpus.ENTRY_IDS]
     chunk = st.one_of(st.sampled_from(_TOKENS), st.binary(max_size=8))
 
@@ -314,11 +315,6 @@ def _fuzzed_documents():
 
 
 def test_fuzzed_files_end_in_exit_0_1_or_2(tmp_path_factory):
-    import contextlib
-    import io
-
-    from hypothesis import given, settings
-
     path = tmp_path_factory.mktemp("fuzz") / "doc.salg"
 
     @settings(max_examples=200, deadline=2000)
