@@ -16,10 +16,19 @@ normalisation applied is cheap (common monomial factors, monic single-term
 denominators); it keeps the monomial denominators that actually occur in the
 bundled tables from snowballing, without pulling in real gcd machinery.
 
-A Q payload is canonical: every operation demotes an integral Fraction to
-its int numerator, so integral tables and sums run on Python ints and only a
-true denominator pays for Fraction arithmetic.  `Field.normal` brings a
-payload that a caller built by hand (a raw Fraction) into that form;
+A Q payload is canonical: an int when the value is integral, else a stdlib
+Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul` and
+`neg` keep it so without going through Fraction's operators: two ints take
+the int operation; otherwise the kernel reads numerators and denominators
+and reduces as the stdlib does (Henrici: one gcd of the denominators, then
+one gcd of the partial sum with it; cross gcds for a product), which leaves
+the result in lowest terms with a positive denominator.  A result with
+denominator 1 is returned as its int numerator; any other is built once by
+`_frac`, which fills a Fraction's two slots without normalising again.  A
+Fraction in lowest terms with a positive denominator is what the stdlib
+itself builds, so a `_frac` value cannot be told apart from one: same
+numerator, denominator, hash, repr, pickle and copy.  `Field.normal` brings
+a payload that a caller built by hand (a raw Fraction) into canonical form;
 `SuperAlgebra` and `EvenLinearMap` apply it to their tables once.
 
 The user-facing value type is `Scalar`, a thin (field, payload) wrapper with
@@ -337,10 +346,23 @@ class Field:
         return hash(self.spec)
 
 
+_new_object = object.__new__
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """The stdlib Fraction n/d for coprime n and d > 1, made without
+    Fraction's normalisation by filling its two slots."""
+    q = _new_object(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 class RationalField(Field):
     """Q on canonical payloads: an int for an integral value, a Fraction
-    only where a denominator remains.  Each operation demotes an integral
-    Fraction result to its numerator."""
+    in lowest terms only where a denominator remains.  `add`, `sub`, `mul`
+    and `neg` are the exact kernel described in the module docstring; each
+    stands alone, calling no other field method."""
 
     def __init__(self):
         self.spec = FieldSpec("Q")
@@ -348,25 +370,67 @@ class RationalField(Field):
         self.one = 1
 
     def add(self, x, y):
-        z = x + y
-        if z.__class__ is int:
-            return z
-        return z.numerator if z.denominator == 1 else z
+        if x.__class__ is int:
+            if y.__class__ is int:
+                return x + y
+            na, da = x, 1
+        else:
+            na, da = x._numerator, x._denominator
+        if y.__class__ is int:
+            nb, db = y, 1
+        else:
+            nb, db = y._numerator, y._denominator
+        g = gcd(da, db)
+        if g == 1:
+            n, d = na * db + da * nb, da * db
+        else:
+            s = da // g
+            n = na * (db // g) + nb * s
+            g2 = gcd(n, g)
+            n, d = n // g2, s * (db // g2)
+        return n if d == 1 else _frac(n, d)
 
     def sub(self, x, y):
-        z = x - y
-        if z.__class__ is int:
-            return z
-        return z.numerator if z.denominator == 1 else z
+        if x.__class__ is int:
+            if y.__class__ is int:
+                return x - y
+            na, da = x, 1
+        else:
+            na, da = x._numerator, x._denominator
+        if y.__class__ is int:
+            nb, db = y, 1
+        else:
+            nb, db = y._numerator, y._denominator
+        g = gcd(da, db)
+        if g == 1:
+            n, d = na * db - da * nb, da * db
+        else:
+            s = da // g
+            n = na * (db // g) - nb * s
+            g2 = gcd(n, g)
+            n, d = n // g2, s * (db // g2)
+        return n if d == 1 else _frac(n, d)
 
     def mul(self, x, y):
-        z = x * y
-        if z.__class__ is int:
-            return z
-        return z.numerator if z.denominator == 1 else z
+        if x.__class__ is int:
+            if y.__class__ is int:
+                return x * y
+            na, da = x, 1
+        else:
+            na, da = x._numerator, x._denominator
+        if y.__class__ is int:
+            nb, db = y, 1
+        else:
+            nb, db = y._numerator, y._denominator
+        g1 = gcd(na, db)
+        g2 = gcd(nb, da)
+        n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+        return n if d == 1 else _frac(n, d)
 
     def neg(self, x):
-        return -x
+        if x.__class__ is int:
+            return -x
+        return _frac(-x._numerator, x._denominator)
 
     def inv(self, x):
         if not x:

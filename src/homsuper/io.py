@@ -434,12 +434,20 @@ def _split_list(s: str) -> List[str]:
     return [x for x in items if x]
 
 
+def _split_at(s: str, sep: str, col: int) -> List[Tuple[str, int]]:
+    """The stripped pieces of `s` between separators, each with the column
+    it starts at; `col` is the column of s[0]."""
+    out = []
+    for raw in s.split(sep):
+        out.append((raw.strip(), col + len(raw) - len(raw.lstrip())))
+        col += len(raw) + 1
+    return out
+
+
 def _parse_bindings(s: str, line: int, col: int) -> Dict[str, Fraction]:
     """Comma-separated name=value items; `col` is the column of s[0]."""
     out: Dict[str, Fraction] = {}
-    for raw in s.split(","):
-        item, item_col = raw.strip(), col + len(raw) - len(raw.lstrip())
-        col += len(raw) + 1
+    for item, item_col in _split_at(s, ",", col):
         if not item:
             continue
         if "=" not in item:
@@ -462,48 +470,42 @@ def _parse_claim(
         body, _, tail = body.partition("note:")
         note = tail.strip()
         body = body.rstrip().rstrip(";")
-    segs, cols = [], []  # each segment and the column it starts at
-    for raw in body.split(";"):
-        segs.append(raw.strip())
-        cols.append(col + len(raw) - len(raw.lstrip()))
-        col += len(raw) + 1
+    segs = _split_at(body, ";", col)
     if len(segs) < 2:
-        raise ParseError("claim needs at least 'variant ; kind ; ...'", line, 1)
-    variant, kind = segs[0], segs[1]
-    rest = segs[2:]
+        raise ParseError("claim needs at least 'variant ; kind ; ...'", line, segs[0][1])
+    (variant, _), (kind, kind_col) = segs[:2]
     bindings: Dict[str, Fraction] = {}
     fragile = False
-    core: List[str] = []
-    core_cols: List[int] = []
-    for seg, seg_col in zip(rest, cols[2:]):
+    core: List[Tuple[str, int]] = []
+    for seg, seg_col in segs[2:]:
         if seg.startswith("set "):
             bindings = _parse_bindings(seg[4:], line, seg_col + 4)
         elif seg == "fragile":
             fragile = True
         else:
-            core.append(seg)
-            core_cols.append(seg_col)
+            core.append((seg, seg_col))
+    # a misshapen claim is reported at its first surplus segment, else at
+    # the segment that is wrong, else at its kind
     if kind == "check":
-        if len(core) != 2 or core[1] not in ("holds", "fails"):
-            raise ParseError(
-                "check claim needs 'checker ; holds|fails'", line, 1
-            )
-        target, expected = core
+        if len(core) != 2 or core[1][0] not in ("holds", "fails"):
+            at = core[min(len(core), 3) - 1][1] if len(core) >= 2 else kind_col
+            raise ParseError("check claim needs 'checker ; holds|fails'", line, at)
+        (target, _), (expected, _) = core
         where: Tuple[str, ...] = ()
     elif kind in ("value", "nonzero"):
         if len(core) != 3:
-            raise ParseError(
-                "value claim needs 'form ; tuple ; expression'", line, 1
-            )
-        target = core[0]
-        where = tuple(_split_list(core[1]))
-        for nm in where:
+            at = core[3][1] if len(core) > 3 else kind_col
+            raise ParseError("value claim needs 'form ; tuple ; expression'", line, at)
+        (target, _), (names, names_col), (expr, expr_col) = core
+        named = [(nm, c) for nm, c in _split_at(names, ",", names_col) if nm]
+        for nm, nm_col in named:
             if nm not in basis.names:
-                raise ParseError(f"unknown basis element {nm!r} in claim", line, 1)
-        vec = parse_vector_expr(core[2], field, basis, line=line, col0=core_cols[2])
+                raise ParseError(f"unknown basis element {nm!r} in claim", line, nm_col)
+        where = tuple(nm for nm, _ in named)
+        vec = parse_vector_expr(expr, field, basis, line=line, col0=expr_col)
         expected = render_vector(field, basis, vec)
     else:
-        raise ParseError(f"unknown claim kind {kind!r}", line, 1)
+        raise ParseError(f"unknown claim kind {kind!r}", line, kind_col)
     return ClaimSpec(key, variant, kind, target, where, expected, bindings, fragile, note)
 
 
@@ -528,7 +530,8 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     # (key, value, line, column of the value)
     product_lines: List[Tuple[str, str, int, int]] = []
     map_lines: Dict[str, List[Tuple[str, str, int, int]]] = {}
-    claim_lines: List[Tuple[str, str, int, int]] = []
+    # (key, value, line, column of the value, column of the key)
+    claim_lines: List[Tuple[str, str, int, int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -574,7 +577,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         elif section == "map":
             map_lines[map_name].append((key, value, lineno, col))
         else:
-            claim_lines.append((key, value, lineno, col))
+            claim_lines.append((key, value, lineno, col, len(line) - len(line.lstrip()) + 1))
 
     def need(key: str) -> Tuple[str, int]:
         if key not in algebra_kv:
@@ -666,12 +669,12 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
 
     claims = tuple(
         _parse_claim(key, value, lineno, field, basis, col)
-        for key, value, lineno, col in claim_lines
+        for key, value, lineno, col, _ in claim_lines
     )
     seen = set()
-    for c in claims:
+    for c, (_, _, lineno, _, key_col) in zip(claims, claim_lines):
         if c.key in seen:
-            raise ParseError(f"duplicate claim key {c.key!r}", 1, 1)
+            raise ParseError(f"duplicate claim key {c.key!r}", lineno, key_col)
         seen.add(c.key)
 
     # constraint expressions must parse

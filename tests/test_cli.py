@@ -270,6 +270,35 @@ def test_binding_errors_point_into_the_binding(tmp_path, capsys):
         assert run(capsys, "validate", "--file", str(path)) == (2, "", want), text
 
 
+
+def test_claim_errors_point_at_the_segment(tmp_path, capsys):
+    lines = corpus.entry_text("m3-3-1").splitlines(keepends=True)
+    assert lines[35].startswith("alpha1-even = ") and lines[38].startswith("alpha1-twisted-e3-e4 = ")
+    value = "alpha1-twisted-e3-e4 = alpha1 ; value ; product ; "
+    cases = [
+        (36, "alpha1-endo = alpha1 ; check ; even ; holds",
+         "line 36, col 1: duplicate claim key 'alpha1-endo'"),
+        (36, "alpha1-even = alpha1", "line 36, col 15: claim needs at least 'variant ; kind ; ...'"),
+        (36, "alpha1-even = alpha1 ; check ; even",
+         "line 36, col 24: check claim needs 'checker ; holds|fails'"),
+        (36, "alpha1-even = alpha1 ; check ; even ; maybe",
+         "line 36, col 39: check claim needs 'checker ; holds|fails'"),
+        (36, "alpha1-even = alpha1 ; check ; even ; holds ; extra",
+         "line 36, col 47: check claim needs 'checker ; holds|fails'"),
+        (39, value + "e3, e4 ; note: published",
+         "line 39, col 33: value claim needs 'form ; tuple ; expression'"),
+        (39, value + "e3, e4 ; -a*e4 ; e1",
+         "line 39, col 68: value claim needs 'form ; tuple ; expression'"),
+        (39, value + "e3, zz ; -a*e4", "line 39, col 55: unknown basis element 'zz' in claim"),
+        (36, "alpha1-even = alpha1 ; chek ; even ; holds", "line 36, col 24: unknown claim kind 'chek'"),
+    ]
+    for lineno, text, want in cases:
+        edited = list(lines)
+        edited[lineno - 1] = text + "\n"
+        path = tmp_path / "claims.salg"
+        path.write_text("".join(edited), encoding="utf-8")
+        assert run(capsys, "validate", "--file", str(path)) == (2, "", f"error: {want}\n"), text
+
 def test_exponent_and_depth_caps_admit_their_limits(tmp_path, capsys):
     from homsuper.io import MAX_DEPTH, MAX_EXPONENT
 

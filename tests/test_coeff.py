@@ -1,7 +1,9 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homsuper.coeff import (
     CharacteristicError,
@@ -217,6 +219,55 @@ def test_rational_payloads_are_canonical_and_exact(x, y):
     assert _canonical(Q.from_fraction(fx)) == fx
     assert _canonical(Q.normal(fx)) == fx
 
+
+
+# Operands for the exact kernel: small and huge numerators and denominators,
+# and pairs whose sum, difference or product cancels to an integer or to 0
+_num = st.one_of(st.integers(-12, 12), st.integers(-10**60, 10**60))
+_den = st.one_of(st.integers(1, 12), st.integers(1, 10**60))
+exact_st = st.builds(lambda n, d: Q.normal(Fraction(n, d)), _num, _den)
+
+
+@st.composite
+def exact_pairs(draw):
+    x = draw(exact_st)
+    cancel = draw(st.sampled_from((None, "add", "sub", "mul")))
+    k = Fraction(draw(st.one_of(st.integers(-3, 3), _num)))
+    if cancel is None or (cancel == "mul" and not x):
+        y = Fraction(draw(exact_st))
+    elif cancel == "add":
+        y = k - x
+    elif cancel == "sub":
+        y = x - k
+    else:
+        y = k / x
+    return x, Q.normal(y)
+
+
+def _same_payload(got, want):
+    assert type(got) is type(want), (got, want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert Q.key(got) == Q.key(want)
+    assert Q.render(got) == Q.render(want)
+    if type(got) is Fraction:
+        assert got.denominator > 1
+        for twin in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+            assert type(twin) is Fraction
+            assert (twin.numerator, twin.denominator) == (got.numerator, got.denominator)
+            assert repr(twin) == repr(got) and hash(twin) == hash(got)
+
+
+@settings(max_examples=400)
+@given(exact_pairs())
+def test_rational_kernel_matches_stdlib_fractions(pair):
+    x, y = pair
+    _same_payload(Q.add(x, y), Q.normal(x + y))
+    _same_payload(Q.sub(x, y), Q.normal(x - y))
+    _same_payload(Q.mul(x, y), Q.normal(x * y))
+    _same_payload(Q.neg(x), Q.normal(-x))
+    _same_payload(Q.neg(y), Q.normal(-y))
 
 def test_rational_constants_and_integer_division():
     assert type(Q.zero) is int and type(Q.one) is int
