@@ -136,7 +136,8 @@ def _construction(args, kind: str) -> int:
         if not map_name:
             raise CliError("twist needs --map NAME")
         args.map = None
-        inst = _load_instance(args)
+    inst = _load_instance(args)
+    if kind == "twist":
         beta_inst = corpus.build_from_document(
             inst.doc, map_name, inst.bindings, entry_id=inst.entry
         )
@@ -144,10 +145,7 @@ def _construction(args, kind: str) -> int:
             raise CliError(f"twist needs --map NAME of a map, got {map_name!r}")
         H = yau_twist(inst.hom, beta_inst.map_used)
         name = f"{inst.doc.name}-{map_name}"
-        _emit(serialize_algebra_document(_document_from(name, H)), args.out)
-        return 0
-    inst = _load_instance(args)
-    if kind == "derive":
+    elif kind == "derive":
         H = derived(inst.hom, args.n)
         name = f"{inst.doc.name}-derived-{args.n}"
     elif kind == "commutator":
@@ -188,27 +186,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_source(p, with_map=True):
+    def add_source(p):
         p.add_argument("--corpus", help="bundled entry id")
         p.add_argument("--file", help="path to a .salg definition file")
-        if with_map:
-            p.add_argument(
-                "--map",
-                help="variant: a map name, '<map>-untwisted', or omit for base",
-            )
+        p.add_argument(
+            "--map",
+            help="variant: a map name, '<map>-untwisted', or omit for base",
+        )
         p.add_argument(
             "--set", action="append", metavar="name=value",
             help="bind a parameter (repeatable)",
         )
         p.add_argument("--out", help="write the report to a file")
-        p.add_argument("--json", action="store_true", help="structured output")
 
     p = sub.add_parser("validate", help="grading and map checks")
     add_source(p)
+    p.add_argument("--json", action="store_true", help="structured output")
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("check", help="run identity checkers")
     add_source(p)
+    p.add_argument("--json", action="store_true", help="structured output")
     p.add_argument(
         "--identity", action="append",
         help=f"checker name (repeatable): {', '.join(CHECKERS)}",

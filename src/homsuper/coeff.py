@@ -81,10 +81,6 @@ class UnboundParameterError(CoeffError):
     pass
 
 
-def _is_identifier(name: str) -> bool:
-    return name.isidentifier()
-
-
 # Miller-Rabin with the first thirteen prime bases (2 to 41) is exact for
 # every n below this bound, the least strong pseudoprime to all of them
 # (Sorenson and Webster, 2015); larger moduli are refused.  Bases 2 to 37
@@ -138,7 +134,7 @@ class FieldSpec:
         if len(set(self.params)) != len(self.params):
             raise CoeffError("duplicate parameter names")
         for name in self.params:
-            if not _is_identifier(name):
+            if not name.isidentifier():
                 raise CoeffError(f"bad parameter name {name!r}")
 
     @property
@@ -233,18 +229,6 @@ def poly_pow(a: Poly, k: int, base: "Field", nvars: int) -> Poly:
         if k:
             a = poly_mul(a, a, base)
     return out
-
-
-def poly_eval(a: Poly, values, base: "Field"):
-    """Evaluate with every variable bound to a base-field value."""
-    acc = base.zero
-    for e, c in a.items():
-        term = c
-        for v, k in zip(values, e):
-            for _ in range(k):
-                term = base.mul(term, v)
-        acc = base.add(acc, term)
-    return acc
 
 
 class FracPayload:
@@ -659,40 +643,31 @@ class FractionField(Field):
             if p in bindings
         }
 
-        def down(poly: Poly):
-            if isinstance(target, FractionField):
-                out: Poly = {}
-                for e, c in poly.items():
-                    coef = c
-                    for i, v in vals.items():
-                        coef = self.base.mul(coef, self.base.pow(v, e[i]))
-                    ne = tuple(e[i] for i in keep)
-                    if ne in out:
-                        s = self.base.add(out[ne], coef)
-                        if self.base.is_zero(s):
-                            del out[ne]
-                        else:
-                            out[ne] = s
-                    elif not self.base.is_zero(coef):
-                        out[ne] = coef
-                return out
-            acc = self.base.zero
+        def down(poly: Poly) -> Poly:
+            out: Poly = {}
             for e, c in poly.items():
                 coef = c
                 for i, v in vals.items():
                     coef = self.base.mul(coef, self.base.pow(v, e[i]))
-                acc = self.base.add(acc, coef)
-            return acc
+                ne = tuple(e[i] for i in keep)
+                if ne in out:
+                    s = self.base.add(out[ne], coef)
+                    if self.base.is_zero(s):
+                        del out[ne]
+                    else:
+                        out[ne] = s
+                elif not self.base.is_zero(coef):
+                    out[ne] = coef
+            return out
 
         num = down(x.num)
         den = down(x.den)
-        if isinstance(target, FractionField):
-            if not den:
-                raise ZeroInversionError("denominator vanishes under binding")
-            return target._make(num, den)
-        if self.base.is_zero(den):
+        if not den:
             raise ZeroInversionError("denominator vanishes under binding")
-        return self.base.div(num, den)
+        if isinstance(target, FractionField):
+            return target._make(num, den)
+        # every parameter bound: each polynomial is its constant term ()
+        return self.base.div(num.get((), self.base.zero), den[()])
 
     # -- rendering (grammar-compatible; see io module)
 
@@ -705,9 +680,6 @@ class FractionField(Field):
                 parts.append(f"{name}^{k}")
         return "*".join(parts)
 
-    def _coeff_str(self, c) -> str:
-        return self.base.render(c)
-
     def _poly_str(self, p: Poly) -> str:
         if not p:
             return "0"
@@ -715,7 +687,7 @@ class FractionField(Field):
         for e in sorted(p, reverse=True):
             c = p[e]
             mono = self._monomial_str(e)
-            cs = self._coeff_str(c)
+            cs = self.base.render(c)
             negative = cs.startswith("-")
             mag = cs[1:] if negative else cs
             if mono and mag == "1":
@@ -753,7 +725,7 @@ class FractionField(Field):
         if len(p) != 1:
             return False
         ((e, c),) = p.items()
-        cs = self._coeff_str(c)
+        cs = self.base.render(c)
         return not cs.startswith("-") and "/" not in cs
 
 

@@ -28,7 +28,13 @@ from importlib import resources
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..coeff import FieldSpec, FractionField, Scalar, field_for
-from ..io import AlgebraDocument, ClaimSpec, parse_algebra_file, parse_vector_expr
+from ..io import (
+    AlgebraDocument,
+    ClaimSpec,
+    parse_algebra_file,
+    parse_expression,
+    parse_vector_expr,
+)
 from ..maps import compose, compose_product
 from ..superalg import (
     EvenLinearMap,
@@ -68,7 +74,9 @@ _DOC_CACHE: Dict[str, AlgebraDocument] = {}
 
 def entry_text(entry_id: str) -> str:
     if entry_id not in ENTRY_IDS:
-        raise UnknownEntryError(entry_id)
+        raise UnknownEntryError(
+            f"unknown corpus entry {entry_id!r}; known: {', '.join(ENTRY_IDS)}"
+        )
     return (
         resources.files(__package__).joinpath(f"{entry_id}.salg").read_text("utf-8")
     )
@@ -144,18 +152,15 @@ def build_from_document(
     zero = tuple(target.zero for _ in range(n))
 
     # constraints, evaluated after binding
+    at = ", ".join(f"{k}={v}" for k, v in bindings.items()) or "symbolic parameters"
     for expr in doc.zero:
-        val = down(_parse_scalar(doc, expr))
+        val = down(parse_expression(expr, doc.field).v)
         if not target.is_zero(val):
-            raise ConstraintError(
-                f"{entry_id}: constraint {expr} = 0 violated at {bindings or 'symbolic parameters'}"
-            )
+            raise ConstraintError(f"{entry_id}: constraint {expr} = 0 violated at {at}")
     for expr in doc.nonzero:
-        val = down(_parse_scalar(doc, expr))
+        val = down(parse_expression(expr, doc.field).v)
         if target.is_zero(val):
-            raise ConstraintError(
-                f"{entry_id}: constraint {expr} != 0 violated at {bindings or 'symbolic parameters'}"
-            )
+            raise ConstraintError(f"{entry_id}: constraint {expr} != 0 violated at {at}")
 
     table = [[zero] * n for _ in range(n)]
     for (x, y), vec in doc.products.items():
@@ -182,12 +187,6 @@ def build_from_document(
     else:
         H = hom(twisted, compose(beta, base_alpha))
     return BuiltInstance(entry_id, variant, bindings, doc, base, H, beta)
-
-
-def _parse_scalar(doc: AlgebraDocument, expr: str):
-    from ..io import parse_expression
-
-    return parse_expression(expr, doc.field).v
 
 
 def claims(entry_id: str) -> Tuple[ClaimSpec, ...]:

@@ -174,11 +174,10 @@ class _ExprParser:
             if v.vec != w.vec:
                 self.fail("cannot add a scalar and a vector", op)
             power = max(v.power, w.power)
+            fn = self.field.add if op.kind == "+" else self.field.sub
             if v.vec:
-                fn = self.field.add if op.kind == "+" else self.field.sub
                 v = _Value([fn(a, b) for a, b in zip(v.v, w.v)], True, power)
             else:
-                fn = self.field.add if op.kind == "+" else self.field.sub
                 v = self._sc(fn(v.v, w.v), power)
         return v
 
@@ -290,16 +289,6 @@ def parse_vector_expr(
 # ---------------------------------------------------------------------------
 
 
-def render_scalar(field: Field, v) -> str:
-    return field.render(v)
-
-
-def _coeff_atom(field: Field, v) -> Tuple[str, bool]:
-    """Render a coefficient and say whether it is negated-at-top-level."""
-    s = field.render(v)
-    return s, s.startswith("-")
-
-
 def render_vector(field: Field, basis: Basis, vec: Sequence[object]) -> str:
     parts: List[str] = []
     for name, v in zip(basis.names, vec):
@@ -354,17 +343,6 @@ class ClaimSpec:
     bindings: Dict[str, Fraction]
     fragile: bool
     note: str
-
-    def __eq__(self, other):
-        if not isinstance(other, ClaimSpec):
-            return NotImplemented
-        return (
-            self.key, self.variant, self.kind, self.target, self.where,
-            self.expected, self.bindings, self.fragile, self.note,
-        ) == (
-            other.key, other.variant, other.kind, other.target, other.where,
-            other.expected, other.bindings, other.fragile, other.note,
-        )
 
 
 @dataclass
@@ -525,8 +503,9 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     section = None
     map_name = None
     algebra_kv: Dict[str, Tuple[str, int, int]] = {}  # key -> (value, line, col)
-    nonzero: List[str] = []
-    zero: List[str] = []
+    # constraint expressions: (value, line, column of the value)
+    nonzero: List[Tuple[str, int, int]] = []
+    zero: List[Tuple[str, int, int]] = []
     # (key, value, line, column of the value)
     product_lines: List[Tuple[str, str, int, int]] = []
     map_lines: Dict[str, List[Tuple[str, str, int, int]]] = {}
@@ -565,9 +544,9 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         value = value.strip()
         if section == "algebra":
             if key == "nonzero":
-                nonzero.append(value)
+                nonzero.append((value, lineno, col))
             elif key == "zero":
-                zero.append(value)
+                zero.append((value, lineno, col))
             else:
                 if key in algebra_kv:
                     raise ParseError(f"duplicate key {key!r}", lineno, 1)
@@ -678,12 +657,12 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         seen.add(c.key)
 
     # constraint expressions must parse
-    for expr in list(nonzero) + list(zero):
-        parse_expression(expr, field)
+    for expr, lineno, col in nonzero + zero:
+        parse_expression(expr, field, line=lineno, col0=col)
 
     return AlgebraDocument(
         name, field, even, odd, products, maps, twist, claims,
-        tuple(nonzero), tuple(zero), suggest,
+        tuple(e for e, _, _ in nonzero), tuple(e for e, _, _ in zero), suggest,
     )
 
 

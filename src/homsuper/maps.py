@@ -11,10 +11,11 @@ through this gate.
 
 from __future__ import annotations
 
+import itertools
 from typing import Tuple
 
-from .coeff import Field, FieldMismatchError
-from .report import IdentityReport
+from .coeff import FieldMismatchError
+from .report import IdentityReport, table_report
 from .superalg import (
     AlgebraError,
     Basis,
@@ -54,48 +55,42 @@ def is_even(f: EvenLinearMap, basis: Basis) -> IdentityReport:
     if f.dim != len(basis):
         raise DimensionError("map dimension does not match basis")
     F, par = f.field, basis.parities
-    bad = []
-    for j, col in enumerate(f.cols):
-        offending = [F.zero if par[i] == par[j] else x for i, x in enumerate(col)]
-        if any(not F.is_zero(x) for x in offending):
-            bad.append(((basis.names[j],), tuple(map(F.scalar, offending))))
-    return IdentityReport("even", not bad, tuple(bad), f.dim)
+    rows = (((basis.names[j],), [F.zero if par[i] == par[j] else x for i, x in enumerate(col)])
+            for j, col in enumerate(f.cols))
+    return table_report("even", F, rows, f.dim)
+
+
+def _weak_morphism_rows(src: SuperAlgebra, dst: SuperAlgebra, f: EvenLinearMap):
+    """The (slot names, residual) rows of f(mu(ei,ej)) - mu'(f(ei), f(ej))."""
+    if src.dim != dst.dim or f.dim != src.dim:
+        raise DimensionError("dimension mismatch")
+    if src.field != dst.field or f.field != src.field:
+        raise FieldMismatchError("weak morphism across different fields")
+    F, n, names = src.field, src.dim, src.basis.names
+    return (((names[i], names[j]),
+             tuple(map(F.sub, dense(F, n, f.apply_payload(src._nz[i][j])),
+                       dense(F, n, dst._mul_payload(f._nz[i], f._nz[j])))))
+            for i in range(n) for j in range(n))
 
 
 def is_weak_morphism(
     src: SuperAlgebra, dst: SuperAlgebra, f: EvenLinearMap
 ) -> IdentityReport:
     """f(mu(ei,ej)) = mu'(f(ei), f(ej)) on all basis pairs."""
-    if src.dim != dst.dim or f.dim != src.dim:
-        raise DimensionError("dimension mismatch")
-    if src.field != dst.field or f.field != src.field:
-        raise FieldMismatchError("weak morphism across different fields")
-    F, n = src.field, src.dim
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            res = tuple(map(F.sub, dense(F, n, f.apply_payload(src._nz[i][j])),
-                            dense(F, n, dst._mul_payload(f._nz[i], f._nz[j]))))
-            if any(not F.is_zero(x) for x in res):
-                bad.append(((src.basis.names[i], src.basis.names[j]), src._wrap(res)))
-    return IdentityReport("weak-morphism", not bad, tuple(bad), src.dim * src.dim)
+    rows = _weak_morphism_rows(src, dst, f)
+    return table_report("weak-morphism", src.field, rows, src.dim * src.dim)
 
 
 def is_morphism(
     src: HomSuperAlgebra, dst: HomSuperAlgebra, f: EvenLinearMap
 ) -> IdentityReport:
     """Weak morphism plus the commuting square f . alpha = alpha' . f."""
-    weak = is_weak_morphism(src.algebra, dst.algebra, f)
-    F, n = src.field, src.dim
-    bad = list(weak.counterexamples)
-    for j in range(n):
-        res = tuple(map(F.sub, dense(F, n, f.apply_payload(src.alpha._nz[j])),
-                        dense(F, n, dst.alpha.apply_payload(f._nz[j]))))
-        if any(not F.is_zero(x) for x in res):
-            bad.append(((src.algebra.basis.names[j],), src.algebra._wrap(res)))
-    return IdentityReport(
-        "morphism", not bad, tuple(bad), weak.tuples_checked + src.dim
-    )
+    weak = _weak_morphism_rows(src.algebra, dst.algebra, f)
+    F, n, names = src.field, src.dim, src.algebra.basis.names
+    square = (((names[j],), tuple(map(F.sub, dense(F, n, f.apply_payload(src.alpha._nz[j])),
+                                      dense(F, n, dst.alpha.apply_payload(f._nz[j])))))
+              for j in range(n))
+    return table_report("morphism", F, itertools.chain(weak, square), n * n + n)
 
 
 def compose(f: EvenLinearMap, g: EvenLinearMap) -> EvenLinearMap:

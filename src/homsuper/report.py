@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterable, Tuple
 
-from .coeff import Scalar
+from .coeff import Field, Scalar
 
 Vector = Tuple[Scalar, ...]
 Counterexample = Tuple[Tuple[str, ...], Vector]
@@ -34,19 +34,13 @@ class IdentityReport:
     def tuples(self) -> Tuple[Tuple[str, ...], ...]:
         return tuple(t for t, _ in self.counterexamples)
 
-    def __eq__(self, other):
-        if not isinstance(other, IdentityReport):
-            return NotImplemented
-        if (
-            self.identity != other.identity
-            or self.holds != other.holds
-            or self.tuples_checked != other.tuples_checked
-            or len(self.counterexamples) != len(other.counterexamples)
-        ):
-            return False
-        for (t1, r1), (t2, r2) in zip(self.counterexamples, other.counterexamples):
-            if t1 != t2 or len(r1) != len(r2):
-                return False
-            if any(not (a == b) for a, b in zip(r1, r2)):
-                return False
-        return True
+
+def table_report(name: str, F: Field, rows: Iterable[tuple], checked: int) -> IdentityReport:
+    """The report of a table check: `rows` yields (slot names, payload
+    residual) pairs, and the nonzero residuals are the counterexamples."""
+    bad = tuple(
+        (names, tuple(map(F.scalar, res)))
+        for names, res in rows
+        if any(not F.is_zero(x) for x in res)
+    )
+    return IdentityReport(name, not bad, bad, checked)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .coeff import Field, FieldMismatchError, Scalar
-from .report import IdentityReport, Vector
+from .report import IdentityReport, Vector, table_report
 
 
 class AlgebraError(Exception):
@@ -193,12 +193,10 @@ def multiply(A: SuperAlgebra, u: Vector, v: Vector) -> Vector:
 def validate(A: SuperAlgebra) -> IdentityReport:
     """Grading check: c[i][j][k] = 0 unless parity(k) = parity(i)+parity(j)."""
     F, par, names = A.field, A.basis.parities, A.basis.names
-    bad = []
-    for i, j in itertools.product(range(A.dim), repeat=2):
-        offending = [F.zero if par[k] == (par[i] + par[j]) % 2 else x for k, x in enumerate(A.table[i][j])]
-        if any(not F.is_zero(x) for x in offending):
-            bad.append(((names[i], names[j]), A._wrap(offending)))
-    return IdentityReport("grading", not bad, tuple(bad), A.dim * A.dim)
+    rows = (((names[i], names[j]), [F.zero if par[k] == (par[i] + par[j]) % 2 else x
+                                    for k, x in enumerate(A.table[i][j])])
+            for i, j in itertools.product(range(A.dim), repeat=2))
+    return table_report("grading", F, rows, A.dim * A.dim)
 
 
 def _graded_sums(A: SuperAlgebra, sign: int):
@@ -214,11 +212,10 @@ def _graded_sums(A: SuperAlgebra, sign: int):
 
 def _pairwise_report(A: SuperAlgebra, name: str, sign: int) -> IdentityReport:
     # residual = mu(ei,ej) - sign*(-1)^(pi pj) mu(ej,ei)
-    F, names = A.field, A.basis.names
-    bad = [((names[i], names[j]), A._wrap(res))
-           for i, row in enumerate(_graded_sums(A, -sign)) for j, res in enumerate(row)
-           if any(not F.is_zero(x) for x in res)]
-    return IdentityReport(name, not bad, tuple(bad), A.dim * A.dim)
+    names = A.basis.names
+    rows = (((names[i], names[j]), res)
+            for i, row in enumerate(_graded_sums(A, -sign)) for j, res in enumerate(row))
+    return table_report(name, A.field, rows, A.dim * A.dim)
 
 
 def is_super_commutative(A: SuperAlgebra) -> IdentityReport:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import homsuper.corpus as corpus
@@ -49,7 +50,9 @@ def test_check_multiple_identities(capsys):
 
 
 def test_exit_two_on_bad_input(capsys):
-    assert run(capsys, "check", "--corpus", "nope", "--identity", "left-alt")[0] == 2
+    known = ", ".join(corpus.ENTRY_IDS)
+    assert run(capsys, "check", "--corpus", "nope", "--identity", "left-alt") == (
+        2, "", f"error: unknown corpus entry 'nope'; known: {known}\n")
     assert run(capsys, "check", "--corpus", "m3-3-1", "--identity", "bogus")[0] == 2
     assert run(capsys, "check", "--corpus", "m3-3-1")[0] == 2
     assert run(capsys, "check", "--corpus", "m3-3-1", "--file", "x", "--identity", "left-alt")[0] == 2
@@ -59,7 +62,7 @@ def test_exit_two_on_bad_input(capsys):
     assert run(
         capsys, "check", "--corpus", "b42", "--identity", "alternative",
         "--set", "a=0", "--set", "s=1",
-    )[0] == 2
+    ) == (2, "", "error: b42: constraint a != 0 violated at a=0, s=1\n")
     # a counterexample cap below 1 is an input error with a one-line message
     for cap in ("0", "-1"):
         code, _, err = run(
@@ -263,12 +266,31 @@ def test_binding_errors_point_into_the_binding(tmp_path, capsys):
             "error: line 9, col 45: bad numeric value 'zz'\n",
         head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set a=1, b\n":
             "error: line 9, col 48: binding 'b' must look like name=value\n",
+        # constraint expressions point into the constraint too
+        head + "nonzero = a +* 2\n[product]\ne*e = e\n":
+            "error: line 6, col 14: expected a value, found '*'\n",
+        head + "zero = a^2000\n[product]\ne*e = e\n":
+            "error: line 6, col 10: exponent 2000 is above the cap of 1000\n",
+        head + "nonzero = b\n[product]\ne*e = e\n":
+            "error: line 6, col 11: undeclared parameter 'b'\n",
     }
     for text, want in cases.items():
         path = tmp_path / "bindings.salg"
         path.write_text(text, encoding="utf-8")
         assert run(capsys, "validate", "--file", str(path)) == (2, "", want), text
 
+
+
+def test_json_only_on_the_commands_that_read_it(capsys):
+    for command in ("twist", "derive", "commutator", "plus"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--corpus", "b42", "--json"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+    code, out, _ = run(capsys, "check", "--corpus", "b42", "--identity", "left-alt", "--json")
+    assert code in (0, 1) and json.loads(out)[0]["identity"] == "left-alt"
+    code, out, _ = run(capsys, "validate", "--corpus", "b42", "--map", "alpha", "--json")
+    assert [r["identity"] for r in json.loads(out)] == ["grading", "even", "weak-morphism"]
 
 
 def test_claim_errors_point_at_the_segment(tmp_path, capsys):
