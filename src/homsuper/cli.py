@@ -21,6 +21,7 @@ from .io import (
     ParseError,
     decode_document,
     parse_algebra_file,
+    parse_binding,
     serialize_algebra_document,
     serialize_report,
 )
@@ -44,13 +45,11 @@ class CliError(Exception):
 def _parse_set(values: Optional[List[str]]) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
     for item in values or []:
-        if "=" not in item:
-            raise CliError(f"--set expects name=value, got {item!r}")
-        name, _, val = item.partition("=")
         try:
-            out[name.strip()] = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"--set {item!r}: bad numeric value") from None
+            name, value = parse_binding(item, 1, 1)
+        except ParseError as exc:
+            raise CliError(f"--set: {exc.msg}") from None
+        out[name] = value
     return out
 
 

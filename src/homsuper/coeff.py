@@ -9,27 +9,48 @@ Scalars live in one of three kinds of field:
                        K = Q or GF(p)
 
 A polynomial is a dict mapping exponent tuples to nonzero base-field
-coefficients; the zero polynomial is the empty dict.  Fractions are *not*
-reduced by multivariate gcd: equality and zero tests go through
-cross-multiplication, which is exact regardless of normalisation.  The only
-normalisation applied is cheap (common monomial factors, monic single-term
-denominators); it keeps the monomial denominators that actually occur in the
-bundled tables from snowballing, without pulling in real gcd machinery.
+coefficients; the zero polynomial is the empty dict.  Fractions are not
+reduced by multivariate gcd, and `eq` cross-multiplies, which is exact
+whatever the representation.  Every denominator in the bundled tables is a
+monic monomial z^e = x1^e1 ... xn^en, and such payloads go through one exact
+kernel: `mul` multiplies the numerators over z^(ex+ey); `add` and `sub` bring
+both numerators to z^max(ex,ey) by shifting their exponents, which takes no
+coefficient product, and add or subtract them; one normaliser, `_mono`, then
+cancels the common monomial factor of the numerator against z^e and attaches
+the field's shared denominator.  It returns at once when e = 0, the case of
+every all-polynomial table.
+
+Exactness.  K[x1..xn] is a UFD, each xv is a prime in it, and val_v, the
+least exponent of xv in a nonzero polynomial, satisfies val_v(N z^d) =
+val_v(N) + d_v.  So a nonzero value has exactly one representative N/z^e
+with z^e monic and min(val_v(N), e_v) = 0 for every parameter v: if N z^e' =
+N' z^e for two of them and e_v > e'_v, then val_v(N) = val_v(N') + e_v - e'_v
+> 0 and e_v > 0, against the condition; so e = e' and N = N'.  The normaliser
+returns that representative, and so does the general route, `_make` on the
+cross-multiplied operands, which cancels the common monomial factor of
+numerator and denominator and makes the denominator monic; the two give
+equal payloads.  They also insert the numerator's terms in the same order (a
+shift by a fixed exponent keeps a dict's order, and both routes combine the
+same terms of the same two operands in turn), so `key` and every rendered
+byte agree.  `_make` sends a single-monomial denominator through the same
+normaliser after scaling by its coefficient's inverse, and keeps its general
+code only for denominators with several terms, which no bundled table has.
 
 A Q payload is canonical: an int when the value is integral, else a stdlib
-Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul` and
-`neg` keep it so without going through Fraction's operators: two ints take
-the int operation; otherwise the kernel reads numerators and denominators
-and reduces as the stdlib does (Henrici: one gcd of the denominators, then
-one gcd of the partial sum with it; cross gcds for a product), which leaves
-the result in lowest terms with a positive denominator.  A result with
-denominator 1 is returned as its int numerator; any other is built once by
-`_frac`, which fills a Fraction's two slots without normalising again.  A
-Fraction in lowest terms with a positive denominator is what the stdlib
-itself builds, so a `_frac` value cannot be told apart from one: same
-numerator, denominator, hash, repr, pickle and copy.  `Field.normal` brings
-a payload that a caller built by hand (a raw Fraction) into canonical form;
-`SuperAlgebra` and `EvenLinearMap` apply it to their tables once.
+Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul`,
+`neg`, `inv` and `div` keep it so without going through Fraction's
+operators: two ints take the int operation; otherwise the kernel reads
+numerators and denominators and reduces as the stdlib does (Henrici: one gcd
+of the denominators, then one gcd of the partial sum with it; cross gcds for
+a product or quotient), which leaves the result in lowest terms with a
+positive denominator.  A result with denominator 1 is returned as its int
+numerator; any other is built once by `_frac`, which fills a Fraction's two
+slots without normalising again.  A Fraction in lowest terms with a positive
+denominator is what the stdlib itself builds, so a `_frac` value cannot be
+told apart from one: same numerator, denominator, hash, repr, pickle and
+copy.  `Field.normal` brings a payload that a caller built by hand (a raw
+Fraction) into canonical form; `SuperAlgebra` and `EvenLinearMap` apply it to
+their tables once.
 
 The user-facing value type is `Scalar`, a thin (field, payload) wrapper with
 operator overloads; the evaluation loops elsewhere in the package work on raw
@@ -176,6 +197,29 @@ def poly_add(a: Poly, b: Poly, base: "Field") -> Poly:
     return out
 
 
+def poly_sub(a: Poly, b: Poly, base: "Field") -> Poly:
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        if e in out:
+            s = base.sub(out[e], c)
+            if base.is_zero(s):
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = base.neg(c)
+    return out
+
+
+def poly_shift(a: Poly, d: Exponent) -> Poly:
+    """a * z^d; the exponents move and the coefficients and order stay."""
+    if not any(d):
+        return a
+    return {tuple(map(_add, e, d)): c for e, c in a.items()}
+
+
 def poly_neg(a: Poly, base: "Field") -> Poly:
     return {e: base.neg(c) for e, c in a.items()}
 
@@ -229,6 +273,18 @@ def poly_pow(a: Poly, k: int, base: "Field", nvars: int) -> Poly:
         if k:
             a = poly_mul(a, a, base)
     return out
+
+
+class _MonoDen(dict):
+    """The monic single-monomial polynomial {exp: 1}, as a denominator.  A
+    fraction field makes one per exponent, keeps it in `_mono_dens` and
+    shares it; the class marks the payloads the monomial kernel takes."""
+
+    __slots__ = ("exp",)
+
+    def __init__(self, exp: Exponent, one):
+        super().__init__({exp: one})
+        self.exp = exp
 
 
 class FracPayload:
@@ -344,9 +400,9 @@ def _frac(n: int, d: int) -> Fraction:
 
 class RationalField(Field):
     """Q on canonical payloads: an int for an integral value, a Fraction
-    in lowest terms only where a denominator remains.  `add`, `sub`, `mul`
-    and `neg` are the exact kernel described in the module docstring; each
-    stands alone, calling no other field method."""
+    in lowest terms only where a denominator remains.  `add`, `sub`, `mul`,
+    `neg`, `inv` and `div` are the exact kernel described in the module
+    docstring; each stands alone, calling no other field method."""
 
     def __init__(self):
         self.spec = FieldSpec("Q")
@@ -417,20 +473,47 @@ class RationalField(Field):
         return _frac(-x._numerator, x._denominator)
 
     def inv(self, x):
-        if not x:
+        if x.__class__ is int:
+            n, d = 1, x
+        else:
+            n, d = x._denominator, x._numerator
+        if not d:
             raise ZeroInversionError("inverse of zero")
-        return self.normal(Fraction(1) / x)
+        if d < 0:
+            n, d = -n, -d
+        return n if d == 1 else _frac(n, d)
 
     def div(self, x, y):
-        if not y:
+        if x.__class__ is int:
+            na, da = x, 1
+        else:
+            na, da = x._numerator, x._denominator
+        if y.__class__ is int:
+            nb, db = y, 1
+        else:
+            nb, db = y._numerator, y._denominator
+        if not nb:
             raise ZeroInversionError("inverse of zero")
-        return self.normal(Fraction(x) / y)
+        g1 = gcd(na, nb)
+        g2 = gcd(da, db)
+        n, d = (na // g1) * (db // g2), (da // g2) * (nb // g1)
+        if d < 0:
+            n, d = -n, -d
+        return n if d == 1 else _frac(n, d)
 
     def is_zero(self, x):
         return not x
 
     def eq(self, x, y):
-        return x == y
+        # a Fraction is in lowest terms with a positive denominator, so equal
+        # values have equal numerators and denominators
+        if x.__class__ is int:
+            if y.__class__ is int:
+                return x == y
+            return y._denominator == 1 and y._numerator == x
+        if y.__class__ is int:
+            return x._denominator == 1 and x._numerator == y
+        return x._numerator == y._numerator and x._denominator == y._denominator
 
     def from_int(self, n):
         return int(n)
@@ -508,32 +591,54 @@ class FractionField(Field):
         self.n = len(params)
         self._zero_exp = (0,) * self.n
         # monic single-monomial denominators, one shared dict per exponent
-        self._mono_dens: Dict[Exponent, Poly] = {self._zero_exp: {self._zero_exp: base.one}}
+        self._mono_dens: Dict[Exponent, _MonoDen] = {
+            self._zero_exp: _MonoDen(self._zero_exp, base.one)
+        }
         self.zero = FracPayload({}, self._mono_dens[self._zero_exp])
         self.one = FracPayload({self._zero_exp: base.one}, self._mono_dens[self._zero_exp])
 
     # -- construction helpers
+
+    def _mono(self, num: Poly, e: Exponent) -> FracPayload:
+        """The normaliser of the monomial kernel: num / z^e with the common
+        monomial factor of `num` cancelled against z^e, over the field's
+        shared denominator."""
+        if not num:
+            return self.zero
+        if not any(e):
+            return FracPayload(num, self._mono_dens[e])
+        lows = e
+        for m in num:
+            lows = tuple(map(min, lows, m))
+            if not any(lows):
+                break
+        else:  # no break: a common factor z^lows is left to cancel
+            num = {tuple(map(_sub, m, lows)): c for m, c in num.items()}
+            e = tuple(map(_sub, e, lows))
+        den = self._mono_dens.get(e)
+        if den is None:
+            den = self._mono_dens[e] = _MonoDen(e, self.base.one)
+        return FracPayload(num, den)
 
     def _make(self, num: Poly, den: Poly) -> FracPayload:
         if not den:
             raise ZeroInversionError("zero denominator")
         if not num:
             return self.zero
-        num, den = self._cancel_monomial(num, den)
-        # make the denominator monic in its lex-leading term; when the
-        # denominator is a single monomial this leaves a coefficient of 1,
-        # which is the common case in the bundled tables
-        lead = max(den)
-        c = den[lead]
-        if not self.base.eq(c, self.base.one):
-            cinv = self.base.inv(c)
-            num = poly_scale(num, cinv, self.base)
-            den = poly_scale(den, cinv, self.base)
+        base = self.base
         if len(den) == 1:
-            shared = self._mono_dens.get(lead)
-            if shared is None:
-                shared = self._mono_dens[lead] = {lead: self.base.one}
-            den = shared
+            ((e, c),) = den.items()
+            if not base.eq(c, base.one):
+                num = poly_scale(num, base.inv(c), base)
+            return self._mono(num, e)
+        # several terms: cancel the common monomial factor and make the
+        # denominator monic in its lex-leading term
+        num, den = self._cancel_monomial(num, den)
+        c = den[max(den)]
+        if not base.eq(c, base.one):
+            cinv = base.inv(c)
+            num = poly_scale(num, cinv, base)
+            den = poly_scale(den, cinv, base)
         return FracPayload(num, den)
 
     def _cancel_monomial(self, num: Poly, den: Poly):
@@ -559,19 +664,42 @@ class FractionField(Field):
 
     # -- arithmetic
 
+    def _combine(self, x: FracPayload, y: FracPayload, op) -> FracPayload:
+        """x + y or x - y for nonzero x and y; `op` is poly_add or poly_sub."""
+        xd, yd = x.den, y.den
+        if xd.__class__ is _MonoDen and yd.__class__ is _MonoDen:
+            if xd is yd:
+                return self._mono(op(x.num, y.num, self.base), xd.exp)
+            ex, ey = xd.exp, yd.exp
+            e = tuple(map(max, ex, ey))
+            return self._mono(
+                op(
+                    poly_shift(x.num, tuple(map(_sub, e, ex))),
+                    poly_shift(y.num, tuple(map(_sub, e, ey))),
+                    self.base,
+                ),
+                e,
+            )
+        if xd == yd:
+            return self._make(op(x.num, y.num, self.base), xd)
+        num = op(
+            poly_mul(x.num, yd, self.base), poly_mul(y.num, xd, self.base), self.base
+        )
+        return self._make(num, poly_mul(xd, yd, self.base))
+
     def add(self, x: FracPayload, y: FracPayload):
         if not x.num:
             return y
         if not y.num:
             return x
-        if x.den is y.den or x.den == y.den:
-            return self._make(poly_add(x.num, y.num, self.base), x.den)
-        num = poly_add(
-            poly_mul(x.num, y.den, self.base),
-            poly_mul(y.num, x.den, self.base),
-            self.base,
-        )
-        return self._make(num, poly_mul(x.den, y.den, self.base))
+        return self._combine(x, y, poly_add)
+
+    def sub(self, x: FracPayload, y: FracPayload):
+        if not y.num:
+            return x
+        if not x.num:
+            return self.neg(y)
+        return self._combine(x, y, poly_sub)
 
     def neg(self, x: FracPayload):
         if not x.num:
@@ -581,9 +709,11 @@ class FractionField(Field):
     def mul(self, x: FracPayload, y: FracPayload):
         if not x.num or not y.num:
             return self.zero
-        return self._make(
-            poly_mul(x.num, y.num, self.base), poly_mul(x.den, y.den, self.base)
-        )
+        xd, yd = x.den, y.den
+        num = poly_mul(x.num, y.num, self.base)
+        if xd.__class__ is _MonoDen and yd.__class__ is _MonoDen:
+            return self._mono(num, tuple(map(_add, xd.exp, yd.exp)))
+        return self._make(num, poly_mul(xd, yd, self.base))
 
     def inv(self, x: FracPayload):
         if not x.num:
@@ -591,9 +721,12 @@ class FractionField(Field):
         return self._make(x.den, x.num)
 
     def pow(self, x: FracPayload, k: int):
-        return FracPayload(
-            poly_pow(x.num, k, self.base, self.n), poly_pow(x.den, k, self.base, self.n)
-        )
+        num = poly_pow(x.num, k, self.base, self.n)
+        den = x.den
+        if den.__class__ is _MonoDen:
+            # (N/z^e)^k = N^k/z^(k*e)
+            return self._mono(num, tuple(k * v for v in den.exp))
+        return self._make(num, poly_pow(den, k, self.base, self.n))
 
     def is_zero(self, x: FracPayload):
         return not x.num
@@ -604,12 +737,10 @@ class FractionField(Field):
     def eq(self, x: FracPayload, y: FracPayload):
         # cross multiplication: exact whatever the normalisation
         if x.den is y.den or x.den == y.den:
-            return x.num == y.num or not poly_add(
-                x.num, poly_neg(y.num, self.base), self.base
-            )
+            return x.num == y.num or not poly_sub(x.num, y.num, self.base)
         lhs = poly_mul(x.num, y.den, self.base)
         rhs = poly_mul(y.num, x.den, self.base)
-        return not poly_add(lhs, poly_neg(rhs, self.base), self.base)
+        return not poly_sub(lhs, rhs, self.base)
 
     def from_int(self, n):
         return self.from_poly(

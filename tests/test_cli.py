@@ -266,6 +266,11 @@ def test_binding_errors_point_into_the_binding(tmp_path, capsys):
             "error: line 9, col 45: bad numeric value 'zz'\n",
         head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set a=1, b\n":
             "error: line 9, col 48: binding 'b' must look like name=value\n",
+        # an empty parameter name is refused at the binding
+        head + "suggest = =1\n[product]\ne*e = e\n":
+            "error: line 6, col 11: binding '=1' has an empty parameter name\n",
+        head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set =2\n":
+            "error: line 9, col 43: binding '=2' has an empty parameter name\n",
         # constraint expressions point into the constraint too
         head + "nonzero = a +* 2\n[product]\ne*e = e\n":
             "error: line 6, col 14: expected a value, found '*'\n",
@@ -279,6 +284,18 @@ def test_binding_errors_point_into_the_binding(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         assert run(capsys, "validate", "--file", str(path)) == (2, "", want), text
 
+
+
+def test_set_errors_name_the_binding(capsys):
+    base = ("check", "--corpus", "b42", "--identity", "left-alt")
+    cases = {
+        "=1": "error: --set: binding '=1' has an empty parameter name\n",
+        " = 1": "error: --set: binding ' = 1' has an empty parameter name\n",
+        "a": "error: --set: binding 'a' must look like name=value\n",
+        "a=zz": "error: --set: bad numeric value 'zz'\n",
+    }
+    for item, want in cases.items():
+        assert run(capsys, *base, "--set", item) == (2, "", want), item
 
 
 def test_json_only_on_the_commands_that_read_it(capsys):

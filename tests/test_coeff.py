@@ -5,14 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sympy
+
 from homsuper.coeff import (
     CharacteristicError,
     FieldMismatchError,
     FieldSpec,
+    FracPayload,
     Scalar,
     UnboundParameterError,
     ZeroInversionError,
     field_for,
+    poly_add,
+    poly_mul,
+    poly_neg,
     prime_field,
     rationals,
     scalar_arith,
@@ -26,6 +32,7 @@ Q = rationals()
 GF3 = prime_field(3)
 QAB = field_for(FieldSpec("Q", None, ("a", "b")))
 QC = field_for(FieldSpec("Q", None, ("c",)))
+GFAS = field_for(FieldSpec("GF", 3, ("a", "s")))
 
 
 def q(x):
@@ -231,16 +238,18 @@ exact_st = st.builds(lambda n, d: Q.normal(Fraction(n, d)), _num, _den)
 @st.composite
 def exact_pairs(draw):
     x = draw(exact_st)
-    cancel = draw(st.sampled_from((None, "add", "sub", "mul")))
+    cancel = draw(st.sampled_from((None, "add", "sub", "mul", "div")))
     k = Fraction(draw(st.one_of(st.integers(-3, 3), _num)))
-    if cancel is None or (cancel == "mul" and not x):
+    if cancel is None or (cancel == "mul" and not x) or (cancel == "div" and not k):
         y = Fraction(draw(exact_st))
     elif cancel == "add":
         y = k - x
     elif cancel == "sub":
         y = x - k
-    else:
+    elif cancel == "mul":
         y = k / x
+    else:
+        y = x / k
     return x, Q.normal(y)
 
 
@@ -268,6 +277,19 @@ def test_rational_kernel_matches_stdlib_fractions(pair):
     _same_payload(Q.mul(x, y), Q.normal(x * y))
     _same_payload(Q.neg(x), Q.normal(-x))
     _same_payload(Q.neg(y), Q.normal(-y))
+    for a, b in ((x, y), (y, x)):
+        if b:
+            _same_payload(Q.inv(b), Q.normal(1 / Fraction(b)))
+            _same_payload(Q.div(a, b), Q.normal(Fraction(a) / b))
+        else:
+            with pytest.raises(ZeroInversionError):
+                Q.inv(b)
+            with pytest.raises(ZeroInversionError):
+                Q.div(a, b)
+    assert Q.eq(x, y) is (x == y) and Q.eq(y, x) is (x == y)
+    assert Q.eq(x, Q.normal(Fraction(x))) is True
+    # a hand-built Fraction with denominator 1 still equals its int
+    assert Q.eq(Fraction(x.numerator), x.numerator) is True
 
 def test_rational_constants_and_integer_division():
     assert type(Q.zero) is int and type(Q.one) is int
@@ -298,3 +320,102 @@ def test_binary_power_matches_repeated_product(x, k):
     for _ in range(k % 9):
         slow = slow * s
     assert s ** (k % 9) == slow
+
+
+# The monomial kernel of the fraction fields: operands whose denominator is a
+# monic monomial z^e (e = 0 included), against the general route and sympy
+_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _coeffs(F):
+    if F is QAB:
+        return st.builds(lambda n, d: Q.normal(Fraction(n, d)),
+                         st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    return st.integers(1, 2)
+
+
+@st.composite
+def mono_pairs(draw):
+    F = draw(st.sampled_from((QAB, GFAS)))
+
+    def operand():
+        num = draw(st.dictionaries(_exps, _coeffs(F), max_size=3))
+        return F._make(num, {draw(_exps): F.base.one})
+
+    x = operand()
+    how = draw(st.sampled_from(("free", "negated", "same", "monomial")))
+    if how == "free":
+        y = operand()
+    elif how == "negated":  # x + y cancels to zero
+        y = FracPayload(poly_neg(x.num, F.base), x.den)
+    elif how == "same":  # x - y cancels to zero
+        y = x
+    else:  # x + y = c*z^m/z^e, whose common monomial factor cancels
+        m = {draw(_exps): draw(_coeffs(F))}
+        y = F._make(poly_add(m, poly_neg(x.num, F.base), F.base), dict(x.den))
+    return F, x, y
+
+
+def _general(F, op, x, y):
+    """`_make` on the cross-multiplied polynomials, over plain dicts that are
+    not the field's shared denominators."""
+    base, xd, yd = F.base, dict(x.den), dict(y.den)
+    if op == "neg":
+        return F._make(poly_neg(x.num, base), xd)
+    if op == "mul":
+        return F._make(poly_mul(x.num, y.num, base), poly_mul(xd, yd, base))
+    yn = y.num if op == "add" else poly_neg(y.num, base)
+    num = poly_add(poly_mul(x.num, yd, base), poly_mul(yn, xd, base), base)
+    return F._make(num, poly_mul(xd, yd, base))
+
+
+def _sympy_poly(F, p):
+    gens = sympy.symbols(F.spec.params)
+    terms = {e: sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+             for e, c in p.items()}
+    if F.spec.base == "GF":
+        return sympy.Poly.from_dict(terms, gens, modulus=F.spec.p)
+    return sympy.Poly.from_dict(terms, gens, domain=sympy.QQ)
+
+
+@settings(max_examples=300)
+@given(mono_pairs(), st.sampled_from(("add", "sub", "mul", "neg")))
+def test_monomial_kernel_matches_general_route_and_sympy(case, op):
+    F, x, y = case
+    got = F.neg(x) if op == "neg" else getattr(F, op)(x, y)
+    want = _general(F, op, x, y)
+    assert F.key(got) == F.key(want)
+    assert F.render(got) == F.render(want)
+    ((e, _),) = got.den.items()
+    assert got.den is F._mono_dens[e]
+    # the value is sympy's cancelled quotient, in lowest terms
+    nx, dx = _sympy_poly(F, x.num), _sympy_poly(F, x.den)
+    ny, dy = _sympy_poly(F, y.num), _sympy_poly(F, y.den)
+    num, den = {
+        "add": (nx * dy + ny * dx, dx * dy),
+        "sub": (nx * dy - ny * dx, dx * dy),
+        "mul": (nx * ny, dx * dy),
+        "neg": (-nx, dx),
+    }[op]
+    p, q = num.cancel(den, include=True)
+    ngot, dgot = _sympy_poly(F, got.num), _sympy_poly(F, got.den)
+    assert dgot == q.monic()
+    assert ngot * q == p * dgot
+
+
+def test_power_goes_through_the_normaliser():
+    for F in (QAB, GFAS):
+        x = F.inv(F.monomial("a"))
+        got = F.pow(x, 2)
+        assert got.den is F._mono_dens[(2, 0)]
+        assert F.key(got) == ((((0, 0), 1),), (((2, 0), 1),))
+        assert F.render(got) == "1/(a^2)"
+        assert F.key(F.pow(x, 3)) == F.key(F.mul(got, x))
+        assert F.pow(x, 0).den is F._mono_dens[(0, 0)] and F.render(F.pow(x, 0)) == "1"
+    y = parse_expression("(a+b)/(3*a*b^2)", QAB).v
+    got = QAB.pow(y, 2)
+    assert got.den is QAB._mono_dens[(2, 4)]
+    assert QAB.render(got) == "(1/9*a^2 + 2/9*a*b + 1/9*b^2)/(a^2*b^4)"
+    # a denominator with several terms keeps the general route
+    z = QAB.pow(parse_expression("2/(a+1)", QAB).v, 2)
+    assert QAB.key(z) == ((((0, 0), 4),), (((2, 0), 1), ((1, 0), 2), ((0, 0), 1)))
