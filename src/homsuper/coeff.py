@@ -38,12 +38,12 @@ code only for denominators with several terms, which no bundled table has.
 
 A Q payload is canonical: an int when the value is integral, else a stdlib
 Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul`,
-`neg`, `inv` and `div` keep it so without going through Fraction's
-operators: two ints take the int operation; otherwise the kernel reads
-numerators and denominators and reduces as the stdlib does (Henrici: one gcd
-of the denominators, then one gcd of the partial sum with it; cross gcds for
-a product or quotient), which leaves the result in lowest terms with a
-positive denominator.  A result with denominator 1 is returned as its int
+`neg` and `inv` keep it so without going through Fraction's operators: two
+ints take the int operation; otherwise the kernel reads numerators and
+denominators and reduces as the stdlib does (Henrici: one gcd of the
+denominators, then one gcd of the partial sum with it; cross gcds for a
+product), which leaves the result in lowest terms with a positive
+denominator.  A result with denominator 1 is returned as its int
 numerator; any other is built once by `_frac`, which fills a Fraction's two
 slots without normalising again.  A Fraction in lowest terms with a positive
 denominator is what the stdlib itself builds, so a `_frac` value cannot be
@@ -316,7 +316,7 @@ class Field:
         raise NotImplementedError
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        raise NotImplementedError
 
     def mul(self, x, y):
         raise NotImplementedError
@@ -401,8 +401,9 @@ def _frac(n: int, d: int) -> Fraction:
 class RationalField(Field):
     """Q on canonical payloads: an int for an integral value, a Fraction
     in lowest terms only where a denominator remains.  `add`, `sub`, `mul`,
-    `neg`, `inv` and `div` are the exact kernel described in the module
-    docstring; each stands alone, calling no other field method."""
+    `neg` and `inv` are the exact kernel described in the module docstring;
+    each stands alone, calling no other field method, and `div` is `mul` by
+    `inv`."""
 
     def __init__(self):
         self.spec = FieldSpec("Q")
@@ -479,24 +480,6 @@ class RationalField(Field):
             n, d = x._denominator, x._numerator
         if not d:
             raise ZeroInversionError("inverse of zero")
-        if d < 0:
-            n, d = -n, -d
-        return n if d == 1 else _frac(n, d)
-
-    def div(self, x, y):
-        if x.__class__ is int:
-            na, da = x, 1
-        else:
-            na, da = x._numerator, x._denominator
-        if y.__class__ is int:
-            nb, db = y, 1
-        else:
-            nb, db = y._numerator, y._denominator
-        if not nb:
-            raise ZeroInversionError("inverse of zero")
-        g1 = gcd(na, nb)
-        g2 = gcd(da, db)
-        n, d = (na // g1) * (db // g2), (da // g2) * (nb // g1)
         if d < 0:
             n, d = -n, -d
         return n if d == 1 else _frac(n, d)
