@@ -46,10 +46,9 @@ def _parse_set(values: Optional[List[str]]) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
     for item in values or []:
         try:
-            name, value = parse_binding(item, 1, 1)
+            parse_binding(item, 1, 1, out)
         except ParseError as exc:
             raise CliError(f"--set: {exc.msg}") from None
-        out[name] = value
     return out
 
 

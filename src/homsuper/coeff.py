@@ -10,15 +10,15 @@ Scalars live in one of three kinds of field:
 
 A polynomial is a dict mapping exponent tuples to nonzero base-field
 coefficients; the zero polynomial is the empty dict.  Fractions are not
-reduced by multivariate gcd, and `eq` cross-multiplies, which is exact
-whatever the representation.  Every denominator in the bundled tables is a
-monic monomial z^e = x1^e1 ... xn^en, and such payloads go through one exact
-kernel: `mul` multiplies the numerators over z^(ex+ey); `add` and `sub` bring
-both numerators to z^max(ex,ey) by shifting their exponents, which takes no
-coefficient product, and add or subtract them; one normaliser, `_mono`, then
-cancels the common monomial factor of the numerator against z^e and attaches
-the field's shared denominator.  It returns at once when e = 0, the case of
-every all-polynomial table.
+reduced by multivariate gcd; `eq` cross-multiplies, which is exact whatever
+the representation, except on two monomial denominators (below).  Every
+denominator in the bundled tables is a monic monomial z^e = x1^e1 ... xn^en,
+and such payloads go through one exact kernel: `mul` multiplies the
+numerators over z^(ex+ey); `add` and `sub` bring both numerators to
+z^max(ex,ey) by shifting their exponents, with no coefficient product, and
+add or subtract them; one normaliser, `_mono`, then cancels the common
+monomial factor of the numerator against z^e and attaches the field's
+shared denominator.  It returns at once when e = 0 (all-polynomial tables).
 
 Exactness.  K[x1..xn] is a UFD, each xv is a prime in it, and val_v, the
 least exponent of xv in a nonzero polynomial, satisfies val_v(N z^d) =
@@ -35,6 +35,8 @@ same terms of the same two operands in turn), so `key` and every rendered
 byte agree.  `_make` sends a single-monomial denominator through the same
 normaliser after scaling by its coefficient's inverse, and keeps its general
 code only for denominators with several terms, which no bundled table has.
+Any other payload over a shared denominator is 0, 1 or a parameter over z^0
+or a `neg` (valuations kept), so `eq` compares two by exponent and numerator.
 
 A Q payload is canonical: an int when the value is integral, else a stdlib
 Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul`,
@@ -718,6 +720,9 @@ class FractionField(Field):
         return tuple(x.num.items()), tuple(x.den.items())
 
     def eq(self, x: FracPayload, y: FracPayload):
+        if x.den.__class__ is _MonoDen and y.den.__class__ is _MonoDen:
+            # both in lowest terms over a monic monomial: unique (see above)
+            return x.den.exp == y.den.exp and x.num == y.num
         # cross multiplication: exact whatever the normalisation
         if x.den is y.den or x.den == y.den:
             return x.num == y.num or not poly_sub(x.num, y.num, self.base)

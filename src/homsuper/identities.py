@@ -1,5 +1,5 @@
-"""The identity checkers as data, the one compiler that evaluates them, and
-the runner.
+"""The identity checkers as data, the emitter that compiles them to Python,
+and the runner.
 
 Words are Python expressions over letters, the slots of an identity bound
 to the basis elements of one tuple: u*v is the product mu, a(u) the twist
@@ -19,33 +19,39 @@ for hom-jordan and jordan-expansion, (t,x)+(t,y)+(t,z) for hom-malcev and
 arguments, whose parity is that of their letters: J's (-1)^(|y||z|) is the
 Koszul sign of its third term.  So signs follow the formula parity of the
 letters even on tables whose grading is broken (the bundled examples have
-one such twist).  Each sign is tabulated for all 2^arity parity patterns.
+one such twist).
+
+A word becomes a line: on an identity's first `make` in a process (never
+per context) `_Emitter` writes it as the source of `residual(ctx, idx)`.
+Letters are locals unpacked from idx; e_i*e_j, a(e_i) and a2(e_i) are the
+sparse cells c[i][j], acols[i] and a2cols[i]; another product or twist
+calls the kernel mul, al or al2, which look field methods up per call; a
+form is expanded in place over its argument words.  The parity pattern
+`pat` is computed once per call, and a sign that depends on it is a
+constant tuple indexed by it.  Each function is compiled alone under the
+file name `<homsuper.identities:NAME>`, its source in `linecache`, so
+tracebacks, `inspect.getsource` and profiles show the generated lines.
 
 Shape tables: a shape is a word with its letters renumbered by first
-appearance, compiled once at import; `_Ctx.term` keeps its values in a
-lazily filled table of dim**letters entries.  A composite sub-word (beyond
-a letter or a lookup e_i*e_j, a(e_i), a2(e_i)) is read from its table when
-it has fewer letters than the word around it, as is a term whose shape
-occurs more than once in its sum (a checker's or a form's).
+appearance.  A composite sub-word with fewer letters than the function it
+is written in, and a composite term whose shape occurs more than once in
+its sum, is read from its shape's flat table T[(i*d + j)*d + k] in
+`ctx.tables` (d**letters entries per shape and context); a miss calls the
+shape's fill function, written the same way.  A repeated read reuses its
+local.  Fold rule, cache, don't reassociate: a side is summed left to
+right as written, one `acc` line per term, its first term negated when its
+sign is odd, then scaled, so the sums are the payloads the written
+expression gives (Frac(K[params]) payloads are not gcd-reduced; another
+order could print differently).
 
-Fold rule, cache, don't reassociate: a side is summed left to right as
-written, its first term negated when its sign is odd, then scaled, so the
-sums are the payloads the written expression gives (Frac(K[params])
-payloads are not gcd-reduced; another order could print differently).
-
-Values are sparse vectors (see superalg), `()` for zero: a letter is a
-cached `((i, one),)`, a lookup the sparse cell as it is; `acc` merges,
+Values are sparse vectors (see superalg), `()` for zero: `acc` merges,
 `scale_int` drops what the characteristic kills (3*f in GF(3) is `()`),
-and only reports densify.  The payloads are the dense evaluation's:
-(1) each coordinate takes its additions in the dense order (i ascending,
-then j, then written term order); (2) the dense operations skipped,
-F.add(F.zero, v) on a first term, F.add(u, F.zero) and F.sub(u, F.zero)
-where only u has the coordinate, and F.sub(F.zero, v) (F.neg(v) instead),
-give v, u, u and F.neg(v) under `F.key` on every field kind (pinned in
-tests/test_sparse.py); (3) a cancelling sum is F.zero (0 on Q and GF(p),
-the shared zero on Frac), as a dropped coordinate densifies and as a
-later term finds it in the dense loop.  The public forms are the
-multilinear extensions of the same words; `oracle` is the second route.
+and only reports densify.  The payloads are the dense evaluation's: each
+coordinate takes its additions in the dense order; the dense operations
+skipped (F.add(F.zero, v), F.add(u, F.zero), F.sub(u, F.zero), and
+F.sub(F.zero, v) done as F.neg(v)) are identities under `F.key` on every
+field kind (tests/test_sparse.py); a cancelling sum is F.zero, as in the
+dense loop.  `oracle` is the second route.
 """
 
 from __future__ import annotations
@@ -53,23 +59,15 @@ from __future__ import annotations
 import ast
 import copy
 import itertools
+import linecache
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .maps import compose
 from .report import IdentityReport, Vector
-from .superalg import (
-    AlgebraError,
-    HomSuperAlgebra,
-    commutator_algebra,
-    dense,
-    is_super_commutative,
-    is_super_skewsymmetric,
-    plus_algebra,
-    sparse,
-)
+from .superalg import (AlgebraError, HomSuperAlgebra, commutator_algebra, dense, is_super_commutative,
+                       is_super_skewsymmetric, plus_algebra, sparse)
 
 
 class CheckError(AlgebraError):
@@ -88,46 +86,29 @@ class PreconditionError(CheckError):
     """The identity's standing hypothesis (skew / commutative / char) fails."""
 
     def __init__(self, identity: str, requirement: str, report: Optional[IdentityReport] = None):
-        self.identity = identity
-        self.requirement = requirement
-        self.report = report
+        self.identity, self.requirement, self.report = identity, requirement, report
         super().__init__(f"{identity}: requires {requirement}")
 
 
 class _Ctx:
     """Unwrapped evaluation context: the sparse cells of the product and the
-    twists, the letters, the product and map kernels, the shape tables
-    filled by `term`, and the derived contexts that marked terms run on."""
+    twists, the product and map kernels, the shape tables a residual fills,
+    and the derived contexts its marked terms run on."""
 
-    __slots__ = (
-        "F", "dim", "par", "names", "basis", "c", "acols", "a2cols", "letters",
-        "_tables", "mul", "al", "al2", "derived",
-    )
+    __slots__ = ("F", "dim", "par", "names", "basis", "c", "acols", "a2cols", "tables", "mul", "al",
+                 "al2", "derived")
 
-    def __init__(self, H: HomSuperAlgebra):
-        A, F, alpha2 = H.algebra, H.algebra.field, compose(H.alpha, H.alpha)
+    def __init__(self, H: HomSuperAlgebra, sizes=(), a2=True):
+        A, F = H.algebra, H.algebra.field
         self.F, self.dim, self.c = F, A.dim, A._nz
         self.par, self.names, self.basis = A.basis.parities, A.basis.names, A.basis
-        self.acols, self.a2cols = H.alpha._nz, alpha2._nz
-        self.letters = tuple(((i, F.one),) for i in range(A.dim))
-        self._tables: Dict[Callable, list] = {}
+        self.acols = H.alpha._nz
+        self.tables = [[None] * A.dim ** k for k in sizes]  # one per shape of k letters
         self.derived: Dict[str, _Ctx] = {}
-        # the kernels, bound: mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u)
-        self.mul, self.al, self.al2 = A._mul_payload, H.alpha.apply_payload, alpha2.apply_payload
-
-    def term(self, fn, slots):
-        """fn(self, slots) for a tuple of basis indices, computed once per
-        tuple and kept in a flat table of dim**len(slots) entries per shape."""
-        table = self._tables.get(fn)
-        if table is None:
-            table = self._tables[fn] = [None] * self.dim ** len(slots)
-        key = 0
-        for s in slots:
-            key = key * self.dim + s
-        got = table[key]
-        if got is None:
-            got = table[key] = fn(self, slots)
-        return got
+        # the kernels mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u) if read
+        self.mul, self.al = A._mul_payload, H.alpha.apply_payload
+        alpha2 = compose(H.alpha, H.alpha) if a2 else None
+        self.a2cols, self.al2 = (alpha2._nz, alpha2.apply_payload) if a2 else ((), None)
 
     def acc(self, u, v, exp: int):
         """u + (-1)^exp v, merged by index: a coordinate one side carries is
@@ -151,8 +132,7 @@ class _Ctx:
         return tuple(sorted(out.items()))
 
     def scale_int(self, n: int, u):
-        F = self.F
-        c = F.from_int(n)
+        F, c = self.F, self.F.from_int(n)
         return () if F.is_zero(c) else tuple((k, F.mul(c, x)) for k, x in u)
 
 
@@ -218,14 +198,11 @@ def _koszul(seq, bit: int, pairs, n: int, rank=None) -> Tuple[int, ...]:
     (or of `rank` order), and the prefactor letter pairs."""
     rank = rank or {x: x for x in seq}
     pairs = [*pairs, *((a, b) for i, a in enumerate(seq) for b in seq[i + 1:] if rank[a] > rank[b])]
-    return tuple(
-        (bit + sum((pat >> a) & (pat >> b) & 1 for a, b in pairs)) % 2 for pat in range(1 << n)
-    )
+    return tuple((bit + sum((pat >> a) & (pat >> b) & 1 for a, b in pairs)) % 2 for pat in range(1 << n))
 
 
 # name -> (letters, signed terms); a body may use the forms above it
-_FORMS: Dict[str, Tuple[str, tuple]] = {}
-for _name, _args, _body in (
+_FORMS: Dict[str, Tuple[str, tuple]] = {name: (args, _parse(body, args)[0][1]) for name, args, body in (
     ("as", "xyz", "(x*y)*a(z) - a(x)*(y*z)"),
     ("br", "xy", "x*y - y*x"),
     ("J", "xyz", "(x*y)*a(z) - a(x)*(y*z) - (x*z)*a(y)"),
@@ -233,126 +210,147 @@ for _name, _args, _body in (
     ("f", "txyz", "as(t*x,a(y),a(z)) - as(x,y,z)*a2(t) - a2(x)*as(t,y,z)"),
     ("F", "txyz", "br(a2(t),as(x,y,z)) - br(a2(z),as(t,x,y)) + br(a2(y),as(z,t,x))"
                   " - br(a2(x),as(y,z,t))"),
-):
-    _FORMS[_name] = (_args, _parse(_body, _args)[0][1])
+)}
 
 
-# -- The compiler: a word inside a word of n letters becomes ev(ctx, s, pat),
-# s the basis indices of the n letters and bit k of pat the parity of letter k.
+def _is_lookup(node) -> bool:  # e_i*e_j, a(e_i) or a2(e_i)
+    return node[0] in ("m", "a", "a2") and all(isinstance(a, int) for a in node[1:])
 
 
-def _pattern(par, slots) -> int:
-    pat = 0
-    for i in reversed(slots):
-        pat = pat << 1 | par[i]
-    return pat
+class _Emitter:
+    """Python source for the words of one identity: `residual(ctx, idx)` and
+    one fill function per shape table, each over its first n letters.  A
+    context is named by its mark, "" for ctx itself."""
 
+    def __init__(self, letters: str):
+        self.letters, self.todo = letters, []  # todo: (mark, shape, table) to write a fill for
+        self.tables: Dict[str, Dict[tuple, int]] = {}  # mark -> shape -> table number
+        self.marks, self.a2 = set(), set()  # the contexts read; those reading alpha^2
 
-def _is_lookup(node) -> bool:
-    return isinstance(node, int) or node[0] in ("m", "a", "a2") and all(
-        isinstance(a, int) for a in node[1:])
+    def function(self, signature: str, n: int, write, first=()) -> list:
+        """Lines of `def signature:` over n letters: write()'s statements, returning its result."""
+        self.n, self.lines, self.used, self.reads, self.signed = n, [], {}, {}, False
+        result = write()
+        self.lines.append(f"    return {result}")
+        marks = sorted({mark for mark, _ in self.used if mark})
+        self.marks.update(mark for mark, _ in self.used)
+        self.a2.update(mark for mark, attr in self.used if attr in ("a2cols", "al2"))
+        return [f"def {signature}:", *first, *(f"    {m} = ctx.derived[{m!r}]" for m in marks), *(
+            f"    {local} = {mark or 'ctx'}." + (f"tables[{attr[1:]}]" if attr[0] == "T" else attr)
+            for (mark, attr), local in sorted(self.used.items())
+        )] + ["    d = ctx.dim"] * any(attr[0] == "T" for _, attr in self.used) + [
+            "    par = ctx.par", "    pat = " + " | ".join(
+                f"par[{x}] << {i}" if i else f"par[{x}]" for i, x in enumerate(self.letters[:n]))
+        ] * self.signed + self.lines
 
+    def get(self, mark: str, attr: str) -> str:
+        """The local bound to attribute `attr` of the context `mark`."""
+        return self.used.setdefault((mark, attr), attr + "_" + mark if mark else attr)
 
-def _compile(node, n: int):
-    """`node` evaluated in place."""
-    if isinstance(node, int):
-        return lambda ctx, s, pat: ctx.letters[s[node]]
-    head, args = node[0], node[1:]
-    if head[0] == "@":
-        ev = _compile(args[0], n)
-        return lambda ctx, s, pat: ev(ctx.derived[head[1:]], s, pat)
-    if head in _FORMS:
-        # the form's terms over the argument words, signed by the Koszul
-        # rule on the order of the arguments' letters
-        rank = {x: r for r, x in enumerate(x for a in args for x in _letters(a))}
-        terms = [(bit, _subst(w, args)) for bit, w in _FORMS[head][1]]
-        return _fold(terms, n, Counter(_shape(w)[0] for _, w in terms), rank=rank)
-    if _is_lookup(node):
-        i, j = args[0], args[-1]
-        if head == "m":
-            return lambda ctx, s, pat: ctx.c[s[i]][s[j]]
-        if head == "a":
-            return lambda ctx, s, pat: ctx.acols[s[i]]
-        return lambda ctx, s, pat: ctx.a2cols[s[i]]
-    # a composite argument on fewer letters is shared through its table
-    evs = [_compile(a, n) if _is_lookup(a) or len(_letters(a)) >= n else _reader(*_shape(a))
-           for a in args]
-    u, v = evs[0], evs[-1]
-    if head == "m":
-        return lambda ctx, s, pat: ctx.mul(u(ctx, s, pat), v(ctx, s, pat))
-    if head == "a":
-        return lambda ctx, s, pat: ctx.al(u(ctx, s, pat))
-    return lambda ctx, s, pat: ctx.al2(u(ctx, s, pat))
+    def local(self, expr: str) -> str:
+        self.lines.append(f"    v{len(self.lines)} = {expr}")
+        return f"v{len(self.lines) - 1}"
 
+    def sign(self, signs) -> str:
+        self.signed |= len(set(signs)) > 1
+        return f"{signs}[pat]" if len(set(signs)) > 1 else str(signs[0])
 
-def _fold(terms, n: int, seen, pairs=(), rank=None, scale=1):
-    """`scale` times the sum of [(sign bit, word)] left to right, the first
-    term negated when its sign is odd; a word whose shape occurs more than
-    once in `seen` is read from its table."""
-    (first, signs0), *rest = [
-        (_reader(shape, order) if seen[shape] > 1 else _compile(w, n),
-         _koszul(order, bit, pairs, n, rank))
-        for bit, w in terms for shape, order in [_shape(w)]
-    ]
-    if not rest and not any(signs0) and scale == 1:
-        return first
+    def fold(self, terms, k: int, mark: str, seen, pairs=(), rank=None, scale=1) -> str:
+        """`scale` times the sum of [(sign bit, word)] left to right, the first
+        term negated when its sign is odd; a composite word whose shape occurs
+        more than once in `seen` is read from its table."""
+        acc = self.get("", "acc")
+        (v, s), *rest = [
+            (self.read(w, mark) if seen[shape] > 1 and not _is_lookup(w) else self.value(w, k, mark),
+             self.sign(_koszul(order, bit, pairs, self.n, rank)))
+            for bit, w in terms for shape, order in [_shape(w)]
+        ]
+        neg = f"{acc}((), {v}, 1)"
+        out = v if s == "0" else self.local(neg if s == "1" else f"{neg} if {s} else {v}")
+        for v, s in rest:
+            out = self.local(f"{acc}({out}, {v}, {s})")
+        return out if scale == 1 else self.local(f"{self.get('', 'scale_int')}({scale}, {out})")
 
-    def ev(ctx, s, pat):
-        out = first(ctx, s, pat)
-        if signs0[pat]:
-            out = ctx.acc((), out, 1)
-        for f, signs in rest:
-            out = ctx.acc(out, f(ctx, s, pat), signs[pat])
-        return out if scale == 1 else ctx.scale_int(scale, out)
+    def read(self, w, mark: str) -> str:
+        """`w` from the flat table of its shape, filled on a miss."""
+        if (mark, w) not in self.reads:
+            shape, order = _shape(w)
+            shapes = self.tables.setdefault(mark, {})
+            if shape not in shapes:
+                shapes[shape] = len(shapes)
+                self.todo.append((mark, shape, self.get(mark, f"T{shapes[shape]}")))
+            table = self.get(mark, f"T{shapes[shape]}")
+            at = self.letters[order[0]]
+            for x in order[1:]:
+                at = f"({at}*d + {self.letters[x]})"
+            v = self.reads[mark, w] = self.local(f"{table}[{at}]")
+            self.lines += [f"    if {v} is None:", f"        {v} = {table}[{at}] = fill_{table}"
+                           f"(ctx, {', '.join(self.letters[x] for x in order)})"]
+        return self.reads[mark, w]
 
-    return ev
-
-
-_SHAPES: Dict[tuple, Callable] = {}
-
-
-def _reader(shape, order):
-    """The word `shape` at the letters `order`, read from its table."""
-    fn = _SHAPES.get(shape)
-    if fn is None:
-        ev = _compile(shape, len(order))
-        fn = _SHAPES[shape] = lambda ctx, slots: ev(ctx, slots, _pattern(ctx.par, slots))
-    pick = itemgetter(*order) if len(order) > 1 else (lambda s, i=order[0]: (s[i],))
-    return lambda ctx, s, pat: ctx.term(fn, pick(s))
+    def value(self, node, k: int, mark: str) -> str:
+        """`node`, a composite word or a lookup, evaluated in place in a
+        function over k letters."""
+        head, args = node[0], node[1:]
+        if head[0] == "@":
+            return self.value(args[0], k, head[1:])
+        if head in _FORMS:
+            # the form's terms over the argument words, signed by the Koszul
+            # rule on the order of the arguments' letters
+            rank = {x: r for r, x in enumerate(x for a in args for x in _letters(a))}
+            terms = [(bit, _subst(w, args)) for bit, w in _FORMS[head][1]]
+            return self.fold(terms, k, mark, Counter(_shape(w)[0] for _, w in terms), rank=rank)
+        if _is_lookup(node):  # c[i][j], acols[i], a2cols[i]
+            cell = self.get(mark, {"m": "c", "a": "acols", "a2": "a2cols"}[head])
+            return cell + "".join(f"[{self.letters[a]}]" for a in args)
+        # a composite argument on fewer letters is shared through its table
+        vals = [self.value(a, k, mark) if _is_lookup(a) or len(_letters(a)) >= k else self.read(a, mark)
+                for a in args]
+        return f"{self.get(mark, {'m': 'mul', 'a': 'al', 'a2': 'al2'}[head])}({', '.join(vals)})"
 
 
 class _Identity:
     """A checker or named value as data (letters, parts, standing hypothesis
     "skew" / "commutative", the algebra "minus" / "plus" its unmarked terms
-    run on, prefactor), compiled once into `residual(ctx, idx)`."""
+    run on, prefactor), compiled into `residual` on its first `make`."""
 
     def __init__(self, letters: str, *parts: str, requires="", prefactor=""):
-        self.letters, self.parts, self.requires, self.context = letters, parts, requires, ""
-        self.arity = n = len(letters)
-        pairs = [tuple(map(letters.index, pair)) for pair in prefactor.split()]
-        parsed = [_parse(p, letters) for p in parts]
-        words = [w for part in parsed for _, side in part for _, w in side]
-        seen = Counter(_shape(w)[0] for w in words)
-        self.marks = sorted({w[0][1:] for w in words if w[0][0] == "@"})
+        self.letters, self.parts, self.requires, self.prefactor = letters, parts, requires, prefactor
+        self.arity, self.context, self.name, self.residual = len(letters), "", "", None
 
-        def part(left, right):
-            lhs = _fold(left[1], n, seen, pairs, scale=left[0])
-            if not right[1]:
-                return lhs
-            rhs = _fold(right[1], n, seen, pairs, scale=right[0])
-            return lambda ctx, s, pat: ctx.acc(lhs(ctx, s, pat), rhs(ctx, s, pat), 1)
+    def _compile(self):
+        """Write, compile and register `residual` and its fill functions;
+        keep each context's table sizes and whether it reads alpha^2."""
+        n, e = self.arity, _Emitter(self.letters)
+        pairs = [tuple(map(self.letters.index, pair)) for pair in self.prefactor.split()]
+        parsed = [_parse(p, self.letters) for p in self.parts]
+        seen = Counter(_shape(w)[0] for part in parsed for _, side in part for _, w in side)
 
-        *first, last = [part(*p) for p in parsed]
+        def parts():  # the first nonzero part is the residual
+            for text, (left, right) in zip(self.parts, parsed):
+                e.lines.append(f"    # {text}")
+                r = e.fold(left[1], n, "", seen, pairs, scale=left[0])
+                if right[1]:
+                    rhs = e.fold(right[1], n, "", seen, pairs, scale=right[0])
+                    r = f"{e.get('', 'acc')}({r}, {rhs}, 1)"
+                e.lines += [f"    r = {r}", "    if r:", "        return r"]
+            return "r"
 
-        def residual(ctx, idx):
-            pat = _pattern(ctx.par, idx)
-            for ev in first:
-                r = ev(ctx, idx, pat)
-                if r:
-                    return r
-            return last(ctx, idx, pat)
-
-        self.residual = residual
+        units = [e.function("residual(ctx, idx)", n, parts, [f"    {', '.join(self.letters)}, = idx"])]
+        while e.todo:
+            mark, shape, table = e.todo.pop(0)
+            k = len(_letters(shape))
+            units.append(e.function(f"fill_{table}(ctx, {', '.join(self.letters[:k])})", k,
+                                    lambda: e.value(shape, k, mark)))
+        self.shapes = {m: ([len(_letters(s)) for s in e.tables.get(m, ())], m in e.a2) for m in e.marks}
+        # each function is compiled alone, which bounds the compiler's peak
+        # memory by one function's, at its lines of the registered source
+        filename, lines, scope = f"<{__name__}:{self.name}>", [], {"__name__": __name__}
+        for unit in units:
+            exec(compile("\n" * len(lines) + "\n".join(unit), filename, "exec"), scope)
+            lines += [line + "\n" for line in unit + [""]]
+        linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
+        self.residual = scope["residual"]
 
     def on(self, context: str) -> "_Identity":
         # a derived product is super-skew (minus) or -commutative (plus)
@@ -361,9 +359,10 @@ class _Identity:
         return other
 
     def make(self, H: HomSuperAlgebra):
-        ctx = _Ctx(_algebra(H, self.context))
-        for mark in self.marks:
-            ctx.derived[mark] = _Ctx(_algebra(H, mark))
+        if self.residual is None:
+            self._compile()
+        ctx = _Ctx(_algebra(H, self.context), *self.shapes[""])
+        ctx.derived.update((m, _Ctx(_algebra(H, m), *shapes)) for m, shapes in self.shapes.items() if m)
         return ctx, self.residual
 
 
@@ -442,6 +441,8 @@ _CLAIM_FORMS: Dict[str, _Identity] = {
     "J-minus": _Identity("xyz", "J(x,y,z)@minus"), "leftalt": _LEFT_ALT, "jordan": _HOM_JORDAN,
 }
 _BK_f, _BK_F = _Identity("txyz", "f(t,x,y,z)"), _Identity("txyz", "F(t,x,y,z)")
+for _name, _spec in {**_CLAIM_FORMS, "bk_f": _BK_f, "bk_F": _BK_F, **_IDENTITIES}.items():
+    _spec.name = _name  # the generated code's file name; a checker's name wins
 
 
 @dataclass(frozen=True)
@@ -461,9 +462,7 @@ def checker_names() -> Tuple[str, ...]:
     return tuple(CHECKERS)
 
 
-def run_checker(
-    name: str, H: HomSuperAlgebra, max_counterexamples: int = 16
-) -> IdentityReport:
+def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:
     """Run one registry checker over all homogeneous basis tuples."""
     chk = CHECKERS.get(name)
     if chk is None:
@@ -477,9 +476,7 @@ def run_checker(
             kind = "skewsymmetric" if skew else "commutative"
             raise PreconditionError(name, f"a super-{kind} product", rep)
     ctx, res_fn = chk.make(H)
-    dim = ctx.dim
-    bad = []
-    holds = True
+    dim, bad, holds = ctx.dim, [], True
     for idx in itertools.product(range(dim), repeat=chk.arity):
         r = res_fn(ctx, idx)
         if r:
@@ -507,18 +504,16 @@ def _value_at(what: str, make, arity: int, H: HomSuperAlgebra, tuple_names: Sequ
 
 def residual_at(name: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Exact residual vector of one checker at one basis tuple."""
-    chk = CHECKERS.get(name)
-    if chk is None:
+    if name not in CHECKERS:
         raise UnknownCheckerError(name)
-    return _value_at(name, chk.make, chk.arity, H, tuple_names)
+    return _value_at(name, CHECKERS[name].make, CHECKERS[name].arity, H, tuple_names)
 
 
 def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Named multilinear value used by the corpus claims."""
-    spec = _CLAIM_FORMS.get(form)
-    if spec is None:
+    if form not in _CLAIM_FORMS:
         raise CheckError(f"unknown value form {form!r}")
-    return _value_at(form, spec.make, spec.arity, H, tuple_names)
+    return _value_at(form, _CLAIM_FORMS[form].make, _CLAIM_FORMS[form].arity, H, tuple_names)
 
 
 # -- Public forms: multilinear extensions of the named values over the
@@ -532,8 +527,7 @@ def _extension(H: HomSuperAlgebra, spec: _Identity, args, homogeneous: str) -> V
         if slot in homogeneous and A.parity_of(v) is None:
             raise HomogeneityError(f"argument {slot} has mixed parity")
     ctx, res_fn = spec.make(H)
-    F = ctx.F
-    out = ()
+    F, out = ctx.F, ()
     for picks in itertools.product(*(sparse(F, A._unwrap(v)) for v in args)):
         coeff = F.one
         for _, a in picks:

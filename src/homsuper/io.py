@@ -422,17 +422,20 @@ def _split_at(s: str, sep: str, col: int) -> List[Tuple[str, int]]:
     return out
 
 
-def parse_binding(item: str, line: int, col: int) -> Tuple[str, Fraction]:
-    """One `name=value` binding, split at its first `=`, as the stripped
-    name and its value; `col` is the column of item[0].  A missing `=` or an
-    empty name is a ParseError at the binding, a bad value one at the value."""
+def parse_binding(item: str, line: int, col: int, into: Dict[str, Fraction]) -> None:
+    """One `name=value` binding, split at its first `=`, stored in `into`
+    under the stripped name; `col` is the column of item[0].  A missing `=`,
+    an empty name or a name `into` already holds is a ParseError at the
+    binding, a bad value one at the value."""
     name, eq, val = item.partition("=")
     if not eq:
         raise ParseError(f"binding {item!r} must look like name=value", line, col)
     if not name.strip():
         raise ParseError(f"binding {item!r} has an empty parameter name", line, col)
+    if name.strip() in into:
+        raise ParseError(f"binding {item.strip()!r} repeats parameter {name.strip()!r}", line, col)
     try:
-        return name.strip(), Fraction(val.strip())
+        into[name.strip()] = Fraction(val.strip())
     except (ValueError, ZeroDivisionError):
         val_col = col + len(name) + 1 + len(val) - len(val.lstrip())
         raise ParseError(f"bad numeric value {val.strip()!r}", line, val_col) from None
@@ -443,8 +446,7 @@ def _parse_bindings(s: str, line: int, col: int) -> Dict[str, Fraction]:
     out: Dict[str, Fraction] = {}
     for item, item_col in _split_at(s, ",", col):
         if item:
-            name, value = parse_binding(item, line, item_col)
-            out[name] = value
+            parse_binding(item, line, item_col, out)
     return out
 
 

@@ -271,6 +271,11 @@ def test_binding_errors_point_into_the_binding(tmp_path, capsys):
             "error: line 6, col 11: binding '=1' has an empty parameter name\n",
         head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set =2\n":
             "error: line 9, col 43: binding '=2' has an empty parameter name\n",
+        # a repeated parameter name is refused at the repeated binding
+        head + "suggest = a=1, a=2\n[product]\ne*e = e\n":
+            "error: line 6, col 16: binding 'a=2' repeats parameter 'a'\n",
+        head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set a=1,a =2\n":
+            "error: line 9, col 47: binding 'a =2' repeats parameter 'a'\n",
         # constraint expressions point into the constraint too
         head + "nonzero = a +* 2\n[product]\ne*e = e\n":
             "error: line 6, col 14: expected a value, found '*'\n",
@@ -296,6 +301,9 @@ def test_set_errors_name_the_binding(capsys):
     }
     for item, want in cases.items():
         assert run(capsys, *base, "--set", item) == (2, "", want), item
+    # a name set twice is refused, not overwritten by the later value
+    twice = (*base, "--set", "a=1", "--set", "a=0", "--set", "s=1")
+    assert run(capsys, *twice) == (2, "", "error: --set: binding 'a=0' repeats parameter 'a'\n")
 
 
 def test_json_only_on_the_commands_that_read_it(capsys):

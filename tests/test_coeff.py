@@ -19,6 +19,7 @@ from homsuper.coeff import (
     poly_add,
     poly_mul,
     poly_neg,
+    poly_sub,
     prime_field,
     rationals,
     scalar_arith,
@@ -419,3 +420,26 @@ def test_power_goes_through_the_normaliser():
     # a denominator with several terms keeps the general route
     z = QAB.pow(parse_expression("2/(a+1)", QAB).v, 2)
     assert QAB.key(z) == ((((0, 0), 4),), (((2, 0), 1), ((1, 0), 2), ((0, 0), 1)))
+
+
+def _cross_eq(F, x, y):
+    base = F.base
+    return not poly_sub(poly_mul(x.num, dict(y.den), base), poly_mul(y.num, dict(x.den), base), base)
+
+
+@settings(max_examples=300)
+@given(mono_pairs(), st.sampled_from(("drawn", "times-over", "there-and-back", "copied")),
+       st.sampled_from(("a", "a+1", "a*s")))
+def test_monomial_eq_matches_cross_multiplication(case, route, factor):
+    # equal values reached by different routes: (x*w)/w, (x - y) + y, and a
+    # copy whose denominator is not the field's shared dict
+    F, x, y = case
+    if route == "times-over":
+        w = parse_expression(factor.replace("s", F.spec.params[1]), F).v
+        y = F.div(F.mul(x, w), w)
+    elif route == "there-and-back":
+        y = F.add(F.sub(x, y), y)
+    elif route == "copied":
+        y = copy.deepcopy(x)
+    assert F.eq(x, y) == F.eq(y, x) == _cross_eq(F, x, y)
+    assert F.eq(x, y) or route == "drawn"

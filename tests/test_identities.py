@@ -1,10 +1,16 @@
+import inspect
+import itertools
 import random
+import traceback
+from collections import Counter
 
 import pytest
 
 from gen import random_graded_algebra, random_even_map, random_multiplicative_skew
 from homsuper.coeff import Scalar
 from homsuper.identities import (
+    CHECKERS,
+    _IDENTITIES,
     CheckError,
     PreconditionError,
     UnknownCheckerError,
@@ -273,3 +279,66 @@ def test_residual_at_and_form_value_reject_bad_input(corpus_instances):
             case()
         assert not isinstance(info.value, UnknownCheckerError)
         assert "\n" not in str(info.value)
+
+
+def _tuples(ctx, arity):
+    return itertools.product(range(ctx.dim), repeat=arity)
+
+
+def test_each_identity_is_compiled_once_per_process(corpus_instances):
+    # contexts on different algebras and fields share one residual, and so
+    # one code object for it and for each of its fill functions
+    first, second = corpus_instances[("b42", "alpha")].hom, corpus_instances[("m3-3-1", "base")].hom
+    for name, chk in CHECKERS.items():
+        (c1, r1), (c2, r2) = chk.make(first), chk.make(second)
+        assert c1 is not c2 and r1 is r2 and r1.__code__ is r2.__code__, name
+        assert c1.F is not c2.F
+        assert chk.make(first)[1].__code__ is r1.__code__
+
+
+def test_a_counting_wrapper_on_the_field_sees_the_residual(corpus_instances):
+    # the way perfbench counts field operations: instance attributes set on
+    # the field after the identity was compiled, before the context is made
+    H = corpus_instances[("b42", "alpha")].hom
+    F = H.algebra.field
+    for name in ("bk-suite", "jordan-admissible", "supercommutative"):
+        ctx, res = CHECKERS[name].make(H)
+        plain = [res(ctx, idx) for idx in _tuples(ctx, CHECKERS[name].arity)]
+        counts = Counter()
+
+        def counting(meth, bound):
+            def call(*args):
+                counts[meth] += 1
+                return bound(*args)
+            return call
+
+        try:
+            for meth in ("add", "sub", "mul", "neg", "is_zero", "from_int"):
+                setattr(F, meth, counting(meth, getattr(F, meth)))
+            ctx, res = CHECKERS[name].make(H)
+            counts.clear()
+            counted = [res(ctx, idx) for idx in _tuples(ctx, CHECKERS[name].arity)]
+        finally:
+            for meth in ("add", "sub", "mul", "neg", "is_zero", "from_int"):
+                F.__dict__.pop(meth, None)
+        assert counted == plain, name
+        assert counts["is_zero"] and counts["add"] + counts["sub"], (name, counts)
+        assert counts["mul"] or name == "supercommutative", (name, counts)
+
+
+def test_generated_code_shows_its_words(corpus_instances):
+    H = corpus_instances[("b42", "alpha")].hom
+    for name, chk in CHECKERS.items():
+        ctx, res = chk.make(H)
+        source = inspect.getsource(res)
+        assert res.__code__.co_filename == f"<homsuper.identities:{name}>"
+        assert source.startswith("def residual(ctx, idx):")
+        assert all(f"    # {part}\n" in source for part in _IDENTITIES[name].parts), name
+    # a traceback through a residual quotes the generated line
+    ctx, res = CHECKERS["left-alt"].make(H)
+    ctx.mul = None
+    with pytest.raises(TypeError) as info:
+        res(ctx, (0, 0, 0))
+    frames = traceback.extract_tb(info.value.__traceback__)
+    assert [f.name for f in frames[-2:]] == ["residual", "fill_T0"]
+    assert frames[-1].line == "v0 = acc(mul(c[x][y], acols[z]), mul(acols[x], c[y][z]), 1)"
