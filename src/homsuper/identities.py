@@ -318,7 +318,7 @@ class _Identity:
         self.letters, self.parts, self.requires, self.prefactor = letters, parts, requires, prefactor
         self.arity, self.context, self.name, self.residual = len(letters), "", "", None
 
-    def _compile(self):
+    def _emit(self):
         """Write, compile and register `residual` and its fill functions;
         keep each context's table sizes and whether it reads alpha^2."""
         n, e = self.arity, _Emitter(self.letters)
@@ -360,7 +360,7 @@ class _Identity:
 
     def make(self, H: HomSuperAlgebra):
         if self.residual is None:
-            self._compile()
+            self._emit()
         ctx = _Ctx(_algebra(H, self.context), *self.shapes[""])
         ctx.derived.update((m, _Ctx(_algebra(H, m), *shapes)) for m, shapes in self.shapes.items() if m)
         return ctx, self.residual
