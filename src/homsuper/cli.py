@@ -89,14 +89,12 @@ def _document_from(name: str, H: HomSuperAlgebra) -> AlgebraDocument:
     basis = A.basis
     even = tuple(n for n, p in zip(basis.names, basis.parities) if p == 0)
     odd = tuple(n for n, p in zip(basis.names, basis.parities) if p == 1)
-    names = basis.names
-    products = {(a, b): A.table[i][j] for i, a in enumerate(names) for j, b in enumerate(names) if A._nz[i][j]}
     maps = {}
     twist = None
     if not H.alpha.is_identity():
         maps["twist"] = H.alpha
         twist = "twist"
-    return AlgebraDocument(name, A.field, even, odd, products, maps, twist, ())
+    return AlgebraDocument(name, A.field, even, odd, A.table, maps, twist, ())
 
 
 def cmd_validate(args) -> int:

@@ -19,6 +19,8 @@ z^max(ex,ey) by shifting their exponents, with no coefficient product, and
 add or subtract them; one normaliser, `_mono`, then cancels the common
 monomial factor of the numerator against z^e and attaches the field's
 shared denominator.  It returns at once when e = 0 (all-polynomial tables).
+No field has a power of its own: `Field.pow` serves every field, by
+square-and-multiply over the field's `mul`.
 
 Exactness.  K[x1..xn] is a UFD, each xv is a prime in it, and val_v, the
 least exponent of xv in a nonzero polynomial, satisfies val_v(N z^d) =
@@ -261,20 +263,7 @@ def poly_mul(a: Poly, b: Poly, base: "Field") -> Poly:
 
 
 def poly_scale(a: Poly, c, base: "Field") -> Poly:
-    if base.is_zero(c):
-        return {}
     return {e: base.mul(coef, c) for e, coef in a.items()}
-
-
-def poly_pow(a: Poly, k: int, base: "Field", nvars: int) -> Poly:
-    out: Poly = {(0,) * nvars: base.one}
-    while k:
-        if k & 1:
-            out = poly_mul(out, a, base)
-        k >>= 1
-        if k:
-            a = poly_mul(a, a, base)
-    return out
 
 
 class _MonoDen(dict):
@@ -349,9 +338,9 @@ class Field:
         return out
 
     def from_int(self, n: int):
-        raise NotImplementedError
+        return self.from_fraction(n)
 
-    def from_fraction(self, q: Fraction):
+    def from_fraction(self, q: Union[int, Fraction]):
         raise NotImplementedError
 
     def render(self, x) -> str:
@@ -644,9 +633,6 @@ class FractionField(Field):
         e = tuple(1 if j == i else 0 for j in range(self.n))
         return FracPayload({e: self.base.one}, self._mono_dens[self._zero_exp])
 
-    def from_poly(self, p: Poly) -> FracPayload:
-        return self._make(dict(p), self._mono_dens[self._zero_exp])
-
     # -- arithmetic
 
     def _combine(self, x: FracPayload, y: FracPayload, op) -> FracPayload:
@@ -705,14 +691,6 @@ class FractionField(Field):
             raise ZeroInversionError("inverse of zero")
         return self._make(x.den, x.num)
 
-    def pow(self, x: FracPayload, k: int):
-        num = poly_pow(x.num, k, self.base, self.n)
-        den = x.den
-        if den.__class__ is _MonoDen:
-            # (N/z^e)^k = N^k/z^(k*e)
-            return self._mono(num, tuple(k * v for v in den.exp))
-        return self._make(num, poly_pow(den, k, self.base, self.n))
-
     def is_zero(self, x: FracPayload):
         return not x.num
 
@@ -730,14 +708,9 @@ class FractionField(Field):
         rhs = poly_mul(y.num, x.den, self.base)
         return not poly_sub(lhs, rhs, self.base)
 
-    def from_int(self, n):
-        return self.from_poly(
-            {} if self.base.is_zero(self.base.from_int(n)) else {self._zero_exp: self.base.from_int(n)}
-        )
-
     def from_fraction(self, q: Fraction):
         c = self.base.from_fraction(q)
-        return self.from_poly({} if self.base.is_zero(c) else {self._zero_exp: c})
+        return self._mono({} if self.base.is_zero(c) else {self._zero_exp: c}, self._zero_exp)
 
     # -- substitution
 
@@ -899,39 +872,26 @@ class Scalar:
             return Scalar(self.field, self.field.from_fraction(other))
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.v, o.v))
+    def _binary(op: str, reflected: bool = False):
+        """The operator `self op other` (`other op self` when reflected) over
+        the field's method `op`, with `other` coerced into the field."""
 
-    __radd__ = __add__
+        def method(self, other):
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+            x, y = (o.v, self.v) if reflected else (self.v, o.v)
+            return Scalar(self.field, getattr(self.field, op)(x, y))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.v, o.v))
+        return method
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(o.v, self.v))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.v, o.v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(self.v, o.v))
+    __add__ = __radd__ = _binary("add")
+    __sub__ = _binary("sub")
+    __rsub__ = _binary("sub", reflected=True)
+    __mul__ = __rmul__ = _binary("mul")
+    __truediv__ = _binary("div")
+    __rtruediv__ = _binary("div", reflected=True)
+    del _binary
 
     def __neg__(self):
         return Scalar(self.field, self.field.neg(self.v))
@@ -973,8 +933,6 @@ def scalar_arith(op: str, x: Scalar, y: Optional[Scalar] = None) -> Scalar:
 
 
 def scalar_inv(x: Scalar) -> Scalar:
-    if x.is_zero():
-        raise ZeroInversionError("inverse of zero")
     return Scalar(x.field, x.field.inv(x.v))
 
 

@@ -115,7 +115,9 @@ def _substituter(doc: AlgebraDocument, bindings: Mapping[str, Fraction]):
     remaining = tuple(p for p in full.spec.params if p not in bindings)
     target = field_for(FieldSpec(full.spec.base, full.spec.p, remaining))
     frs = {k: Fraction(v) for k, v in bindings.items()}
-    return target, (lambda v: full.substitute(v, frs, target))
+    # a zero payload substitutes to zero; taking it at once keeps unstated
+    # products cheap
+    return target, (lambda v: full.substitute(v, frs, target) if v.num else target.zero)
 
 
 def document_variants(doc: AlgebraDocument) -> Tuple[str, ...]:
@@ -147,9 +149,6 @@ def build_from_document(
         raise UnknownVariantError(f"{entry_id} has no variant {variant!r}")
 
     target, down = _substituter(doc, bindings)
-    basis = doc.basis
-    n = len(basis)
-    zero = tuple(target.zero for _ in range(n))
 
     # constraints, evaluated after binding
     at = ", ".join(f"{k}={v}" for k, v in bindings.items()) or "symbolic parameters"
@@ -162,10 +161,8 @@ def build_from_document(
         if target.is_zero(val):
             raise ConstraintError(f"{entry_id}: constraint {expr} != 0 violated at {at}")
 
-    table = [[zero] * n for _ in range(n)]
-    for (x, y), vec in doc.products.items():
-        table[basis.index(x)][basis.index(y)] = tuple(down(v) for v in vec)
-    base = SuperAlgebra(basis, target, table)
+    table = [[tuple(map(down, vec)) for vec in row] for row in doc.table]
+    base = SuperAlgebra(doc.basis, target, table)
 
     inst_maps = {
         name: EvenLinearMap(target, [tuple(down(v) for v in col) for col in m.cols])
@@ -174,7 +171,7 @@ def build_from_document(
     base_alpha = (
         inst_maps[doc.twist]
         if doc.twist
-        else EvenLinearMap.identity(target, n)
+        else EvenLinearMap.identity(target, len(table))
     )
 
     if variant == "base":

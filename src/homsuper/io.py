@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import CoeffError, Field, FieldSpec, FractionField, Scalar, field_for
 from .report import IdentityReport
-from .superalg import AlgebraError, Basis, EvenLinearMap, SuperAlgebra
+from .superalg import Basis, EvenLinearMap, SuperAlgebra
 
 
 class ParseError(Exception):
@@ -295,23 +295,13 @@ def render_vector(field: Field, basis: Basis, vec: Sequence[object]) -> str:
         if field.is_zero(v):
             continue
         s = field.render(v)
-        if " + " in s or " - " in s:
-            # composite coefficient: keep it intact inside parentheses
-            parts.append(
-                f"({s})*{name}" if not parts else f" + ({s})*{name}"
-            )
-            continue
         neg = s.startswith("-")
-        if neg:
-            mag = field.render(field.neg(v))
-            if mag.startswith("-") or " + " in mag or " - " in mag:
-                # give up on sign splitting for odd renderings
-                parts.append(
-                    f"({s})*{name}" if not parts else f" + ({s})*{name}"
-                )
-                continue
-        else:
-            mag = s
+        mag = field.render(field.neg(v)) if neg else s
+        if mag.startswith("-") or any(" + " in t or " - " in t for t in (s, mag)):
+            # a composite coefficient, or a sign that does not split off,
+            # stays intact inside parentheses
+            parts.append(f"({s})*{name}" if not parts else f" + ({s})*{name}")
+            continue
         body = name if mag == "1" else f"{mag}*{name}"
         if not parts:
             if not neg:
@@ -347,11 +337,15 @@ class ClaimSpec:
 
 @dataclass
 class AlgebraDocument:
+    """A parsed `.salg` document.  `table[i][j]` is the payload vector of
+    e_i*e_j over the basis `even + odd`, the zero vector where the document
+    states no product: the dense table that `SuperAlgebra` stores."""
+
     name: str
     field: Field
     even: Tuple[str, ...]
     odd: Tuple[str, ...]
-    products: Dict[Tuple[str, str], Tuple[object, ...]]
+    table: Sequence[Sequence[Tuple[object, ...]]]
     maps: Dict[str, EvenLinearMap]
     twist: Optional[str]
     claims: Tuple[ClaimSpec, ...]
@@ -366,13 +360,7 @@ class AlgebraDocument:
         return Basis(names, parities)
 
     def algebra(self) -> SuperAlgebra:
-        basis = self.basis
-        n = len(basis)
-        zero = tuple(self.field.zero for _ in range(n))
-        table = [[zero] * n for _ in range(n)]
-        for (a, b), vec in self.products.items():
-            table[basis.index(a)][basis.index(b)] = vec
-        return SuperAlgebra(basis, self.field, table)
+        return SuperAlgebra(self.basis, self.field, self.table)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraDocument):
@@ -390,26 +378,11 @@ class AlgebraDocument:
             or set(self.maps) != set(other.maps)
         ):
             return False
+        # the same basis, so the tables and map columns align cell by cell
+        cells = [zip(ra, rb) for ra, rb in zip(self.table, other.table)]
+        cells += [zip(self.maps[m].cols, other.maps[m].cols) for m in self.maps]
         F = self.field
-        keys = set(self.products) | set(other.products)
-        n = len(self.even) + len(self.odd)
-        zero = tuple(F.zero for _ in range(n))
-        for key in keys:
-            a = self.products.get(key, zero)
-            b = other.products.get(key, zero)
-            if any(not F.eq(x, y) for x, y in zip(a, b)):
-                return False
-        for name in self.maps:
-            ma, mb = self.maps[name], other.maps[name]
-            for ca, cb in zip(ma.cols, mb.cols):
-                if any(not F.eq(x, y) for x, y in zip(ca, cb)):
-                    return False
-        return True
-
-
-def _split_list(s: str) -> List[str]:
-    items = [x.strip() for x in s.split(",")]
-    return [x for x in items if x]
+        return all(F.eq(x, y) for pairs in cells for u, v in pairs for x, y in zip(u, v))
 
 
 def _split_at(s: str, sep: str, col: int) -> List[Tuple[str, int]]:
@@ -574,9 +547,14 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
             raise ParseError(f"[algebra] section is missing {key!r}", 1, 1)
         return algebra_kv[key][:2]
 
+    def declared(key: str) -> List[Tuple[str, int, int]]:
+        """The names listed under `key`, each with its line and column."""
+        value, line, col = algebra_kv.get(key, ("", 1, 1))
+        return [(nm, line, c) for nm, c in _split_at(value, ",", col) if nm]
+
     name = need("name")[0]
     field_str, field_line = need("field")
-    params = tuple(_split_list(algebra_kv.get("params", ("",))[0]))
+    params = tuple(nm for nm, _, _ in declared("params"))
     try:
         if field_str == "Q":
             spec = FieldSpec("Q", None, params)
@@ -592,51 +570,46 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         raise ParseError(str(exc), field_line, 1) from None
     field = field_for(spec)
 
-    even = tuple(_split_list(algebra_kv.get("even", ("",))[0]))
-    odd = tuple(_split_list(algebra_kv.get("odd", ("",))[0]))
-    if not even and not odd:
+    even_at, odd_at = declared("even"), declared("odd")
+    basis_at = even_at + odd_at
+    even, odd = tuple(at[0] for at in even_at), tuple(at[0] for at in odd_at)
+    if not basis_at:
         raise ParseError("empty basis", 1, 1)
-    overlap = set(even) & set(odd)
-    if overlap:
-        raise ParseError(f"basis element in both parities: {sorted(overlap)}", 1, 1)
-    clash = (set(even) | set(odd)) & set(params)
-    if clash:
-        raise ParseError(f"name used as both parameter and basis: {sorted(clash)}", 1, 1)
-    try:
-        basis = Basis(even + odd, (0,) * len(even) + (1,) * len(odd))
-    except AlgebraError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    names = even + odd
+    overlap, clash = set(even) & set(odd), set(names) & set(params)
+    # each error points at the first odd, basis or repeated name that makes it
+    for msg, places in (
+        (f"basis element in both parities: {sorted(overlap)}",
+         [at for at in odd_at if at[0] in overlap]),
+        (f"name used as both parameter and basis: {sorted(clash)}",
+         [at for at in basis_at if at[0] in clash]),
+        ("duplicate basis names", [at for k, at in enumerate(basis_at) if at[0] in names[:k]]),
+    ):
+        if places:
+            raise ParseError(msg, places[0][1], places[0][2])
+    basis = Basis(names, (0,) * len(even) + (1,) * len(odd))
 
-    products: Dict[Tuple[str, str], Tuple[object, ...]] = {}
+    unstated = (field.zero,) * len(names)
+    table = [[unstated] * len(names) for _ in names]
     for key, value, lineno, col in product_lines:
         toks = _tokenize(key, lineno, 1)
-        if (
-            len(toks) != 4
-            or toks[0].kind != "ident"
-            or toks[1].kind != "*"
-            or toks[2].kind != "ident"
-        ):
+        if [t.kind for t in toks] != ["ident", "*", "ident", "end"]:
             raise ParseError("product key must be 'ei*ej'", lineno, 1)
         a, b = toks[0].text, toks[2].text
         for nm in (a, b):
             if nm not in basis.names:
                 raise ParseError(f"undeclared basis name {nm!r}", lineno, toks[0].col)
-        if (a, b) in products:
+        i, j = basis.names.index(a), basis.names.index(b)
+        if table[i][j] is not unstated:  # each parsed value is a new tuple
             raise ParseError(f"duplicate product {a}*{b}", lineno, 1)
-        vec = parse_vector_expr(value, field, basis, line=lineno, col0=col)
-        products[(a, b)] = vec
-
-    # grading of every stated product
-    parities = dict(zip(basis.names, basis.parities))
-    line_of = {key.replace(" ", ""): lineno for key, _, lineno, _ in product_lines}
-    for (a, b), vec in products.items():
-        want = (parities[a] + parities[b]) % 2
-        for nm, component in zip(basis.names, vec):
-            if parities[nm] != want and not field.is_zero(component):
+        vec = table[i][j] = parse_vector_expr(value, field, basis, line=lineno, col0=col)
+        want = (basis.parities[i] + basis.parities[j]) % 2
+        for nm, par, component in zip(basis.names, basis.parities, vec):
+            if par != want and not field.is_zero(component):
                 raise ParseError(
                     f"parity-inconsistent product {a}*{b}: component {nm} "
-                    f"has parity {parities[nm]}, expected {want}",
-                    line_of.get(f"{a}*{b}", 1),
+                    f"has parity {par}, expected {want}",
+                    lineno,
                     1,
                 )
 
@@ -672,7 +645,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         parse_expression(expr, field, line=lineno, col0=col)
 
     return AlgebraDocument(
-        name, field, even, odd, products, maps, twist, claims,
+        name, field, even, odd, tuple(map(tuple, table)), maps, twist, claims,
         tuple(e for e, _, _ in nonzero), tuple(e for e, _, _ in zero), suggest,
     )
 
@@ -699,12 +672,10 @@ def serialize_algebra_document(doc: AlgebraDocument) -> str:
     basis = doc.basis
     out.append("")
     out.append("[product]")
-    for a in basis.names:
-        for b in basis.names:
-            vec = doc.products.get((a, b))
-            if vec is None or all(doc.field.is_zero(x) for x in vec):
-                continue
-            out.append(f"{a}*{b} = {render_vector(doc.field, basis, vec)}")
+    for a, row in zip(basis.names, doc.table):
+        for b, vec in zip(basis.names, row):
+            if not all(doc.field.is_zero(x) for x in vec):
+                out.append(f"{a}*{b} = {render_vector(doc.field, basis, vec)}")
     for mname in doc.maps:
         out.append("")
         out.append(f"[map {mname}]")

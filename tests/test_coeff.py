@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -91,6 +92,34 @@ def test_substitution():
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatchError):
         scalar_arith("add", q(1), Scalar(GF3, 1))
+
+
+def test_scalar_operators_match_field_ops():
+    ops = [("add", operator.add), ("sub", operator.sub), ("mul", operator.mul),
+           ("div", operator.truediv)]
+    cases = [
+        (Q, q(Fraction(3, 4)), q(Fraction(-7, 5))),
+        (GF3, Scalar(GF3, 2), Scalar(GF3, 1)),
+        (QAB, sym("(a+b)/(3*a*b^2)"), sym("2/(a+1)")),
+        (GFAS, sym("a/(a*s+1)", GFAS), sym("a + s", GFAS)),
+    ]
+    for F, x, y in cases:
+        for other in (y, 2, Fraction(5, 2)):
+            ov = other.v if isinstance(other, Scalar) else F.from_fraction(other)
+            for name, fn in ops:
+                op = getattr(F, name)
+                for got, want in ((fn(x, other), op(x.v, ov)), (fn(other, x), op(ov, x.v))):
+                    assert got.field is F and got == Scalar(F, want), (F, name, other)
+                    assert F.render(got.v) == F.render(want)
+            with pytest.raises(TypeError):
+                x + "a"
+            with pytest.raises(TypeError):
+                "a" - x
+    for _, fn in ops:
+        with pytest.raises(FieldMismatchError):
+            fn(q(1), Scalar(GF3, 1))
+        with pytest.raises(FieldMismatchError):
+            fn(Scalar(GF3, 1), q(1))
 
 
 def test_characteristic_guard():
@@ -316,11 +345,16 @@ def test_binary_power_matches_repeated_product(x, k):
         want *= Fraction(x)
     assert _canonical(Q.pow(x, k)) == want
     assert GF3.pow(2, k) == pow(2, k, 3)
-    s = sym("a + 2*b")
-    slow = sym("1")
-    for _ in range(k % 9):
-        slow = slow * s
-    assert s ** (k % 9) == slow
+    # Field.pow on fraction payloads: a polynomial, a monomial denominator and
+    # denominators with several terms
+    for F, text in [(QAB, "a + 2*b"), (QAB, "(a+b)/(3*a*b^2)"), (QAB, "2/(a+1)"),
+                    (GFAS, "2/(a+1)"), (GFAS, "a/(a*s+1)")]:
+        s = sym(text, F)
+        slow = sym("1", F)
+        for _ in range(k % 9):
+            slow = slow * s
+        got = s ** (k % 9)
+        assert got == slow and F.render(got.v) == F.render(slow.v), (text, k % 9)
 
 
 # The monomial kernel of the fraction fields: operands whose denominator is a

@@ -95,7 +95,8 @@ def test_parse_minimal_document():
     doc = parse_algebra_file(MINIMAL)
     assert doc.name == "tiny"
     assert doc.even == ("u",) and doc.odd == ("w",)
-    assert set(doc.products) == {("u", "u"), ("w", "w")}
+    stated = [[not all(map(doc.field.is_zero, vec)) for vec in row] for row in doc.table]
+    assert stated == [[True, False], [False, True]]
     assert "alpha" in doc.maps
     A = doc.algebra()
     assert A.dim == 2
@@ -125,6 +126,36 @@ def test_parity_inconsistent_product_rejected():
     with pytest.raises(ParseError) as exc:
         parse_algebra_file(text)
     assert "parity" in exc.value.msg
+
+
+def test_parity_error_points_at_its_product_line():
+    head = "[algebra]\nname = t\nfield = Q\neven = u\nodd = v\n\n[product]\n"
+    # a tab inside the key still reports the product's own line
+    for key in ("u*u", "u\t*u", "u *\tu"):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra_file(head + f"{key} = v\n")
+        assert "parity-inconsistent product u*u" in exc.value.msg
+        assert (exc.value.line, exc.value.col) == (8, 1)
+    # grading is checked as each product is read, so a parity error comes
+    # before a malformed value on a later line
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(head + "u*u = v\nv*v = u +\n")
+    assert "parity-inconsistent" in exc.value.msg and exc.value.line == 8
+
+
+def test_basis_errors_point_at_the_offending_name():
+    head = "[algebra]\nname = t\nfield = Q\n"
+    cases = [
+        ("params = u\neven = u\n", "name used as both parameter and basis: ['u']", (5, 8)),
+        ("even = u, w\nodd = v, w\n", "basis element in both parities: ['w']", (5, 10)),
+        ("even = u, v,  u\n", "duplicate basis names", (4, 15)),
+        ("even = u\nodd = v, v\n", "duplicate basis names", (5, 10)),
+        ("params = a\n", "empty basis", (1, 1)),
+    ]
+    for body, msg, at in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_algebra_file(head + body)
+        assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at), body
 
 
 def test_duplicate_product_rejected():
@@ -181,17 +212,15 @@ def make_random_document(basis_names, n_even, rng) -> AlgebraDocument:
     field = field_for(FieldSpec("Q", None, params))
     basis = Basis(even + odd, (0,) * len(even) + (1,) * len(odd))
     parities = dict(zip(basis.names, basis.parities))
-    products = {}
-    for x in basis.names:
-        for y in basis.names:
+    table = [[(field.zero,) * len(basis) for _ in basis.names] for _ in basis.names]
+    for i, x in enumerate(basis.names):
+        for j, y in enumerate(basis.names):
             if rng.random() < 0.4:
                 want = (parities[x] + parities[y]) % 2
-                vec = [
+                table[i][j] = tuple(
                     field.from_int(rng.randint(-2, 2)) if parities[z] == want else field.zero
                     for z in basis.names
-                ]
-                if any(not field.is_zero(v) for v in vec):
-                    products[(x, y)] = tuple(vec)
+                )
     maps = {}
     if rng.random() < 0.7:
         cols = []
@@ -205,7 +234,7 @@ def make_random_document(basis_names, n_even, rng) -> AlgebraDocument:
         maps["alpha"] = EvenLinearMap(field, cols)
     twist = "alpha" if maps and rng.random() < 0.5 else None
     return AlgebraDocument(
-        "gen", field, even, odd, products, maps, twist, (),
+        "gen", field, even, odd, table, maps, twist, (),
         nonzero=("a",) if "a" in params else (),
     )
 
