@@ -9,7 +9,8 @@ Bruck-Kleinfeld functions) as signed sums of words.  A checker is a tuple
 of parts `left = right` (no right side means 0), each side an integer scale
 `n*(...)` times a signed list of terms; `@minus` / `@plus` runs a term on
 the super-commutator / plus algebra.  The first part whose left - right is
-nonzero gives the residual.
+nonzero gives the residual.  The skew and commutative hypotheses are the
+checkers `superskew` and `supercommutative` run on hom(A).
 
 Signs: a term is written with its constant sign only.  `_koszul` adds p_a
 p_b for each pair of letters read out of slot order, and the identity's
@@ -44,6 +45,9 @@ sign is odd, then scaled, so the sums are the payloads the written
 expression gives (Frac(K[params]) payloads are not gcd-reduced; another
 order could print differently).
 
+alpha^2 and the minus and plus algebras are kept on H once made; contexts
+and their shape tables are made per `make`.
+
 Values are sparse vectors (see superalg), `()` for zero: `acc` merges,
 `scale_int` drops what the characteristic kills (3*f in GF(3) is `()`),
 and only reports densify.  The payloads are the dense evaluation's: each
@@ -66,8 +70,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .maps import compose
 from .report import IdentityReport, Vector
-from .superalg import (AlgebraError, HomSuperAlgebra, commutator_algebra, dense, is_super_commutative,
-                       is_super_skewsymmetric, plus_algebra, sparse)
+from .superalg import (AlgebraError, HomSuperAlgebra, SuperAlgebra, commutator_algebra, dense, hom,
+                       plus_algebra, sparse)
 
 
 class CheckError(AlgebraError):
@@ -98,17 +102,15 @@ class _Ctx:
     __slots__ = ("F", "dim", "par", "names", "basis", "c", "acols", "a2cols", "tables", "mul", "al",
                  "al2", "derived")
 
-    def __init__(self, H: HomSuperAlgebra, sizes=(), a2=True):
-        A, F = H.algebra, H.algebra.field
+    def __init__(self, H: HomSuperAlgebra, sizes=()):
+        A, F, alpha2 = H.algebra, H.algebra.field, _derived(H, "a2")
         self.F, self.dim, self.c = F, A.dim, A._nz
         self.par, self.names, self.basis = A.basis.parities, A.basis.names, A.basis
-        self.acols = H.alpha._nz
+        self.acols, self.a2cols = H.alpha._nz, alpha2._nz
         self.tables = [[None] * A.dim ** k for k in sizes]  # one per shape of k letters
         self.derived: Dict[str, _Ctx] = {}
-        # the kernels mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u) if read
-        self.mul, self.al = A._mul_payload, H.alpha.apply_payload
-        alpha2 = compose(H.alpha, H.alpha) if a2 else None
-        self.a2cols, self.al2 = (alpha2._nz, alpha2.apply_payload) if a2 else ((), None)
+        # the kernels mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u)
+        self.mul, self.al, self.al2 = A._mul_payload, H.alpha.apply_payload, alpha2.apply_payload
 
     def acc(self, u, v, exp: int):
         """u + (-1)^exp v, merged by index: a coordinate one side carries is
@@ -225,7 +227,7 @@ class _Emitter:
     def __init__(self, letters: str):
         self.letters, self.todo = letters, []  # todo: (mark, shape, table) to write a fill for
         self.tables: Dict[str, Dict[tuple, int]] = {}  # mark -> shape -> table number
-        self.marks, self.a2 = set(), set()  # the contexts read; those reading alpha^2
+        self.marks = set()  # the contexts read
 
     def function(self, signature: str, n: int, write, first=()) -> list:
         """Lines of `def signature:` over n letters: write()'s statements, returning its result."""
@@ -234,7 +236,6 @@ class _Emitter:
         self.lines.append(f"    return {result}")
         marks = sorted({mark for mark, _ in self.used if mark})
         self.marks.update(mark for mark, _ in self.used)
-        self.a2.update(mark for mark, attr in self.used if attr in ("a2cols", "al2"))
         return [f"def {signature}:", *first, *(f"    {m} = ctx.derived[{m!r}]" for m in marks), *(
             f"    {local} = {mark or 'ctx'}." + (f"tables[{attr[1:]}]" if attr[0] == "T" else attr)
             for (mark, attr), local in sorted(self.used.items())
@@ -320,7 +321,7 @@ class _Identity:
 
     def _emit(self):
         """Write, compile and register `residual` and its fill functions;
-        keep each context's table sizes and whether it reads alpha^2."""
+        keep each context's table sizes."""
         n, e = self.arity, _Emitter(self.letters)
         pairs = [tuple(map(self.letters.index, pair)) for pair in self.prefactor.split()]
         parsed = [_parse(p, self.letters) for p in self.parts]
@@ -342,7 +343,7 @@ class _Identity:
             k = len(_letters(shape))
             units.append(e.function(f"fill_{table}(ctx, {', '.join(self.letters[:k])})", k,
                                     lambda: e.value(shape, k, mark)))
-        self.shapes = {m: ([len(_letters(s)) for s in e.tables.get(m, ())], m in e.a2) for m in e.marks}
+        self.shapes = {m: [len(_letters(s)) for s in e.tables.get(m, ())] for m in e.marks}
         # each function is compiled alone, which bounds the compiler's peak
         # memory by one function's, at its lines of the registered source
         filename, lines, scope = f"<{__name__}:{self.name}>", [], {"__name__": __name__}
@@ -361,16 +362,22 @@ class _Identity:
     def make(self, H: HomSuperAlgebra):
         if self.residual is None:
             self._emit()
-        ctx = _Ctx(_algebra(H, self.context), *self.shapes[""])
-        ctx.derived.update((m, _Ctx(_algebra(H, m), *shapes)) for m, shapes in self.shapes.items() if m)
+        ctx = _Ctx(_derived(H, self.context) if self.context else H, self.shapes[""])
+        ctx.derived.update((m, _Ctx(_derived(H, m), sizes)) for m, sizes in self.shapes.items() if m)
         return ctx, self.residual
 
 
-def _algebra(H: HomSuperAlgebra, context: str) -> HomSuperAlgebra:
-    # the constructions are looked up as module globals at call time
-    if context == "minus":
-        return commutator_algebra(H)
-    return plus_algebra(H) if context == "plus" else H
+def _derived(H: HomSuperAlgebra, what: str):
+    """alpha^2 ("a2") or the "minus" / "plus" algebra of H (H's twist, so
+    H's alpha^2), kept on H once made; the constructions are looked up as
+    module globals at call time."""
+    if what not in H._kept:
+        if what == "a2":
+            H._kept[what] = compose(H.alpha, H.alpha)
+        else:
+            D = H._kept[what] = (commutator_algebra if what == "minus" else plus_algebra)(H)
+            D._kept["a2"] = _derived(H, "a2")
+    return H._kept[what]
 
 
 # -- The identities; each term carries its constant sign only.
@@ -462,8 +469,37 @@ def checker_names() -> Tuple[str, ...]:
     return tuple(CHECKERS)
 
 
+def _report(name: str, spec, H: HomSuperAlgebra, cap: int) -> IdentityReport:
+    """`spec` (a checker or an identity) on the basis tuples in lexicographic
+    order: the first `cap` counterexamples, stopping at the next."""
+    ctx, res_fn = spec.make(H)
+    dim, bad, holds = ctx.dim, [], True
+    for idx in itertools.product(range(dim), repeat=spec.arity):
+        r = res_fn(ctx, idx)
+        if r:
+            holds = False
+            if len(bad) < cap:
+                # entries are shared through the basis and their
+                # coordinates hash-consed: every zero is one Scalar
+                bad.append(ctx.basis.counterexample(ctx.F, idx, r))
+            else:
+                break
+    return IdentityReport(name, holds, tuple(bad), dim**spec.arity)
+
+
+def is_super_commutative(A: SuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:
+    """mu(x,y) = (-1)^(|x||y|) mu(y,x): `supercommutative` on hom(A)."""
+    return _report("supercommutative", _IDENTITIES["supercommutative"], hom(A), max_counterexamples)
+
+
+def is_super_skewsymmetric(A: SuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:
+    """mu(x,y) = -(-1)^(|x||y|) mu(y,x): `superskew` on hom(A)."""
+    return _report("superskew", _IDENTITIES["superskew"], hom(A), max_counterexamples)
+
+
 def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:
-    """Run one registry checker over all homogeneous basis tuples."""
+    """Run one registry checker over all homogeneous basis tuples, after its
+    standing hypothesis (checked with the same cap)."""
     chk = CHECKERS.get(name)
     if chk is None:
         raise UnknownCheckerError(name)
@@ -471,23 +507,11 @@ def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) ->
         raise CheckError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
     if chk.requires:
         skew = chk.requires == "skew"
-        rep = (is_super_skewsymmetric if skew else is_super_commutative)(H.algebra)
+        rep = (is_super_skewsymmetric if skew else is_super_commutative)(H.algebra, max_counterexamples)
         if not rep.holds:
             kind = "skewsymmetric" if skew else "commutative"
             raise PreconditionError(name, f"a super-{kind} product", rep)
-    ctx, res_fn = chk.make(H)
-    dim, bad, holds = ctx.dim, [], True
-    for idx in itertools.product(range(dim), repeat=chk.arity):
-        r = res_fn(ctx, idx)
-        if r:
-            holds = False
-            if len(bad) < max_counterexamples:
-                # entries are shared through the basis and their
-                # coordinates hash-consed: every zero is one Scalar
-                bad.append(ctx.basis.counterexample(ctx.F, idx, r))
-            else:
-                break
-    return IdentityReport(name, holds, tuple(bad), dim**chk.arity)
+    return _report(name, chk, H, max_counterexamples)
 
 
 def _value_at(what: str, make, arity: int, H: HomSuperAlgebra, tuple_names: Sequence[str]):

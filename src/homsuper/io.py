@@ -490,10 +490,9 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     # constraint expressions: (value, line, column of the value)
     nonzero: List[Tuple[str, int, int]] = []
     zero: List[Tuple[str, int, int]] = []
-    # (key, value, line, column of the value)
-    product_lines: List[Tuple[str, str, int, int]] = []
-    map_lines: Dict[str, List[Tuple[str, str, int, int]]] = {}
     # (key, value, line, column of the value, column of the key)
+    product_lines: List[Tuple[str, str, int, int, int]] = []
+    map_lines: Dict[str, List[Tuple[str, str, int, int, int]]] = {}
     claim_lines: List[Tuple[str, str, int, int, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -524,6 +523,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
             raise ParseError("expected 'key = value'", lineno, 1)
         key, _, value = line.partition("=")
         col = len(key) + 2 + len(value) - len(value.lstrip())
+        key_col = len(key) - len(key.lstrip()) + 1
         key = key.strip()
         value = value.strip()
         if section == "algebra":
@@ -536,11 +536,11 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
                     raise ParseError(f"duplicate key {key!r}", lineno, 1)
                 algebra_kv[key] = (value, lineno, col)
         elif section == "product":
-            product_lines.append((key, value, lineno, col))
+            product_lines.append((key, value, lineno, col, key_col))
         elif section == "map":
-            map_lines[map_name].append((key, value, lineno, col))
+            map_lines[map_name].append((key, value, lineno, col, key_col))
         else:
-            claim_lines.append((key, value, lineno, col, len(line) - len(line.lstrip()) + 1))
+            claim_lines.append((key, value, lineno, col, key_col))
 
     def need(key: str) -> Tuple[str, int]:
         if key not in algebra_kv:
@@ -591,17 +591,19 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
 
     unstated = (field.zero,) * len(names)
     table = [[unstated] * len(names) for _ in names]
-    for key, value, lineno, col in product_lines:
-        toks = _tokenize(key, lineno, 1)
-        if [t.kind for t in toks] != ["ident", "*", "ident", "end"]:
-            raise ParseError("product key must be 'ei*ej'", lineno, 1)
+    for key, value, lineno, col, key_col in product_lines:
+        # key errors point at the offending token of the key
+        toks, kinds = _tokenize(key, lineno, key_col), ["ident", "*", "ident", "end"]
+        for t, kind in zip(toks, kinds):
+            if t.kind != kind:
+                raise ParseError("product key must be 'ei*ej'", lineno, t.col)
+        for t in (toks[0], toks[2]):
+            if t.text not in basis.names:
+                raise ParseError(f"undeclared basis name {t.text!r}", lineno, t.col)
         a, b = toks[0].text, toks[2].text
-        for nm in (a, b):
-            if nm not in basis.names:
-                raise ParseError(f"undeclared basis name {nm!r}", lineno, toks[0].col)
         i, j = basis.names.index(a), basis.names.index(b)
         if table[i][j] is not unstated:  # each parsed value is a new tuple
-            raise ParseError(f"duplicate product {a}*{b}", lineno, 1)
+            raise ParseError(f"duplicate product {a}*{b}", lineno, key_col)
         vec = table[i][j] = parse_vector_expr(value, field, basis, line=lineno, col0=col)
         want = (basis.parities[i] + basis.parities[j]) % 2
         for nm, par, component in zip(basis.names, basis.parities, vec):
@@ -616,9 +618,9 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     maps: Dict[str, EvenLinearMap] = {}
     for mname, lines in map_lines.items():
         cols = {name: tuple(field.zero for _ in basis.names) for name in basis.names}
-        for key, value, lineno, col in lines:
+        for key, value, lineno, col, key_col in lines:
             if key not in basis.names:
-                raise ParseError(f"undeclared basis name {key!r}", lineno, 1)
+                raise ParseError(f"undeclared basis name {key!r}", lineno, key_col)
             cols[key] = parse_vector_expr(value, field, basis, line=lineno, col0=col)
         maps[mname] = EvenLinearMap(field, [cols[n] for n in basis.names])
 

@@ -14,7 +14,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List
 
 from . import corpus
@@ -128,20 +128,8 @@ def run_suite() -> List[SuiteRow]:
 
 
 def render_rows(rows: List[SuiteRow], as_json: bool = False) -> str:
-    if as_json:
-        payload = [
-            {
-                "status": r.status,
-                "entry": r.entry,
-                "claim": r.key,
-                "kind": r.kind,
-                "target": r.target,
-                "claimed": r.claimed,
-                "computed": r.computed,
-                "note": r.note,
-            }
-            for r in rows
-        ]
+    if as_json:  # the fields in order, `key` named `claim`
+        payload = [{"claim" if k == "key" else k: v for k, v in asdict(r).items()} for r in rows]
         return json.dumps(payload, indent=2)
     lines = [r.line() for r in rows]
     n_pass = sum(r.status == "PASS" for r in rows)

@@ -1,5 +1,5 @@
 """Z2-graded algebras given by structure constants: the data, the product
-and map kernels, the grading checks and the commutator / plus constructions.
+and map kernels, the grading check and the commutator / plus constructions.
 
 An algebra is an ordered homogeneous basis (names + parities) together with a
 dense 3-index table: `c[i][j]` is the coordinate vector of the product of
@@ -15,7 +15,9 @@ ascending (i, j) order and is dropped if it cancels.  Dense callers
 convert with `sparse` and `dense` at their boundary.
 
 The multilinear forms built from these kernels (twisted associator,
-Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`.
+Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`, and so
+do the super-skew and super-commutative reports, which are its registry
+checkers run on `hom(A)`.
 """
 
 from __future__ import annotations
@@ -100,10 +102,8 @@ class SuperAlgebra:
         n = len(basis)
         if len(table) != n or any(len(row) != n for row in table):
             raise DimensionError("structure table does not match basis size")
-        for row in table:
-            for vec in row:
-                if len(vec) != n:
-                    raise DimensionError("structure vector of wrong length")
+        if any(len(vec) != n for row in table for vec in row):
+            raise DimensionError("structure vector of wrong length")
         self.basis = basis
         self.field = field
         normal = field.normal
@@ -118,16 +118,12 @@ class SuperAlgebra:
     # -- vector helpers -----------------------------------------------------
 
     def zero_vector(self) -> Vector:
-        z = self.field.zero
-        return tuple(Scalar(self.field, z) for _ in range(self.dim))
+        return self._wrap([self.field.zero] * self.dim)
 
     def basis_vector(self, i) -> Vector:
         if isinstance(i, str):
             i = self.basis.index(i)
-        return tuple(
-            Scalar(self.field, self.field.one if j == i else self.field.zero)
-            for j in range(self.dim)
-        )
+        return self._wrap(self.field.one if j == i else self.field.zero for j in range(self.dim))
 
     def _unwrap(self, u: Vector) -> PayloadVector:
         if len(u) != self.dim:
@@ -210,22 +206,6 @@ def _graded_sums(A: SuperAlgebra, sign: int):
     ]
 
 
-def _pairwise_report(A: SuperAlgebra, name: str, sign: int) -> IdentityReport:
-    # residual = mu(ei,ej) - sign*(-1)^(pi pj) mu(ej,ei)
-    names = A.basis.names
-    rows = (((names[i], names[j]), res)
-            for i, row in enumerate(_graded_sums(A, -sign)) for j, res in enumerate(row))
-    return table_report(name, A.field, rows, A.dim * A.dim)
-
-
-def is_super_commutative(A: SuperAlgebra) -> IdentityReport:
-    return _pairwise_report(A, "supercommutative", 1)
-
-
-def is_super_skewsymmetric(A: SuperAlgebra) -> IdentityReport:
-    return _pairwise_report(A, "superskew", -1)
-
-
 # ---------------------------------------------------------------------------
 # Even linear maps (data lives here; the operations live in maps.py)
 # ---------------------------------------------------------------------------
@@ -252,22 +232,12 @@ class EvenLinearMap:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "EvenLinearMap":
-        return cls(
-            field,
-            [
-                tuple(field.one if i == j else field.zero for i in range(n))
-                for j in range(n)
-            ],
-        )
+        return cls(field, [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)])
 
     def is_identity(self) -> bool:
         F = self.field
-        for j, col in enumerate(self.cols):
-            for i, x in enumerate(col):
-                want = F.one if i == j else F.zero
-                if not F.eq(x, want):
-                    return False
-        return True
+        return all(F.eq(x, F.one if i == j else F.zero)
+                   for j, col in enumerate(self.cols) for i, x in enumerate(col))
 
     def entry(self, i: int, j: int) -> Scalar:
         return Scalar(self.field, self.cols[j][i])
@@ -295,10 +265,13 @@ class EvenLinearMap:
         return A._wrap(dense(F, self.dim, self.apply_payload(sparse(F, A._unwrap(u)))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomSuperAlgebra:
     algebra: SuperAlgebra
     alpha: EvenLinearMap
+    # "a2" / "minus" / "plus" -> alpha^2 or the minus / plus algebra, made
+    # once by identities (frozen, so nothing kept can go stale)
+    _kept: Dict[str, object] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha.dim != self.algebra.dim:
@@ -317,9 +290,11 @@ class HomSuperAlgebra:
 
 def hom(A: SuperAlgebra, alpha: Optional[EvenLinearMap] = None) -> HomSuperAlgebra:
     """Pair an algebra with a twist (identity by default)."""
-    if alpha is None:
-        alpha = EvenLinearMap.identity(A.field, A.dim)
-    return HomSuperAlgebra(A, alpha)
+    if alpha is not None:
+        return HomSuperAlgebra(A, alpha)
+    H = HomSuperAlgebra(A, EvenLinearMap.identity(A.field, A.dim))
+    H._kept["a2"] = H.alpha  # the identity is its own square
+    return H
 
 
 # ---------------------------------------------------------------------------

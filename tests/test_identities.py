@@ -16,10 +16,13 @@ from homsuper.identities import (
     UnknownCheckerError,
     checker_names,
     form_value,
+    is_super_commutative,
+    is_super_skewsymmetric,
     residual_at,
     run_checker,
 )
-from homsuper.superalg import commutator_algebra, hom
+from homsuper.oracle import oracle_verdict
+from homsuper.superalg import HomSuperAlgebra, commutator_algebra, hom, plus_algebra
 
 REGISTRY = (
     "left-alt", "right-alt", "alternative", "flexible", "hom-lie",
@@ -146,8 +149,6 @@ def test_skew_product_consequence():
     A = SuperAlgebra(basis, Q, table)
     H = hom(A)
     assert run_checker("alternative", H).holds
-    from homsuper.superalg import is_super_skewsymmetric
-
     assert is_super_skewsymmetric(A).holds
     par = basis.parities
     for i in range(2):
@@ -250,8 +251,6 @@ def test_report_integrity(corpus_instances):
 
 def test_admissible_checkers_match_derived_algebras(corpus_instances):
     H = corpus_instances[("b42", "alpha")].hom
-    from homsuper.superalg import plus_algebra
-
     assert run_checker("lie-admissible", H).holds == run_checker(
         "hom-lie", commutator_algebra(H)
     ).holds
@@ -342,3 +341,65 @@ def test_generated_code_shows_its_words(corpus_instances):
     frames = traceback.extract_tb(info.value.__traceback__)
     assert [f.name for f in frames[-2:]] == ["residual", "fill_T0"]
     assert frames[-1].line == "v0 = acc(mul(c[x][y], acols[z]), mul(acols[x], c[y][z]), 1)"
+
+
+def test_precondition_reports_match_the_oracle(corpus_instances):
+    rng = random.Random(1414)
+    algebras = [inst.hom.algebra for inst in corpus_instances.values()]
+    for _ in range(30):
+        H = hom(random_graded_algebra(rng, rng.choice([2, 3, 4]), rng.randint(0, 3)))
+        algebras += [H.algebra, commutator_algebra(H).algebra, plus_algebra(H).algebra]
+    seen = Counter()
+    for A in algebras:
+        for name, report in (("superskew", is_super_skewsymmetric), ("supercommutative", is_super_commutative)):
+            rep, (holds, first) = report(A), oracle_verdict(name, hom(A))
+            assert (rep.holds, rep.tuples_checked) == (holds, A.dim ** 2), (name, A.basis.names)
+            assert holds or rep.first_tuple() == first, (name, A.basis.names)
+            seen[name, holds] += 1
+    assert len(seen) == 4  # each report both holds and fails
+
+
+def test_a_second_sweep_builds_no_derived_object(corpus_instances, monkeypatch):
+    import homsuper.identities as identities
+
+    H0 = corpus_instances[("b42", "alpha")].hom
+    H = HomSuperAlgebra(H0.algebra, H0.alpha)  # nothing kept yet
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            if name != "compose" or (args[0] is H.alpha and args[1] is H.alpha):
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("commutator_algebra", "plus_algebra", "compose"):
+        monkeypatch.setattr(identities, name, counting(name, getattr(identities, name)))
+    names = H.algebra.basis.names
+
+    def sweep():
+        for name in CHECKERS:
+            try:
+                run_checker(name, H)
+            except PreconditionError:
+                pass
+        for slots in itertools.product(names[:2], repeat=4):
+            residual_at("jordan-expansion", H, slots)
+        residual_at("j-eq-6as", H, names[:3])
+
+    sweep()
+    assert calls == {"commutator_algebra": 1, "plus_algebra": 1, "compose": 1}
+    sweep()
+    assert calls == {"commutator_algebra": 1, "plus_algebra": 1, "compose": 1}
+
+
+def test_each_make_has_its_own_context(corpus_instances):
+    H = corpus_instances[("b42", "alpha")].hom
+    for name in ("jordan-admissible", "j-eq-6as", "bk-suite"):
+        want = run_checker(name, H)
+        ctx, _ = CHECKERS[name].make(H)
+        for c in (ctx, *ctx.derived.values()):
+            c.mul = None
+            for table in c.tables:  # no filled cell outlives its run
+                table[:] = [((0, None),)] * len(table)
+        assert run_checker(name, H) == want, name

@@ -158,6 +158,23 @@ def test_basis_errors_point_at_the_offending_name():
         assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at), body
 
 
+def test_key_errors_point_at_the_offending_name():
+    head = "[algebra]\nname = t\nfield = Q\neven = u\nodd = v\n\n"
+    cases = [
+        ("[product]\nu*q = u\n", "undeclared basis name 'q'", (8, 3)),
+        ("[product]\n  u*q = u\n", "undeclared basis name 'q'", (8, 5)),
+        ("[product]\n\tq * u = u\n", "undeclared basis name 'q'", (8, 2)),
+        ("[map b]\n  q = u\n", "undeclared basis name 'q'", (8, 3)),
+        ("[product]\n  u+u = u\n", "product key must be 'ei*ej'", (8, 4)),
+        ("[product]\n u*u*u = u\n", "product key must be 'ei*ej'", (8, 5)),
+        ("[product]\nu*u = u\n  u * u = u\n", "duplicate product u*u", (9, 3)),
+    ]
+    for body, msg, at in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_algebra_file(head + body)
+        assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at), body
+
+
 def test_duplicate_product_rejected():
     text = MINIMAL + "\n[product]\n"
     with pytest.raises(ParseError):

@@ -11,13 +11,13 @@ from homsuper.identities import (
     cyclic_hom_associator,
     hom_associator,
     hom_super_jacobian,
+    is_super_commutative,
+    is_super_skewsymmetric,
     run_checker,
 )
 from homsuper.superalg import (
     commutator_algebra,
     hom,
-    is_super_commutative,
-    is_super_skewsymmetric,
     multiply,
     plus_algebra,
     validate,
