@@ -514,11 +514,11 @@ def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) ->
     return _report(name, chk, H, max_counterexamples)
 
 
-def _value_at(what: str, make, arity: int, H: HomSuperAlgebra, tuple_names: Sequence[str]):
-    """Exact value at one named basis tuple, after checking every slot."""
-    ctx, res_fn = make(H)
-    if len(tuple_names) != arity:
-        raise CheckError(f"{what} expects {arity} slots, got {len(tuple_names)}")
+def _value_at(what: str, spec, H: HomSuperAlgebra, tuple_names: Sequence[str]):
+    """Exact value of `spec` at one named basis tuple, after checking every slot."""
+    ctx, res_fn = spec.make(H)
+    if len(tuple_names) != spec.arity:
+        raise CheckError(f"{what} expects {spec.arity} slots, got {len(tuple_names)}")
     for n in tuple_names:
         if n not in ctx.names:
             raise CheckError(f"{what}: unknown basis element {n!r}")
@@ -530,14 +530,14 @@ def residual_at(name: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Exact residual vector of one checker at one basis tuple."""
     if name not in CHECKERS:
         raise UnknownCheckerError(name)
-    return _value_at(name, CHECKERS[name].make, CHECKERS[name].arity, H, tuple_names)
+    return _value_at(name, CHECKERS[name], H, tuple_names)
 
 
 def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     """Named multilinear value used by the corpus claims."""
     if form not in _CLAIM_FORMS:
         raise CheckError(f"unknown value form {form!r}")
-    return _value_at(form, _CLAIM_FORMS[form].make, _CLAIM_FORMS[form].arity, H, tuple_names)
+    return _value_at(form, _CLAIM_FORMS[form], H, tuple_names)
 
 
 # -- Public forms: multilinear extensions of the named values over the

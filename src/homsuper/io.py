@@ -592,7 +592,6 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     unstated = (field.zero,) * len(names)
     table = [[unstated] * len(names) for _ in names]
     for key, value, lineno, col, key_col in product_lines:
-        # key errors point at the offending token of the key
         toks, kinds = _tokenize(key, lineno, key_col), ["ident", "*", "ident", "end"]
         for t, kind in zip(toks, kinds):
             if t.kind != kind:
