@@ -24,8 +24,10 @@ from .coeff import (
 from .identities import (
     CHECKERS,
     PreconditionError,
+    commutator_algebra,
     hom_associator,
     hom_super_jacobian,
+    plus_algebra,
     run_checker,
 )
 from .io import parse_algebra_file, parse_expression, serialize_report
@@ -36,10 +38,8 @@ from .superalg import (
     EvenLinearMap,
     HomSuperAlgebra,
     SuperAlgebra,
-    commutator_algebra,
     hom,
     multiply,
-    plus_algebra,
     validate,
 )
 

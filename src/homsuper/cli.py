@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from . import corpus
 from .coeff import CoeffError
-from .identities import CHECKERS, CheckError, run_checker
+from .identities import CHECKERS, CheckError, commutator_algebra, plus_algebra, run_checker
 from .io import (
     AlgebraDocument,
     ParseError,
@@ -30,8 +30,6 @@ from .report import IdentityReport
 from .superalg import (
     AlgebraError,
     HomSuperAlgebra,
-    commutator_algebra,
-    plus_algebra,
     validate,
 )
 from .suite import exit_code as suite_exit_code

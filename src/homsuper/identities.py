@@ -2,15 +2,16 @@
 and the runner.
 
 Words are Python expressions over letters, the slots of an identity bound
-to the basis elements of one tuple: u*v is the product mu, a(u) the twist
-alpha, a2(u) alpha^2, and `_FORMS` holds as, br, J, S, f and F (twisted
-associator, super-commutator, Hom-super-Jacobian, cyclic sum, graded
-Bruck-Kleinfeld functions) as signed sums of words.  A checker is a tuple
-of parts `left = right` (no right side means 0), each side an integer scale
-`n*(...)` times a signed list of terms; `@minus` / `@plus` runs a term on
-the super-commutator / plus algebra.  The first part whose left - right is
-nonzero gives the residual.  The skew and commutative hypotheses are the
-checkers `superskew` and `supercommutative` run on hom(A).
+to the basis elements of one tuple (to vectors in the public forms): u*v is
+the product mu, a(u) the twist alpha, a2(u) alpha^2, and `_FORMS` holds as,
+br, J, S, f and F (twisted associator, super-commutator, Hom-super-Jacobian,
+cyclic sum, graded Bruck-Kleinfeld functions) as signed sums of words.  A
+checker is a tuple of parts `left = right` (no right side means 0), each
+side an integer scale `n*(...)` times a signed list of terms; `@minus` /
+`@plus` runs a term on the super-commutator / plus algebra, whose product
+is the residual of `supercommutative` / half that of `superskew`.  The
+first part whose left - right is nonzero gives the residual.  The skew and
+commutative hypotheses are `superskew` and `supercommutative` on hom(A).
 
 Signs: a term is written with its constant sign only.  `_koszul` adds p_a
 p_b for each pair of letters read out of slot order, and the identity's
@@ -70,8 +71,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .maps import compose
 from .report import IdentityReport, Vector
-from .superalg import (AlgebraError, HomSuperAlgebra, SuperAlgebra, commutator_algebra, dense, hom,
-                       plus_algebra, sparse)
+from .superalg import AlgebraError, HomSuperAlgebra, SuperAlgebra, dense, hom, sparse
 
 
 class CheckError(AlgebraError):
@@ -94,23 +94,40 @@ class PreconditionError(CheckError):
         super().__init__(f"{identity}: requires {requirement}")
 
 
+class _OnRead(dict):
+    """fn(args[k]) at [k], made on its first read."""
+
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def __missing__(self, k):
+        v = self[k] = self.fn(self.args[k])
+        return v
+
+
 class _Ctx:
     """Unwrapped evaluation context: the sparse cells of the product and the
-    twists, the product and map kernels, the shape tables a residual fills,
-    and the derived contexts its marked terms run on."""
+    twists at the letters (the basis, or given (sparse vectors, parities)),
+    the kernels, the shape tables a residual fills, and the derived contexts
+    its marked terms run on."""
 
     __slots__ = ("F", "dim", "par", "names", "basis", "c", "acols", "a2cols", "tables", "mul", "al",
                  "al2", "derived")
 
-    def __init__(self, H: HomSuperAlgebra, sizes=()):
+    def __init__(self, H: HomSuperAlgebra, sizes=(), letters=None):
         A, F, alpha2 = H.algebra, H.algebra.field, _derived(H, "a2")
-        self.F, self.dim, self.c = F, A.dim, A._nz
-        self.par, self.names, self.basis = A.basis.parities, A.basis.names, A.basis
-        self.acols, self.a2cols = H.alpha._nz, alpha2._nz
-        self.tables = [[None] * A.dim ** k for k in sizes]  # one per shape of k letters
-        self.derived: Dict[str, _Ctx] = {}
+        self.F, self.names, self.basis = F, A.basis.names, A.basis
         # the kernels mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u)
         self.mul, self.al, self.al2 = A._mul_payload, H.alpha.apply_payload, alpha2.apply_payload
+        if letters is None:  # letter k is the basis element e_k
+            self.c, self.acols, self.a2cols, self.par = A._nz, H.alpha._nz, alpha2._nz, A.basis.parities
+        else:  # letter k is the sparse vector vecs[k] of parity par[k]
+            (vecs, self.par), mul = letters, self.mul
+            self.c = [_OnRead(lambda v, u=u: mul(u, v), vecs) for u in vecs]
+            self.acols, self.a2cols = _OnRead(self.al, vecs), _OnRead(self.al2, vecs)
+        self.dim = len(self.par)
+        self.tables = [[None] * self.dim ** k for k in sizes]  # one per shape of k letters
+        self.derived: Dict[str, _Ctx] = {}
 
     def acc(self, u, v, exp: int):
         """u + (-1)^exp v, merged by index: a coordinate one side carries is
@@ -359,24 +376,20 @@ class _Identity:
         other.context, other.requires = context, ""
         return other
 
-    def make(self, H: HomSuperAlgebra):
+    def make(self, H: HomSuperAlgebra, letters=None):
         if self.residual is None:
             self._emit()
-        ctx = _Ctx(_derived(H, self.context) if self.context else H, self.shapes[""])
-        ctx.derived.update((m, _Ctx(_derived(H, m), sizes)) for m, sizes in self.shapes.items() if m)
+        ctx = _Ctx(_derived(H, self.context) if self.context else H, self.shapes[""], letters)
+        ctx.derived.update((m, _Ctx(_derived(H, m), sizes, letters)) for m, sizes in self.shapes.items() if m)
         return ctx, self.residual
 
 
 def _derived(H: HomSuperAlgebra, what: str):
-    """alpha^2 ("a2") or the "minus" / "plus" algebra of H (H's twist, so
-    H's alpha^2), kept on H once made; the constructions are looked up as
-    module globals at call time."""
+    """alpha^2 ("a2") or the "minus" / "plus" algebra of H, kept on H once
+    made; the constructions are looked up as module globals at call time."""
     if what not in H._kept:
-        if what == "a2":
-            H._kept[what] = compose(H.alpha, H.alpha)
-        else:
-            D = H._kept[what] = (commutator_algebra if what == "minus" else plus_algebra)(H)
-            D._kept["a2"] = _derived(H, "a2")
+        H._kept[what] = (compose(H.alpha, H.alpha) if what == "a2"
+                         else (commutator_algebra if what == "minus" else plus_algebra)(H))
     return H._kept[what]
 
 
@@ -497,6 +510,31 @@ def is_super_skewsymmetric(A: SuperAlgebra, max_counterexamples: int = 16) -> Id
     return _report("superskew", _IDENTITIES["superskew"], hom(A), max_counterexamples)
 
 
+def _pair_algebra(H: HomSuperAlgebra, name: str, scale=None) -> HomSuperAlgebra:
+    """H's basis and twist (so H's alpha^2), e_i e_j the residual of checker
+    `name` at (e_i, e_j), times `scale` if given."""
+    ctx, res_fn = _IDENTITIES[name].make(H)
+    F, n = ctx.F, ctx.dim
+    cell = (lambda r: r) if scale is None else (lambda r: ((k, F.mul(scale, x)) for k, x in r))
+    table = [[dense(F, n, cell(res_fn(ctx, (i, j)))) for j in range(n)] for i in range(n)]
+    D = HomSuperAlgebra(SuperAlgebra(ctx.basis, F, table), H.alpha)
+    D._kept["a2"] = _derived(H, "a2")
+    return D
+
+
+def commutator_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
+    """[x,y] = mu(x,y) - (-1)^(|x||y|) mu(y,x), the `supercommutative` residual; same twist."""
+    return _pair_algebra(H, "supercommutative")
+
+
+def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
+    """x*y = (1/2)(mu(x,y) + (-1)^(|x||y|) mu(y,x)), half the `superskew` residual; same twist."""
+    F = H.field
+    if F.spec.characteristic == 2:
+        raise AlgebraError("plus product needs 1/2: characteristic 2 field")
+    return _pair_algebra(H, "superskew", F.inv(F.from_int(2)))
+
+
 def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:
     """Run one registry checker over all homogeneous basis tuples, after its
     standing hypothesis (checked with the same cap)."""
@@ -540,49 +578,44 @@ def form_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
     return _value_at(form, _CLAIM_FORMS[form], H, tuple_names)
 
 
-# -- Public forms: multilinear extensions of the named values over the
-# nonzero coordinates of Scalar vectors; the signed ones demand homogeneous
-# arguments wherever the identity reads a parity.
+# -- Public forms: the named values with Scalar vectors for letters; the
+# signed ones demand homogeneous arguments wherever the identity reads a
+# parity.
 
 
-def _extension(H: HomSuperAlgebra, spec: _Identity, args, homogeneous: str) -> Vector:
+def _at_vectors(H: HomSuperAlgebra, spec: _Identity, args, signed: str) -> Vector:
     A = H.algebra
-    for v, slot in zip(args, spec.letters):
-        if slot in homogeneous and A.parity_of(v) is None:
+    vecs = [sparse(A.field, A._unwrap(v)) for v in args]  # every entry checked before a parity is read
+    pars = [A.parity_of(v) for v in args]
+    for p, slot in zip(pars, spec.letters):
+        if p is None and slot in signed:
             raise HomogeneityError(f"argument {slot} has mixed parity")
-    ctx, res_fn = spec.make(H)
-    F, out = ctx.F, ()
-    for picks in itertools.product(*(sparse(F, A._unwrap(v)) for v in args)):
-        coeff = F.one
-        for _, a in picks:
-            coeff = F.mul(coeff, a)
-        term = res_fn(ctx, tuple(i for i, _ in picks))
-        out = ctx.acc(out, tuple((k, F.mul(coeff, x)) for k, x in term), 0)
-    return A._wrap(dense(F, A.dim, out))
+    ctx, res_fn = spec.make(H, (vecs, [p or 0 for p in pars]))  # a mixed slot no sign reads: 0
+    return A._wrap(dense(A.field, A.dim, res_fn(ctx, range(spec.arity))))
 
 
 def hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """as(x,y,z) = mu(mu(x,y), a(z)) - mu(a(x), mu(y,z)); no signs, any vectors."""
-    return _extension(H, _CLAIM_FORMS["as"], (x, y, z), "")
+    return _at_vectors(H, _CLAIM_FORMS["as"], (x, y, z), "")
 
 
 def hom_super_jacobian(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """J(x,y,z) = [[x,y],a(z)] - [a(x),[y,z]] - (-1)^(|y||z|)[[x,z],a(y)];
     y and z must be homogeneous so the sign is defined."""
-    return _extension(H, _CLAIM_FORMS["J"], (x, y, z), "yz")
+    return _at_vectors(H, _CLAIM_FORMS["J"], (x, y, z), "yz")
 
 
 def cyclic_hom_associator(H: HomSuperAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """S(x,y,z) = as(x,y,z) + (-1)^(|x|(|y|+|z|)) as(y,z,x)
                 + (-1)^(|z|(|x|+|y|)) as(z,x,y); homogeneous arguments."""
-    return _extension(H, _CLAIM_FORMS["S"], (x, y, z), "xyz")
+    return _at_vectors(H, _CLAIM_FORMS["S"], (x, y, z), "xyz")
 
 
 def bk_f(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
     """Graded Bruck-Kleinfeld f(t,x,y,z); homogeneous arguments."""
-    return _extension(H, _BK_f, (t, x, y, z), "txyz")
+    return _at_vectors(H, _BK_f, (t, x, y, z), "txyz")
 
 
 def bk_F(H: HomSuperAlgebra, t: Vector, x: Vector, y: Vector, z: Vector) -> Vector:
     """Graded Bruck-Kleinfeld F(t,x,y,z); homogeneous arguments."""
-    return _extension(H, _BK_F, (t, x, y, z), "txyz")
+    return _at_vectors(H, _BK_F, (t, x, y, z), "txyz")

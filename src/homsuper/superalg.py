@@ -1,5 +1,5 @@
 """Z2-graded algebras given by structure constants: the data, the product
-and map kernels, the grading check and the commutator / plus constructions.
+and map kernels and the grading check.
 
 An algebra is an ordered homogeneous basis (names + parities) together with a
 dense 3-index table: `c[i][j]` is the coordinate vector of the product of
@@ -17,11 +17,13 @@ convert with `sparse` and `dense` at their boundary.
 The multilinear forms built from these kernels (twisted associator,
 Hom-super-Jacobian, Bruck-Kleinfeld functions) live in `identities`, and so
 do the super-skew and super-commutative reports, which are its registry
-checkers run on `hom(A)`.
+checkers run on `hom(A)`, and the super-commutator and plus algebras, whose
+tables are those checkers' residuals.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -195,17 +197,6 @@ def validate(A: SuperAlgebra) -> IdentityReport:
     return table_report("grading", F, rows, A.dim * A.dim)
 
 
-def _graded_sums(A: SuperAlgebra, sign: int):
-    """The table c[i][j] + sign*(-1)^(p_i p_j) c[j][i]: the super-commutator
-    product for sign -1, twice the plus product for +1."""
-    F, par = A.field, A.basis.parities
-    return [
-        [tuple(map(F.sub if sign * (-1) ** (par[i] * par[j]) < 0 else F.add, A.table[i][j], A.table[j][i]))
-         for j in range(A.dim)]
-        for i in range(A.dim)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Even linear maps (data lives here; the operations live in maps.py)
 # ---------------------------------------------------------------------------
@@ -231,6 +222,7 @@ class EvenLinearMap:
         return len(self.cols)
 
     @classmethod
+    @functools.cache  # one per (field, size): no code mutates a map
     def identity(cls, field: Field, n: int) -> "EvenLinearMap":
         return cls(field, [tuple(field.one if i == j else field.zero for i in range(n)) for j in range(n)])
 
@@ -295,25 +287,3 @@ def hom(A: SuperAlgebra, alpha: Optional[EvenLinearMap] = None) -> HomSuperAlgeb
     H = HomSuperAlgebra(A, EvenLinearMap.identity(A.field, A.dim))
     H._kept["a2"] = H.alpha  # the identity is its own square
     return H
-
-
-# ---------------------------------------------------------------------------
-# Commutator and plus constructions
-# ---------------------------------------------------------------------------
-
-
-def commutator_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
-    """[x,y] = mu(x,y) - (-1)^(|x||y|) mu(y,x), same twist."""
-    A = H.algebra
-    return HomSuperAlgebra(SuperAlgebra(A.basis, A.field, _graded_sums(A, -1)), H.alpha)
-
-
-def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
-    """x*y = (1/2)(mu(x,y) + (-1)^(|x||y|) mu(y,x)), same twist."""
-    A = H.algebra
-    F = A.field
-    if F.spec.characteristic == 2:
-        raise AlgebraError("plus product needs 1/2: characteristic 2 field")
-    half = F.inv(F.from_int(2))
-    table = [[tuple(F.mul(half, x) for x in vec) for vec in row] for row in _graded_sums(A, 1)]
-    return HomSuperAlgebra(SuperAlgebra(A.basis, F, table), H.alpha)

@@ -20,6 +20,7 @@ from homsuper.coeff import Scalar, substitute_params
 from homsuper.identities import (
     CHECKERS,
     PreconditionError,
+    commutator_algebra,
     residual_at,
     run_checker,
 )
@@ -30,7 +31,7 @@ from homsuper.io import (
 )
 from homsuper.maps import derived, is_weak_morphism, yau_twist
 from homsuper.oracle import oracle_value, oracle_verdict
-from homsuper.superalg import commutator_algebra, hom
+from homsuper.superalg import hom
 
 _suite_rows = None
 

@@ -15,14 +15,16 @@ from homsuper.identities import (
     PreconditionError,
     UnknownCheckerError,
     checker_names,
+    commutator_algebra,
     form_value,
     is_super_commutative,
     is_super_skewsymmetric,
+    plus_algebra,
     residual_at,
     run_checker,
 )
 from homsuper.oracle import oracle_verdict
-from homsuper.superalg import HomSuperAlgebra, commutator_algebra, hom, plus_algebra
+from homsuper.superalg import HomSuperAlgebra, hom
 
 REGISTRY = (
     "left-alt", "right-alt", "alternative", "flexible", "hom-lie",

@@ -8,18 +8,18 @@ from homsuper.identities import (
     HomogeneityError,
     bk_F,
     bk_f,
+    commutator_algebra,
     cyclic_hom_associator,
     hom_associator,
     hom_super_jacobian,
     is_super_commutative,
     is_super_skewsymmetric,
+    plus_algebra,
     run_checker,
 )
 from homsuper.superalg import (
-    commutator_algebra,
     hom,
     multiply,
-    plus_algebra,
     validate,
 )
 
