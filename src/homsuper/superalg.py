@@ -134,7 +134,7 @@ class SuperAlgebra:
         for s in u:
             if not isinstance(s, Scalar):
                 raise AlgebraError("vector entries must be Scalar")
-            if s.field != self.field:
+            if s.field is not self.field and s.field != self.field:
                 raise FieldMismatchError("vector over a different field")
             out.append(s.v)
         return tuple(out)

@@ -15,9 +15,11 @@ from homsuper.identities import (
     PreconditionError,
     bk_F,
     bk_f,
+    commutator_algebra,
     cyclic_hom_associator,
     hom_associator,
     hom_super_jacobian,
+    plus_algebra,
     run_checker,
 )
 from homsuper.oracle import oracle_value, oracle_verdict
@@ -72,19 +74,13 @@ def _assert_residuals_match_oracle(H, label):
             assert all(F.eq(a, b) for a, b in zip(got, want)), (label, name, idx)
 
 
-def test_full_residuals_match_oracle_on_every_tuple():
-    # not only verdicts: every residual vector on every tuple, also where
-    # the checker's standing hypothesis fails (both routes evaluate the same
-    # written identity there)
-    for label, H in _random_instances():
-        _assert_residuals_match_oracle(H, label)
+def _carried_instances():
+    """A random table carried to GF(3), another to Frac(Q[a])."""
     rng = random.Random(3)
     A = random_graded_algebra(rng, 3, 1)
     H = hom(A, random_even_map(rng, A))
     gf3 = field_for(FieldSpec("GF", 3))
-    _assert_residuals_match_oracle(
-        _carried(H, gf3, lambda F, c, _: F.from_fraction(Fraction(c))), "GF(3)"
-    )
+    yield "GF(3)", _carried(H, gf3, lambda F, c, _: F.from_fraction(Fraction(c)))
     A = random_graded_algebra(rng, 2, 1)
     H = hom(A, random_even_map(rng, A))
     frac = field_for(FieldSpec("Q", None, ("a",)))
@@ -95,7 +91,33 @@ def test_full_residuals_match_oracle_on_every_tuple():
         v = F.from_fraction(Fraction(c))
         return F.add(F.mul(v, a), F.one) if sum(pos) % 2 and c else v
 
-    _assert_residuals_match_oracle(_carried(H, frac, lift), "Frac(Q[a])")
+    yield "Frac(Q[a])", _carried(H, frac, lift)
+
+
+def test_full_residuals_match_oracle_on_every_tuple():
+    # not only verdicts: every residual vector on every tuple, also where
+    # the checker's standing hypothesis fails (both routes evaluate the same
+    # written identity there)
+    for label, H in (*_random_instances(), *_carried_instances()):
+        _assert_residuals_match_oracle(H, label)
+
+
+def test_minus_and_plus_tables_match_the_oracle():
+    # the compiled supercommutative residual and half the superskew one
+    # against the oracle's hand-written graded sums, payload for payload
+    instances = [*_random_instances(), *_carried_instances()]
+    for entry_id in corpus.ENTRY_IDS:
+        for bindings in (corpus.suggested_bindings(entry_id), {}):
+            for variant in corpus.variant_names(entry_id):
+                try:
+                    instances.append((f"{entry_id}/{variant}", corpus.build(entry_id, variant, bindings).hom))
+                except corpus.ConstraintError:
+                    assert not bindings  # only a symbolic build may be refused
+    for label, H in instances:
+        F, raw = H.field, oracle._Raw(H)
+        keys = lambda table: [[[F.key(x) for x in vec] for vec in row] for row in table]
+        assert keys(commutator_algebra(H).algebra.table) == keys(raw.commutator_raw().c), label
+        assert keys(plus_algebra(H).algebra.table) == keys(raw.plus_raw().c), label
 
 
 def test_oracle_values_match_checker_forms(corpus_instances):
@@ -143,6 +165,35 @@ def _expand(F, dim, args, value_at):
     return out
 
 
+def _assert_forms_match_oracle(H, rng, label):
+    A = H.algebra
+    F, names, dim = A.field, A.basis.names, A.dim
+    raw = oracle._Raw(H)
+    present = sorted(set(A.basis.parities))
+    wrap = lambda v: tuple(Scalar(F, a) for a in v)
+
+    def same(got, want, form):
+        assert all(F.eq(s.v, w) for s, w in zip(got, want)), (label, form)
+
+    def named(form):
+        return lambda idx: oracle_value(form, H, tuple(names[i] for i in idx))
+
+    homog = [_combination(rng, A, {rng.choice(present)}) for _ in range(4)]
+    mixed = _combination(rng, A, {0, 1})
+    x, y, z, t = homog
+    for args in ((x, y, z), (mixed, y, z), (mixed, mixed, mixed)):
+        same(hom_associator(H, *map(wrap, args)), _expand(F, dim, args, named("as")), "as")
+    for args in ((x, y, z), (mixed, y, z)):
+        same(hom_super_jacobian(H, *map(wrap, args)), _expand(F, dim, args, named("J")), "J")
+    same(cyclic_hom_associator(H, *map(wrap, (x, y, z))),
+         _expand(F, dim, (x, y, z), named("S")), "S")
+    slots = (t, x, y, z)
+    same(bk_f(H, *map(wrap, slots)),
+         _expand(F, dim, slots, lambda idx: oracle._f_raw(raw, *idx)), "f")
+    same(bk_F(H, *map(wrap, slots)),
+         _expand(F, dim, slots, lambda idx: oracle._F_functorial(raw, *idx)), "F")
+
+
 def test_public_forms_match_oracle_on_combinations():
     # the public forms on non-basis vectors equal the same combination of
     # oracle values on basis tuples
@@ -150,32 +201,9 @@ def test_public_forms_match_oracle_on_combinations():
     for trial in range(12):
         dim = rng.choice([2, 3, 4])
         A = random_graded_algebra(rng, dim, rng.randint(0, dim))
-        H = hom(A, random_even_map(rng, A))
-        F, names = A.field, A.basis.names
-        raw = oracle._Raw(H)
-        present = sorted(set(A.basis.parities))
-        wrap = lambda v: tuple(Scalar(F, a) for a in v)
-
-        def same(got, want, label):
-            assert all(F.eq(s.v, w) for s, w in zip(got, want)), (trial, label)
-
-        def named(form):
-            return lambda idx: oracle_value(form, H, tuple(names[i] for i in idx))
-
-        homog = [_combination(rng, A, {rng.choice(present)}) for _ in range(4)]
-        mixed = _combination(rng, A, {0, 1})
-        x, y, z, t = homog
-        for args in ((x, y, z), (mixed, y, z), (mixed, mixed, mixed)):
-            same(hom_associator(H, *map(wrap, args)), _expand(F, dim, args, named("as")), "as")
-        for args in ((x, y, z), (mixed, y, z)):
-            same(hom_super_jacobian(H, *map(wrap, args)), _expand(F, dim, args, named("J")), "J")
-        same(cyclic_hom_associator(H, *map(wrap, (x, y, z))),
-             _expand(F, dim, (x, y, z), named("S")), "S")
-        slots = (t, x, y, z)
-        same(bk_f(H, *map(wrap, slots)),
-             _expand(F, dim, slots, lambda idx: oracle._f_raw(raw, *idx)), "f")
-        same(bk_F(H, *map(wrap, slots)),
-             _expand(F, dim, slots, lambda idx: oracle._F_functorial(raw, *idx)), "F")
+        _assert_forms_match_oracle(hom(A, random_even_map(rng, A)), rng, trial)
+    for label, H in _carried_instances():
+        _assert_forms_match_oracle(H, rng, label)
 
 
 def test_oracle_shares_no_evaluation_code():

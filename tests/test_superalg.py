@@ -18,6 +18,7 @@ from homsuper.identities import (
     run_checker,
 )
 from homsuper.superalg import (
+    AlgebraError,
     hom,
     multiply,
     validate,
@@ -170,6 +171,9 @@ def test_homogeneity_guard(corpus_instances):
         bk_f(H, mixed, mixed, mixed, mixed)
     # x slot of the jacobian has no sign attached, mixed x is fine
     hom_super_jacobian(H, mixed, A.basis_vector("e4"), A.basis_vector("e4"))
+    # a non-Scalar entry is refused before any parity is read
+    with pytest.raises(AlgebraError, match="Scalar"):
+        hom_super_jacobian(H, A.basis_vector("e1"), (1, 1, 1, 1), A.basis_vector("e1"))
 
 
 def test_product_of_homogeneous_is_homogeneous():
