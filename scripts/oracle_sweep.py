@@ -9,8 +9,10 @@ evaluation routes; disagreements are printed and the exit code is nonzero.
 
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
 
 from gen import random_even_map, random_graded_algebra  # noqa: E402
 from homsuper.identities import CHECKERS, PreconditionError, run_checker  # noqa: E402

@@ -1,17 +1,17 @@
 """The identity checkers as data, the emitter that compiles them to Python,
 and the runner.
 
-Words are Python expressions over letters, the slots of an identity bound
-to the basis elements of one tuple (to vectors in the public forms): u*v is
-the product mu, a(u) the twist alpha, a2(u) alpha^2, and `_FORMS` holds as,
-br, J, S, f and F (twisted associator, super-commutator, Hom-super-Jacobian,
-cyclic sum, graded Bruck-Kleinfeld functions) as signed sums of words.  A
-checker is a tuple of parts `left = right` (no right side means 0), each
-side an integer scale `n*(...)` times a signed list of terms; `@minus` /
-`@plus` runs a term on the super-commutator / plus algebra, whose product
-is the residual of `supercommutative` / half that of `superskew`.  The
-first part whose left - right is nonzero gives the residual.  The skew and
-commutative hypotheses are `superskew` and `supercommutative` on hom(A).
+Words are Python expressions over letters, the slots of an identity bound to
+the basis elements of one tuple (to vectors in the public forms): u*v is the
+product mu, a(u) the twist alpha, a2(u) is read as a(a(u)), and `_FORMS`
+holds as, br, J, S, f and F (twisted associator, super-commutator,
+Hom-super-Jacobian, cyclic sum, graded Bruck-Kleinfeld functions) as signed
+sums of words.  A checker is a tuple of parts `left = right` (no right side
+means 0), each side an integer scale `n*(...)` times a signed list of terms;
+`@minus` / `@plus` runs a term on the super-commutator / plus algebra, whose
+product is the residual of `supercommutative` / half that of `superskew`.
+The first part whose left - right is nonzero gives the residual.  The skew
+and commutative hypotheses are `superskew` and `supercommutative` on hom(A).
 
 Signs: a term is written with its constant sign only.  `_koszul` adds p_a
 p_b for each pair of letters read out of slot order, and the identity's
@@ -23,16 +23,16 @@ Koszul sign of its third term.  So signs follow the formula parity of the
 letters even on tables whose grading is broken (the bundled examples have
 one such twist).
 
-A word becomes a line: on an identity's first `make` in a process (never
-per context) `_Emitter` writes it as the source of `residual(ctx, idx)`.
-Letters are locals unpacked from idx; e_i*e_j, a(e_i) and a2(e_i) are the
-sparse cells c[i][j], acols[i] and a2cols[i]; another product or twist
-calls the kernel mul, al or al2, which look field methods up per call; a
-form is expanded in place over its argument words.  The parity pattern
-`pat` is computed once per call, and a sign that depends on it is a
-constant tuple indexed by it.  Each function is compiled alone under the
-file name `<homsuper.identities:NAME>`, its source in `linecache`, so
-tracebacks, `inspect.getsource` and profiles show the generated lines.
+A word becomes a line: on an identity's first `make` in a process (never per
+context) `_Emitter` writes it as the source of `residual(ctx, idx)`.  Letters
+are locals unpacked from idx; e_i*e_j and a(e_i) are the sparse cells
+c[i][j] and acols[i]; another product or twist calls the kernel mul or al,
+which look field methods up per call; a form is expanded in place over its
+argument words.  The parity pattern `pat` is computed once per call, and a
+sign that depends on it is a constant tuple indexed by it.  Each function is
+compiled alone under the file name `<homsuper.identities:NAME>`, its source
+in `linecache`, so tracebacks, `inspect.getsource` and profiles show the
+generated lines.
 
 Shape tables: a shape is a word with its letters renumbered by first
 appearance.  A composite sub-word with fewer letters than the function it
@@ -46,8 +46,9 @@ sign is odd, then scaled, so the sums are the payloads the written
 expression gives (Frac(K[params]) payloads are not gcd-reduced; another
 order could print differently).
 
-alpha^2 and the minus and plus algebras are kept on H once made; contexts
-and their shape tables are made per `make`.
+The minus and plus algebras are kept on H once made; contexts and their
+shape tables are made per `make`, so alpha^2(e_i) = al(acols[i]) is
+computed at most once per context, in its one-letter shape table.
 
 Values are sparse vectors (see superalg), `()` for zero: `acc` merges,
 `scale_int` drops what the characteristic kills (3*f in GF(3) is `()`),
@@ -69,7 +70,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .maps import compose
 from .report import IdentityReport, Vector
 from .superalg import AlgebraError, HomSuperAlgebra, SuperAlgebra, dense, hom, sparse
 
@@ -111,20 +111,18 @@ class _Ctx:
     the kernels, the shape tables a residual fills, and the derived contexts
     its marked terms run on."""
 
-    __slots__ = ("F", "dim", "par", "names", "basis", "c", "acols", "a2cols", "tables", "mul", "al",
-                 "al2", "derived")
+    __slots__ = ("F", "dim", "par", "names", "basis", "c", "acols", "tables", "mul", "al", "derived")
 
     def __init__(self, H: HomSuperAlgebra, sizes=(), letters=None):
-        A, F, alpha2 = H.algebra, H.algebra.field, _derived(H, "a2")
+        A, F = H.algebra, H.algebra.field
         self.F, self.names, self.basis = F, A.basis.names, A.basis
-        # the kernels mul(u, v), al(u) = alpha(u), al2(u) = alpha^2(u)
-        self.mul, self.al, self.al2 = A._mul_payload, H.alpha.apply_payload, alpha2.apply_payload
+        self.mul, self.al = A._mul_payload, H.alpha.apply_payload  # the kernels mul(u, v), al(u) = alpha(u)
         if letters is None:  # letter k is the basis element e_k
-            self.c, self.acols, self.a2cols, self.par = A._nz, H.alpha._nz, alpha2._nz, A.basis.parities
+            self.c, self.acols, self.par = A._nz, H.alpha._nz, A.basis.parities
         else:  # letter k is the sparse vector vecs[k] of parity par[k]
             (vecs, self.par), mul = letters, self.mul
             self.c = [_OnRead(lambda v, u=u: mul(u, v), vecs) for u in vecs]
-            self.acols, self.a2cols = _OnRead(self.al, vecs), _OnRead(self.al2, vecs)
+            self.acols = _OnRead(self.al, vecs)
         self.dim = len(self.par)
         self.tables = [[None] * self.dim ** k for k in sizes]  # one per shape of k letters
         self.derived: Dict[str, _Ctx] = {}
@@ -156,7 +154,7 @@ class _Ctx:
 
 
 # -- Words: a letter (its slot position) or (head, *args), head "m" (the
-# product), "a", "a2", a form name, or "@minus" / "@plus" marking a term.
+# product), "a", a form name, or "@minus" / "@plus" marking a term.
 
 
 def _parse(text: str, letters: str):
@@ -168,7 +166,8 @@ def _parse(text: str, letters: str):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             return ("m", word(node.left), word(node.right))
         if isinstance(node, ast.Call):  # `as` is a Python keyword: as_ here
-            return (node.func.id.rstrip("_"), *map(word, node.args))
+            head, args = node.func.id.rstrip("_"), tuple(map(word, node.args))
+            return ("a", ("a", *args)) if head == "a2" else (head, *args)  # alpha^2 is alpha twice
         raise SyntaxError(f"{text!r}: {ast.dump(node)}")
 
     def walk(node, bit, terms):
@@ -232,8 +231,8 @@ _FORMS: Dict[str, Tuple[str, tuple]] = {name: (args, _parse(body, args)[0][1]) f
 )}
 
 
-def _is_lookup(node) -> bool:  # e_i*e_j, a(e_i) or a2(e_i)
-    return node[0] in ("m", "a", "a2") and all(isinstance(a, int) for a in node[1:])
+def _is_lookup(node) -> bool:  # e_i*e_j or a(e_i)
+    return node[0] in ("m", "a") and all(isinstance(a, int) for a in node[1:])
 
 
 class _Emitter:
@@ -318,13 +317,13 @@ class _Emitter:
             rank = {x: r for r, x in enumerate(x for a in args for x in _letters(a))}
             terms = [(bit, _subst(w, args)) for bit, w in _FORMS[head][1]]
             return self.fold(terms, k, mark, Counter(_shape(w)[0] for _, w in terms), rank=rank)
-        if _is_lookup(node):  # c[i][j], acols[i], a2cols[i]
-            cell = self.get(mark, {"m": "c", "a": "acols", "a2": "a2cols"}[head])
+        if _is_lookup(node):  # c[i][j], acols[i]
+            cell = self.get(mark, {"m": "c", "a": "acols"}[head])
             return cell + "".join(f"[{self.letters[a]}]" for a in args)
         # a composite argument on fewer letters is shared through its table
         vals = [self.value(a, k, mark) if _is_lookup(a) or len(_letters(a)) >= k else self.read(a, mark)
                 for a in args]
-        return f"{self.get(mark, {'m': 'mul', 'a': 'al', 'a2': 'al2'}[head])}({', '.join(vals)})"
+        return f"{self.get(mark, {'m': 'mul', 'a': 'al'}[head])}({', '.join(vals)})"
 
 
 class _Identity:
@@ -384,12 +383,11 @@ class _Identity:
         return ctx, self.residual
 
 
-def _derived(H: HomSuperAlgebra, what: str):
-    """alpha^2 ("a2") or the "minus" / "plus" algebra of H, kept on H once
-    made; the constructions are looked up as module globals at call time."""
+def _derived(H: HomSuperAlgebra, what: str) -> HomSuperAlgebra:
+    """The "minus" or "plus" algebra of H, kept on H once made; the
+    constructions are looked up as module globals at call time."""
     if what not in H._kept:
-        H._kept[what] = (compose(H.alpha, H.alpha) if what == "a2"
-                         else (commutator_algebra if what == "minus" else plus_algebra)(H))
+        H._kept[what] = (commutator_algebra if what == "minus" else plus_algebra)(H)
     return H._kept[what]
 
 
@@ -511,15 +509,13 @@ def is_super_skewsymmetric(A: SuperAlgebra, max_counterexamples: int = 16) -> Id
 
 
 def _pair_algebra(H: HomSuperAlgebra, name: str, scale=None) -> HomSuperAlgebra:
-    """H's basis and twist (so H's alpha^2), e_i e_j the residual of checker
-    `name` at (e_i, e_j), times `scale` if given."""
+    """H's basis and twist, e_i e_j the residual of checker `name` at
+    (e_i, e_j), times `scale` if given."""
     ctx, res_fn = _IDENTITIES[name].make(H)
     F, n = ctx.F, ctx.dim
     cell = (lambda r: r) if scale is None else (lambda r: ((k, F.mul(scale, x)) for k, x in r))
     table = [[dense(F, n, cell(res_fn(ctx, (i, j)))) for j in range(n)] for i in range(n)]
-    D = HomSuperAlgebra(SuperAlgebra(ctx.basis, F, table), H.alpha)
-    D._kept["a2"] = _derived(H, "a2")
-    return D
+    return HomSuperAlgebra(SuperAlgebra(ctx.basis, F, table), H.alpha)
 
 
 def commutator_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:

@@ -510,6 +510,8 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
                 map_name = header[4:].strip()
                 if not map_name.isidentifier():
                     raise ParseError(f"bad map name {map_name!r}", lineno, 1)
+                if map_name == "base":  # the variant name of the stated table
+                    raise ParseError("map name 'base' is reserved for the stated table", lineno, 1)
                 if map_name in map_lines:
                     raise ParseError(f"duplicate map {map_name!r}", lineno, 1)
                 map_lines[map_name] = []

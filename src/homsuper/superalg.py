@@ -261,8 +261,8 @@ class EvenLinearMap:
 class HomSuperAlgebra:
     algebra: SuperAlgebra
     alpha: EvenLinearMap
-    # "a2" / "minus" / "plus" -> alpha^2 or the minus / plus algebra, made
-    # once by identities (frozen, so nothing kept can go stale)
+    # "minus" / "plus" -> the minus / plus algebra, made once by
+    # identities (frozen, so nothing kept can go stale)
     _kept: Dict[str, object] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -282,8 +282,4 @@ class HomSuperAlgebra:
 
 def hom(A: SuperAlgebra, alpha: Optional[EvenLinearMap] = None) -> HomSuperAlgebra:
     """Pair an algebra with a twist (identity by default)."""
-    if alpha is not None:
-        return HomSuperAlgebra(A, alpha)
-    H = HomSuperAlgebra(A, EvenLinearMap.identity(A.field, A.dim))
-    H._kept["a2"] = H.alpha  # the identity is its own square
-    return H
+    return HomSuperAlgebra(A, EvenLinearMap.identity(A.field, A.dim) if alpha is None else alpha)

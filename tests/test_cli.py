@@ -291,6 +291,16 @@ def test_binding_errors_point_into_the_binding(tmp_path, capsys):
 
 
 
+def test_a_map_named_base_is_refused_at_its_header(tmp_path, capsys):
+    # `base` names the stated table's variant, so such a map could never be chosen
+    path = tmp_path / "base.salg"
+    path.write_text(_HEAD + "e*e = e\n\n[map base]\ne = 2*e\n", encoding="utf-8")
+    want = "error: line 10, col 1: map name 'base' is reserved for the stated table\n"
+    for argv in (("check", "--identity", "left-alt", "--map", "base"), ("validate", "--map", "base"),
+                 ("twist", "--map", "base"), ("validate",)):
+        assert run(capsys, *argv, "--file", str(path)) == (2, "", want), argv
+
+
 def test_set_errors_name_the_binding(capsys):
     base = ("check", "--corpus", "b42", "--identity", "left-alt")
     cases = {

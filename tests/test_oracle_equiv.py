@@ -134,12 +134,18 @@ def test_oracle_values_match_checker_forms(corpus_instances):
         (("k3-flexible", "alpha"), "S", ("e2", "e3", "e2")),
         (("m3-3-1", "base"), "as", ("e1", "e3", "e3")),
     ]
-    for key, form, tup in cases:
-        H = corpus_instances[key].hom
-        F = H.field
-        a = oracle_value(form, H, tup)
-        b = form_value(form, H, tup)
-        assert all(F.eq(x, s.v) for x, s in zip(a, b)), (key, form)
+    instances = [(corpus_instances[key], form, tup) for key, form, tup in cases]
+    # and every value and nonzero claim of the corpus, at its variant and bindings
+    claims = [(entry_id, c) for entry_id in corpus.ENTRY_IDS for c in corpus.claims(entry_id)
+              if c.kind != "check"]
+    assert len(claims) == 12
+    instances += [(corpus.build(entry_id, c.variant, c.bindings), c.target, c.where) for entry_id, c in claims]
+    for inst, form, tup in instances:
+        F, where = inst.hom.field, (inst.entry, inst.variant, form, tup)
+        a = oracle_value(form, inst.hom, tup)
+        b = form_value(form, inst.hom, tup)
+        assert len(a) == len(b) and all(F.eq(x, s.v) for x, s in zip(a, b)), where
+        assert [F.render(x) for x in a] == [F.render(s.v) for s in b], where
 
 
 def _combination(rng, A, parities):
