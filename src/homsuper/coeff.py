@@ -66,16 +66,15 @@ fields lean on that to save memory: every zero result is the field's one
 `zero` payload (`neg` of zero returns its argument), a monic single-monomial
 denominator is one dict per monomial per field, shared by every payload that
 has it, and a product by a coefficient that is the base field's `one` keeps
-the other coefficient object.  `Field.shared_scalar` hash-conses Scalars by
-payload representation for values that are kept, such as reported residuals.
-No code mutates a payload's polynomials, so the sharing is invisible except
-to `is`.
+the other coefficient object.  Reported residuals are shared through their
+basis (`superalg.Basis.counterexample`), keyed by `Field.key`.  No code
+mutates a payload's polynomials, so the sharing is invisible except to `is`.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -357,18 +356,6 @@ class Field:
     def key(self, x):
         """Hashable key, equal exactly for payloads of the same representation."""
         return x
-
-    def shared_scalar(self, x) -> "Scalar":
-        """Scalar(self, x), hash-consed: while a Scalar made here with a
-        payload of the same representation is alive, that one is returned."""
-        pool = self.__dict__.get("_shared")
-        if pool is None:
-            pool = self._shared = weakref.WeakValueDictionary()
-        key = self.key(x)
-        got = pool.get(key)
-        if got is None:
-            got = pool[key] = Scalar(self, x)
-        return got
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec
@@ -821,28 +808,19 @@ class FractionField(Field):
         return not cs.startswith("-") and "/" not in cs
 
 
-_Q = RationalField()
-_GF_CACHE: Dict[int, PrimeField] = {}
-_FRAC_CACHE: Dict[FieldSpec, FractionField] = {}
-
-
 def rationals() -> RationalField:
-    return _Q
+    return field_for(FieldSpec("Q"))
 
 
 def prime_field(p: int) -> PrimeField:
-    if p not in _GF_CACHE:
-        _GF_CACHE[p] = PrimeField(p)
-    return _GF_CACHE[p]
+    return field_for(FieldSpec("GF", p))
 
 
+@functools.cache  # one field per spec: equal specs share one object
 def field_for(spec: FieldSpec) -> Field:
-    base = _Q if spec.base == "Q" else prime_field(spec.p)
-    if not spec.params:
-        return base
-    if spec not in _FRAC_CACHE:
-        _FRAC_CACHE[spec] = FractionField(base, spec.params)
-    return _FRAC_CACHE[spec]
+    if spec.params:
+        return FractionField(field_for(FieldSpec(spec.base, spec.p)), spec.params)
+    return RationalField() if spec.base == "Q" else PrimeField(spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +831,7 @@ def field_for(spec: FieldSpec) -> Field:
 class Scalar:
     """A payload tagged with its field; operations check field agreement."""
 
-    __slots__ = ("field", "v", "__weakref__")
+    __slots__ = ("field", "v")
 
     def __init__(self, field: Field, v):
         self.field = field

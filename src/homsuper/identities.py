@@ -490,8 +490,8 @@ def _report(name: str, spec, H: HomSuperAlgebra, cap: int) -> IdentityReport:
         if r:
             holds = False
             if len(bad) < cap:
-                # entries are shared through the basis and their
-                # coordinates hash-consed: every zero is one Scalar
+                # entries are shared through the basis, keyed by value,
+                # with one zero Scalar per field
                 bad.append(ctx.basis.counterexample(ctx.F, idx, r))
             else:
                 break

@@ -39,6 +39,7 @@ vectors, vectors may be added, and nothing else mixes.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,9 +67,11 @@ _SYMBOLS = "+-*/^()"
 # of enclosing powers as factors, is refused, so a power never grows a value
 # past what the text could otherwise write; nesting deeper than MAX_DEPTH
 # (parentheses and prefix minus signs) is refused before the recursive
-# descent could exhaust the stack.
+# descent could exhaust the stack.  A basis past MAX_BASIS names is refused:
+# a check then runs at most 32**4 tuples, enough for O (x) Lambda(2).
 MAX_EXPONENT = 1000
 MAX_DEPTH = 100
+MAX_BASIS = 32
 
 
 @dataclass
@@ -399,7 +402,8 @@ def parse_binding(item: str, line: int, col: int, into: Dict[str, Fraction]) -> 
     """One `name=value` binding, split at its first `=`, stored in `into`
     under the stripped name; `col` is the column of item[0].  A missing `=`,
     an empty name or a name `into` already holds is a ParseError at the
-    binding, a bad value one at the value."""
+    binding, a bad value or one whose numerator or denominator would pass
+    the interpreter's digit limit (as `_int` does) one at the value."""
     name, eq, val = item.partition("=")
     if not eq:
         raise ParseError(f"binding {item!r} must look like name=value", line, col)
@@ -407,11 +411,22 @@ def parse_binding(item: str, line: int, col: int, into: Dict[str, Fraction]) -> 
         raise ParseError(f"binding {item!r} has an empty parameter name", line, col)
     if name.strip() in into:
         raise ParseError(f"binding {item.strip()!r} repeats parameter {name.strip()!r}", line, col)
+    val_col = col + len(name) + 1 + len(val) - len(val.lstrip())
+    val = val.strip()
+    # Fraction(val) computes 10**exponent first.  An exponent past
+    # limit + len(val) alone puts the numerator or the denominator past the
+    # limit, unless the mantissa is 0; int() also reads a space-padded
+    # exponent, which Fraction refuses.
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mant, e, exp = val.lower().partition("e")
     try:
-        into[name.strip()] = Fraction(val.strip())
+        huge = bool(e) and exp == exp.lstrip() and abs(int(exp)) > limit + len(val)
+        q = Fraction(mant + "e0" if huge else val)
     except (ValueError, ZeroDivisionError):
-        val_col = col + len(name) + 1 + len(val) - len(val.lstrip())
-        raise ParseError(f"bad numeric value {val.strip()!r}", line, val_col) from None
+        raise ParseError(f"bad numeric value {val!r}", line, val_col) from None
+    if (huge and q) or max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise ParseError(f"numeric value {val!r} has more than {limit} digits", line, val_col)
+    into[name.strip()] = q
 
 
 def _parse_bindings(s: str, line: int, col: int) -> Dict[str, Fraction]:
@@ -577,6 +592,9 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     even, odd = tuple(at[0] for at in even_at), tuple(at[0] for at in odd_at)
     if not basis_at:
         raise ParseError("empty basis", 1, 1)
+    if len(basis_at) > MAX_BASIS:
+        raise ParseError(f"basis of {len(basis_at)} names is above the cap of {MAX_BASIS}",
+                         *basis_at[MAX_BASIS][1:])
     names = even + odd
     overlap, clash = set(even) & set(odd), set(names) & set(params)
     # each error points at the first odd, basis or repeated name that makes it

@@ -44,8 +44,8 @@ class DimensionError(AlgebraError):
 class Basis:
     names: Tuple[str, ...]
     parities: Tuple[int, ...]
-    # (slots, ids of the reported Scalars) -> entry, filled by counterexample
-    _entries: Dict[tuple, tuple] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # (field, slots, residual key) -> entry, field -> its zero Scalar
+    _entries: Dict[object, object] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.names) != len(self.parities):
@@ -67,14 +67,16 @@ class Basis:
     def counterexample(self, F: Field, idx: Tuple[int, ...], r: SparseVector):
         """(slot names, reported vector) of the sparse residual `r` at the
         slots `idx`, one tuple per distinct entry for as long as the basis
-        lives, so repeated reports share their entries.  The coordinates are
-        hash-consed Scalars, which the entry keeps alive: their ids name
-        their values."""
-        vec = tuple(map(F.shared_scalar, dense(F, len(self.names), r)))
-        key = idx, tuple(map(id, vec))
+        lives, so repeated reports share their entries.  The key holds the
+        field, as payload keys repeat across fields (1 in Q and in GF(5)),
+        and every zero coordinate is the one zero Scalar of F."""
+        key = F, idx, tuple((k, F.key(x)) for k, x in r)
         got = self._entries.get(key)
         if got is None:
-            got = self._entries[key] = (tuple(self.names[i] for i in idx), vec)
+            vec = [self._entries.setdefault(F, F.scalar(F.zero))] * len(self.names)
+            for k, x in r:
+                vec[k] = F.scalar(x)
+            got = self._entries[key] = (tuple(self.names[i] for i in idx), tuple(vec))
         return got
 
 

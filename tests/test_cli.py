@@ -316,6 +316,56 @@ def test_set_errors_name_the_binding(capsys):
     assert run(capsys, *twice) == (2, "", "error: --set: binding 'a=0' repeats parameter 'a'\n")
 
 
+def test_huge_binding_values_are_refused_at_the_value(tmp_path, capsys):
+    # Fraction would compute 10**exponent: past the digit limit a value is
+    # refused before it is built, with either sign of the exponent
+    for value in ("1e5000", "1e100000000", "-2.5e-100000000", "1e-4300"):
+        err = _assert_one_line_exit_two(
+            capsys, ["check", "--corpus", "b42", "--set", f"a={value}", "--set", "s=1",
+                     "--identity", "left-alt"])
+        assert err == f"error: --set: numeric value {value!r} has more than 4300 digits\n"
+    head = "[algebra]\nname = b\nfield = Q\nparams = a\neven = e\n"
+    cases = {
+        head + "suggest = a=1e100000000\n[product]\ne*e = e\n": "line 6, col 13",
+        head + "[product]\ne*e = a*e\n[claims]\nc = base ; check ; left-alt ; holds ; set a=1e-5000\n":
+            "line 9, col 45",
+    }
+    for text, at in cases.items():
+        path = tmp_path / "huge.salg"
+        path.write_text(text, encoding="utf-8")
+        err = _assert_one_line_exit_two(capsys, ["validate", "--file", str(path)])
+        assert err.startswith(f"error: {at}: numeric value "), err
+    # under the limit a value keeps its meaning, and a zero mantissa is 0
+    # whatever its exponent
+    code, out, _ = run(capsys, "check", "--corpus", "b42", "--set", "a=1e4299", "--set", "s=1",
+                       "--identity", "left-alt")
+    assert code == 0 and json.loads(out)["holds"] is True
+    err = _assert_one_line_exit_two(
+        capsys, ["check", "--corpus", "b42", "--set", "a=0e100000000", "--set", "s=1",
+                 "--identity", "left-alt"])
+    assert "constraint a != 0 violated at a=0" in err
+
+
+def _basis_document(even: int, odd: int) -> str:
+    names = [f"e{k}" for k in range(even)], [f"u{k}" for k in range(odd)]
+    lines = [f"{key} = {', '.join(ns)}\n" for key, ns in zip(("even", "odd"), names) if ns]
+    return "[algebra]\nname = big\nfield = Q\n" + "".join(lines) + "\n[product]\ne0*e0 = e0\n"
+
+
+def test_basis_size_is_capped_at_its_first_name_past_the_cap(tmp_path, capsys):
+    path = tmp_path / "big.salg"
+    path.write_text(_basis_document(32, 0), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 0 and err == ""
+    # the 33rd name is e32 at col 158, or u12 at col 57 after 20 even names
+    for (even, odd), at in {(33, 0): "line 4, col 158", (20, 13): "line 5, col 57",
+                            (400, 0): "line 4, col 158"}.items():
+        path.write_text(_basis_document(even, odd), encoding="utf-8")
+        for argv in (("validate",), ("check", "--identity", "jordan-expansion")):
+            err = _assert_one_line_exit_two(capsys, [*argv, "--file", str(path)])
+            assert err == f"error: {at}: basis of {even + odd} names is above the cap of 32\n", err
+
+
 def test_json_only_on_the_commands_that_read_it(capsys):
     for command in ("twist", "derive", "commutator", "plus"):
         with pytest.raises(SystemExit) as exc:

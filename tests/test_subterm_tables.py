@@ -13,8 +13,9 @@ import pytest
 
 from gen import random_even_map, random_graded_algebra, random_multiplicative_skew
 from homsuper import corpus
+from homsuper.coeff import prime_field, rationals
 from homsuper.identities import CHECKERS, run_checker
-from homsuper.superalg import dense, hom
+from homsuper.superalg import Basis, SuperAlgebra, dense, hom
 
 
 def _random_instances():
@@ -101,3 +102,20 @@ def test_reported_slot_names_are_shared_across_runs():
             names, names2 = entry[0], entry2[0]
             assert entry is entry2 and names is names2
             assert all(n in H.algebra.basis.names for n in names)
+
+
+def test_one_basis_reports_over_two_fields():
+    # e*e = e fails superskew with residual 2e at (e, e): the payload keys are
+    # equal over Q and GF(5), so only the field in the entry key tells the
+    # two reports apart
+    basis = Basis(("e", "f"), (0, 0))
+    entries = []
+    for F in (rationals(), prime_field(5)):
+        H = hom(SuperAlgebra(basis, F, [[(F.one, F.zero), (F.zero,) * 2], [(F.zero,) * 2] * 2]))
+        first, again = run_checker("superskew", H), run_checker("superskew", H)
+        ((names, vec),) = first.counterexamples
+        assert names == ("e", "e") and [F.render(s.v) for s in vec] == ["2", "0"]
+        assert all(s.field is F for s in vec)
+        assert again.counterexamples[0] is first.counterexamples[0]
+        entries.append(first.counterexamples[0])
+    assert entries[0] is not entries[1]
