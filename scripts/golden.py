@@ -10,8 +10,12 @@ entry and variant at its `suggest` bindings (text and `--json`), the same
 with the parameters left free (`--json`), and `verify-paper` (text and
 `--json`); then `validate`, `twist`, `commutator`, `plus` and
 `derive --n 0..3`, which reach the product and map kernels through `maps`,
-on every entry and variant, at `suggest` and with the parameters free.  A
-refactor that keeps these digests keeps every byte of output.
+on every entry and variant, at `suggest` and with the parameters free.
+Last, every checker, `validate`, `twist`, `commutator`, `plus` and
+`derive --n 0..2` on `tests/data/frac-den.salg`, whose denominators have
+several terms: no bundled table reaches that route of the fraction field.
+Paths are read from the repository root.  A refactor that keeps these
+digests keeps every byte of output.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.txt"
+FRAC_DEN = ["--file", "tests/data/frac-den.salg"]
 
 
 def invocations():
@@ -51,6 +57,11 @@ def invocations():
         for command in constructions:
             yield command + source + sets
             yield command + source
+    for name in CHECKERS:
+        yield ["check", *FRAC_DEN, "--identity", name]
+    constructions = [["validate"], ["twist", "--map", "alpha"], ["commutator"], ["plus"]]
+    for command in constructions + [["derive", "--n", str(n)] for n in range(3)]:
+        yield command + FRAC_DEN
 
 
 def digest(argv) -> str:
@@ -67,8 +78,13 @@ def digest(argv) -> str:
 
 
 def compute():
-    """[(command line, digest)] over the whole sweep."""
-    return [(" ".join(argv), digest(argv)) for argv in invocations()]
+    """[(command line, digest)] over the whole sweep, run from the root."""
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        return [(" ".join(argv), digest(argv)) for argv in invocations()]
+    finally:
+        os.chdir(cwd)
 
 
 def read_golden():
