@@ -35,20 +35,23 @@ in `linecache`, so tracebacks, `inspect.getsource` and profiles show the
 generated lines.
 
 Shape tables: a shape is a word with its letters renumbered by first
-appearance.  A composite sub-word with fewer letters than the function it
-is written in, and a composite term whose shape occurs more than once in
-its sum, is read from its shape's flat table T[(i*d + j)*d + k] in
-`ctx.tables` (d**letters entries per shape and context); a miss calls the
-shape's fill function, written the same way.  A repeated read reuses its
-local.  Fold rule, cache, don't reassociate: a side is summed left to
-right as written, one `acc` line per term, its first term negated when its
-sign is odd, then scaled, so the sums are the payloads the written
+appearance, numbered once per process across all identities.  A composite
+sub-word with fewer letters than the function it is written in, and a
+composite term whose shape occurs more than once in its sum, is read from
+its shape's flat table T[(i*d + j)*d + k] in `ctx.tables` (d**letters
+entries, made on the first read in a context); a miss calls the shape's one
+fill function `fill_T<n>(ctx, x, y, ...)`, written the same way on the
+context it is given (a derived one for a marked term).  A repeated read
+reuses its local.  Fold rule, cache, don't reassociate: a side is summed
+left to right as written, one `acc` line per term, its first term negated
+when its sign is odd, then scaled, so the sums are the payloads the written
 expression gives (Frac(K[params]) payloads are not gcd-reduced; another
 order could print differently).
 
-The minus and plus algebras are kept on H once made; contexts and their
-shape tables are made per `make`, so alpha^2(e_i) = al(acols[i]) is
-computed at most once per context, in its one-letter shape table.
+The minus and plus algebras are kept on H once made; contexts are made per
+`make`, their shape tables and derived contexts on first read, so
+alpha^2(e_i) = al(acols[i]) is computed at most once per context, in its
+one-letter shape table.
 
 Values are sparse vectors (see superalg), `()` for zero: `acc` merges,
 `scale_int` drops what the characteristic kills (3*f in GF(3) is `()`),
@@ -95,37 +98,37 @@ class PreconditionError(CheckError):
 
 
 class _OnRead(dict):
-    """fn(args[k]) at [k], made on its first read."""
+    """fn(k) at [k], made on its first read."""
 
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
+    def __init__(self, fn):
+        self.fn = fn
 
     def __missing__(self, k):
-        v = self[k] = self.fn(self.args[k])
+        v = self[k] = self.fn(k)
         return v
 
 
 class _Ctx:
     """Unwrapped evaluation context: the sparse cells of the product and the
     twists at the letters (the basis, or given (sparse vectors, parities)),
-    the kernels, the shape tables a residual fills, and the derived contexts
-    its marked terms run on."""
+    the kernels, and, each made on its first read, the shape tables by
+    number and the derived contexts by mark."""
 
     __slots__ = ("F", "dim", "par", "names", "basis", "c", "acols", "tables", "mul", "al", "derived")
 
-    def __init__(self, H: HomSuperAlgebra, sizes=(), letters=None):
+    def __init__(self, H: HomSuperAlgebra, letters=None):
         A, F = H.algebra, H.algebra.field
         self.F, self.names, self.basis = F, A.basis.names, A.basis
         self.mul, self.al = A._mul_payload, H.alpha.apply_payload  # the kernels mul(u, v), al(u) = alpha(u)
         if letters is None:  # letter k is the basis element e_k
             self.c, self.acols, self.par = A._nz, H.alpha._nz, A.basis.parities
         else:  # letter k is the sparse vector vecs[k] of parity par[k]
-            (vecs, self.par), mul = letters, self.mul
-            self.c = [_OnRead(lambda v, u=u: mul(u, v), vecs) for u in vecs]
-            self.acols = _OnRead(self.al, vecs)
-        self.dim = len(self.par)
-        self.tables = [[None] * self.dim ** k for k in sizes]  # one per shape of k letters
-        self.derived: Dict[str, _Ctx] = {}
+            (vecs, self.par), mul, al = letters, self.mul, self.al
+            self.c = [_OnRead(lambda k, u=u: mul(u, vecs[k])) for u in vecs]
+            self.acols = _OnRead(lambda k: al(vecs[k]))
+        self.dim = dim = len(self.par)
+        self.tables = _OnRead(lambda n: [None] * dim ** _SIZES[n])
+        self.derived = _OnRead(lambda mark: _Ctx(_derived(H, mark), letters))
 
     def acc(self, u, v, exp: int):
         """u + (-1)^exp v, merged by index: a coordinate one side carries is
@@ -235,30 +238,38 @@ def _is_lookup(node) -> bool:  # e_i*e_j or a(e_i)
     return node[0] in ("m", "a") and all(isinstance(a, int) for a in node[1:])
 
 
+# Shape tables across all identities: shape -> table number, and the
+# letter count of each table; the generated functions' one global scope.
+_SHAPES: Dict[tuple, int] = {}
+_SIZES = []
+_SCOPE = {"__name__": __name__}
+
+
 class _Emitter:
-    """Python source for the words of one identity: `residual(ctx, idx)` and
-    one fill function per shape table, each over its first n letters.  A
-    context is named by its mark, "" for ctx itself."""
+    """Python source for words: an identity's `residual(ctx, idx)`, and
+    `fill_T<n>(ctx, x, y, ...)` for a shape the first time any identity
+    reads it.  A context is named by its mark, "" for ctx itself."""
 
-    def __init__(self, letters: str):
-        self.letters, self.todo = letters, []  # todo: (mark, shape, table) to write a fill for
-        self.tables: Dict[str, Dict[tuple, int]] = {}  # mark -> shape -> table number
-        self.marks = set()  # the contexts read
-
-    def function(self, signature: str, n: int, write, first=()) -> list:
-        """Lines of `def signature:` over n letters: write()'s statements, returning its result."""
-        self.n, self.lines, self.used, self.reads, self.signed = n, [], {}, {}, False
+    def function(self, name: str, signature: str, letters: str, write, first=()):
+        """Compile `def signature:` over `letters`, write()'s statements
+        returning its result, into `_SCOPE`, its source registered under
+        the file name `<homsuper.identities:name>`.  Each function is
+        compiled alone, which bounds the compiler's peak memory by one's."""
+        self.letters, self.lines, self.used, self.reads, self.signed = letters, [], {}, {}, False
         result = write()
         self.lines.append(f"    return {result}")
         marks = sorted({mark for mark, _ in self.used if mark})
-        self.marks.update(mark for mark, _ in self.used)
-        return [f"def {signature}:", *first, *(f"    {m} = ctx.derived[{m!r}]" for m in marks), *(
+        lines = [line + "\n" for line in [f"def {signature}:", *first, *(
+            f"    {m} = ctx.derived[{m!r}]" for m in marks), *(
             f"    {local} = {mark or 'ctx'}." + (f"tables[{attr[1:]}]" if attr[0] == "T" else attr)
             for (mark, attr), local in sorted(self.used.items())
         )] + ["    d = ctx.dim"] * any(attr[0] == "T" for _, attr in self.used) + [
             "    par = ctx.par", "    pat = " + " | ".join(
-                f"par[{x}] << {i}" if i else f"par[{x}]" for i, x in enumerate(self.letters[:n]))
-        ] * self.signed + self.lines
+                f"par[{x}] << {i}" if i else f"par[{x}]" for i, x in enumerate(letters))
+        ] * self.signed + self.lines]
+        filename = f"<{__name__}:{name}>"
+        exec(compile("".join(lines), filename, "exec"), _SCOPE)
+        linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
 
     def get(self, mark: str, attr: str) -> str:
         """The local bound to attribute `attr` of the context `mark`."""
@@ -279,7 +290,7 @@ class _Emitter:
         acc = self.get("", "acc")
         (v, s), *rest = [
             (self.read(w, mark) if seen[shape] > 1 and not _is_lookup(w) else self.value(w, k, mark),
-             self.sign(_koszul(order, bit, pairs, self.n, rank)))
+             self.sign(_koszul(order, bit, pairs, len(self.letters), rank)))
             for bit, w in terms for shape, order in [_shape(w)]
         ]
         neg = f"{acc}((), {v}, 1)"
@@ -292,17 +303,19 @@ class _Emitter:
         """`w` from the flat table of its shape, filled on a miss."""
         if (mark, w) not in self.reads:
             shape, order = _shape(w)
-            shapes = self.tables.setdefault(mark, {})
-            if shape not in shapes:
-                shapes[shape] = len(shapes)
-                self.todo.append((mark, shape, self.get(mark, f"T{shapes[shape]}")))
-            table = self.get(mark, f"T{shapes[shape]}")
+            n = _SHAPES.setdefault(shape, len(_SHAPES))
+            if n == len(_SIZES):  # a new shape: compile its fill, over canonical letters
+                _SIZES.append(len(order))
+                fill, letters, e = f"fill_T{n}", "xyzt"[:len(order)], _Emitter()
+                e.function(fill, f"{fill}(ctx, {', '.join(letters)})", letters,
+                           lambda: e.value(shape, len(order), ""))
+            table = self.get(mark, f"T{n}")
             at = self.letters[order[0]]
             for x in order[1:]:
                 at = f"({at}*d + {self.letters[x]})"
             v = self.reads[mark, w] = self.local(f"{table}[{at}]")
-            self.lines += [f"    if {v} is None:", f"        {v} = {table}[{at}] = fill_{table}"
-                           f"(ctx, {', '.join(self.letters[x] for x in order)})"]
+            self.lines += [f"    if {v} is None:", f"        {v} = {table}[{at}] = fill_T{n}"
+                           f"({mark or 'ctx'}, {', '.join(self.letters[x] for x in order)})"]
         return self.reads[mark, w]
 
     def value(self, node, k: int, mark: str) -> str:
@@ -336,9 +349,9 @@ class _Identity:
         self.arity, self.context, self.name, self.residual = len(letters), "", "", None
 
     def _emit(self):
-        """Write, compile and register `residual` and its fill functions;
-        keep each context's table sizes."""
-        n, e = self.arity, _Emitter(self.letters)
+        """Write, compile and register `residual`, and the fill functions of
+        the shapes it is the first to read."""
+        n, e = self.arity, _Emitter()
         pairs = [tuple(map(self.letters.index, pair)) for pair in self.prefactor.split()]
         parsed = [_parse(p, self.letters) for p in self.parts]
         seen = Counter(_shape(w)[0] for part in parsed for _, side in part for _, w in side)
@@ -353,21 +366,9 @@ class _Identity:
                 e.lines += [f"    r = {r}", "    if r:", "        return r"]
             return "r"
 
-        units = [e.function("residual(ctx, idx)", n, parts, [f"    {', '.join(self.letters)}, = idx"])]
-        while e.todo:
-            mark, shape, table = e.todo.pop(0)
-            k = len(_letters(shape))
-            units.append(e.function(f"fill_{table}(ctx, {', '.join(self.letters[:k])})", k,
-                                    lambda: e.value(shape, k, mark)))
-        self.shapes = {m: [len(_letters(s)) for s in e.tables.get(m, ())] for m in e.marks}
-        # each function is compiled alone, which bounds the compiler's peak
-        # memory by one function's, at its lines of the registered source
-        filename, lines, scope = f"<{__name__}:{self.name}>", [], {"__name__": __name__}
-        for unit in units:
-            exec(compile("\n" * len(lines) + "\n".join(unit), filename, "exec"), scope)
-            lines += [line + "\n" for line in unit + [""]]
-        linecache.cache[filename] = (sum(map(len, lines)), None, lines, filename)
-        self.residual = scope["residual"]
+        e.function(self.name, "residual(ctx, idx)", self.letters, parts,
+                   [f"    {', '.join(self.letters)}, = idx"])
+        self.residual = _SCOPE.pop("residual")
 
     def on(self, context: str) -> "_Identity":
         # a derived product is super-skew (minus) or -commutative (plus)
@@ -378,9 +379,7 @@ class _Identity:
     def make(self, H: HomSuperAlgebra, letters=None):
         if self.residual is None:
             self._emit()
-        ctx = _Ctx(_derived(H, self.context) if self.context else H, self.shapes[""], letters)
-        ctx.derived.update((m, _Ctx(_derived(H, m), sizes, letters)) for m, sizes in self.shapes.items() if m)
-        return ctx, self.residual
+        return _Ctx(_derived(H, self.context) if self.context else H, letters), self.residual
 
 
 def _derived(H: HomSuperAlgebra, what: str) -> HomSuperAlgebra:

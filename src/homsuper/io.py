@@ -42,6 +42,7 @@ import json
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import CoeffError, Field, FieldSpec, FractionField, Scalar, field_for
@@ -68,10 +69,49 @@ _SYMBOLS = "+-*/^()"
 # past what the text could otherwise write; nesting deeper than MAX_DEPTH
 # (parentheses and prefix minus signs) is refused before the recursive
 # descent could exhaust the stack.  A basis past MAX_BASIS names is refused:
-# a check then runs at most 32**4 tuples, enough for O (x) Lambda(2).
+# a check then runs at most 32**4 tuples, enough for O (x) Lambda(2).  An
+# operator whose coefficient products could pass MAX_WORK is refused before
+# it computes; the bound reads only its operands' term counts (see
+# `value_size`), so (a+1)^1000 passes and (a+b+c)^100 does not.
 MAX_EXPONENT = 1000
 MAX_DEPTH = 100
 MAX_BASIS = 32
+MAX_WORK = 10**6
+
+
+def value_size(field: Field, x) -> Tuple[int, int]:
+    """The term counts of a payload's numerator and denominator; (1, 1)
+    outside Frac(K[params])."""
+    return (len(x.num), len(x.den)) if isinstance(field, FractionField) else (1, 1)
+
+
+def product_bound(a: Tuple[int, int], b: Tuple[int, int]):
+    """(a size bound, the coefficient products) of x*y for sizes a and b."""
+    return (a[0] * b[0], a[1] * b[1]), a[0] * b[0] + a[1] * b[1]
+
+
+def sum_bound(a: Tuple[int, int], b: Tuple[int, int]):
+    """(a size bound, the coefficient products) of x + y or x - y for sizes a
+    and b, denominators cross-multiplied (a monomial one has one term)."""
+    num, den = a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+    return (num, den), num + den
+
+
+def _power_work(a: Tuple[int, int], k: int) -> int:
+    """Coefficient products of `Field.pow`'s square-and-multiply for x^k, x of
+    size a, stopping once past MAX_WORK: x^j has at most C(t + j - 1, j)
+    terms where x has t."""
+    size = lambda j: tuple(comb(t + j - 1, j) for t in a)
+    out, x, work = 0, 1, 0
+    while k and work <= MAX_WORK:
+        if k & 1:
+            work += product_bound(size(out), size(x))[1] if out else 0
+            out += x
+        k >>= 1
+        if k:
+            work += product_bound(size(x), size(x))[1]
+            x *= 2
+    return work
 
 
 @dataclass
@@ -157,6 +197,19 @@ class _ExprParser:
         except ValueError:  # beyond the interpreter's digit limit
             self.fail(f"integer literal of {len(tok.text)} digits is too long", tok)
 
+    def _refuse(self, op: _Tok, work: int):
+        if work > MAX_WORK:
+            self.fail(f"{op.text!r} would need more than {MAX_WORK} coefficient products", op)
+
+    def _bound(self, op: _Tok, bound, v: _Value, w: _Value, invert=False):
+        """Refuse `op` on v and w (w inverted first, a scalar side taken for
+        every coordinate) when bound's products, summed, pass MAX_WORK."""
+        n = len(v.v) if v.vec else len(w.v) if w.vec else 1
+        xs, ys = (v.v if v.vec else [v.v] * n), (w.v if w.vec else [w.v] * n)
+        size = lambda x: value_size(self.field, x)
+        self._refuse(op, sum(bound(size(x), size(y)[::-1] if invert else size(y))[1]
+                             for x, y in zip(xs, ys)))
+
     def _param(self, name: str):
         f = self.field
         if isinstance(f, FractionField) and name in f.spec.params:
@@ -176,6 +229,7 @@ class _ExprParser:
             w = self.term()
             if v.vec != w.vec:
                 self.fail("cannot add a scalar and a vector", op)
+            self._bound(op, sum_bound, v, w)
             power = max(v.power, w.power)
             fn = self.field.add if op.kind == "+" else self.field.sub
             if v.vec:
@@ -193,6 +247,7 @@ class _ExprParser:
             if op.kind == "*":
                 if v.vec and w.vec:
                     self.fail("cannot multiply two vectors", op)
+                self._bound(op, product_bound, v, w)
                 if v.vec or w.vec:
                     vec, sc = (v, w) if v.vec else (w, v)
                     v = _Value([self.field.mul(sc.v, a) for a in vec.v], True, power)
@@ -203,6 +258,7 @@ class _ExprParser:
                     self.fail("cannot divide by a vector", op)
                 if self.field.is_zero(w.v):
                     self.fail("division by zero", op)
+                self._bound(op, product_bound, v, w, invert=True)
                 if v.vec:
                     inv = self.field.inv(w.v)
                     v = _Value([self.field.mul(inv, a) for a in v.v], True, power)
@@ -224,6 +280,7 @@ class _ExprParser:
             power = v.power * k
             if power > MAX_EXPONENT:
                 self.fail(f"exponent {power} is above the cap of {MAX_EXPONENT}", e)
+            self._refuse(caret, _power_work(value_size(self.field, v.v), k))
             v = self._sc(self.field.pow(v.v, k), max(power, 1))
         return v
 

@@ -15,6 +15,7 @@ import itertools
 from typing import Tuple
 
 from .coeff import FieldMismatchError
+from .io import MAX_WORK, product_bound, sum_bound, value_size
 from .report import IdentityReport, table_report
 from .superalg import (
     AlgebraError,
@@ -28,7 +29,9 @@ from .superalg import (
 
 
 # The n-th derived algebra uses alpha^(2^n); past this level the entries
-# of that power outgrow any table worth printing.
+# of that power outgrow any table worth printing.  Symbolic entries outgrow
+# it sooner: a step of the power, or the product table, whose coefficient
+# products could pass the parser's MAX_WORK is refused before it computes.
 MAX_DERIVED_LEVEL = 10
 
 
@@ -100,15 +103,35 @@ def compose(f: EvenLinearMap, g: EvenLinearMap) -> EvenLinearMap:
     return EvenLinearMap(f.field, [dense(f.field, f.dim, f.apply_payload(col)) for col in g._nz])
 
 
+def _bounded(f: EvenLinearMap, vecs, what: str):
+    """Refuse applying f to the sparse vectors `vecs` when the coefficient
+    products that could take, bounded as the parser bounds them, pass
+    MAX_WORK."""
+    F, work = f.field, 0
+    for u in vecs:
+        acc = {}
+        for j, uj in u:
+            for i, m in f._nz[j]:
+                size, w = product_bound(value_size(F, m), value_size(F, uj))
+                if i in acc:
+                    size, w2 = sum_bound(acc[i], size)
+                    w += w2
+                acc[i], work = size, work + w
+        if work > MAX_WORK:
+            raise MapError(f"{what} would need more than {MAX_WORK} coefficient products")
+
+
 def power(f: EvenLinearMap, k: int) -> EvenLinearMap:
     if k < 0:
         raise MapError("negative power")
-    out = EvenLinearMap.identity(f.field, f.dim)
+    out, what = EvenLinearMap.identity(f.field, f.dim), f"power {k} of the map"
     while k:
         if k & 1:
+            _bounded(f, out._nz, what)
             out = compose(f, out)
         k >>= 1
         if k:
+            _bounded(f, f._nz, what)
             f = compose(f, f)
     return out
 
@@ -178,6 +201,6 @@ def derived(H: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
     if n == 0:
         return H
     k = 2**n
-    return HomSuperAlgebra(
-        compose_product(H.algebra, power(H.alpha, k - 1)), power(H.alpha, k)
-    )
+    beta = power(H.alpha, k - 1)
+    _bounded(beta, (cell for row in H.algebra._nz for cell in row), f"derived level {n}")
+    return HomSuperAlgebra(compose_product(H.algebra, beta), power(H.alpha, k))

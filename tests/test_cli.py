@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -423,6 +424,63 @@ def test_derive_level_cap(capsys):
          "--n", "40"],
     )
     assert "cap" in err
+
+
+def test_value_work_cap_refuses_at_the_operator(tmp_path, capsys):
+    from homsuper.io import MAX_WORK
+
+    head = "[algebra]\nname = w\nfield = Q\nparams = a, b, c\neven = u\n\n[product]\n"
+    path = tmp_path / "work.salg"
+    refused = {
+        # multivariate powers: (a+b+c)^200 ran past 30 s, ^100 took 2.4 s
+        "(a+b+c)^200*u": "col 14: '^'",
+        "(a+b+c)^100*u": "col 14: '^'",
+        # a sum over two denominators of many terms cross-multiplies them
+        "(1/(a+b+c)^40 + 1/(a+b+c+1)^40)*u": "col 34: '^'",
+        "(1/(a+b+c)^30 + 1/(a+b+c+1)^30)*u": "col 21: '+'",
+        # a product makes one coefficient product per pair of terms, and a
+        # quotient multiplies by the divisor's inverse
+        "(a+b+c)^40*(a+b+c+1)^25*u": "col 17: '*'",
+        "(a+b+c)^40/(1/(a+b+c+1)^25)*u": "col 17: '/'",
+    }
+    for value, at in refused.items():
+        path.write_text(head + f"u*u = {value}\n", encoding="utf-8")
+        err = _assert_one_line_exit_two(capsys, ["validate", "--file", str(path)])
+        assert err == f"error: line 8, {at} would need more than {MAX_WORK} coefficient products\n", value
+    # the cap bounds work, not degree: a univariate power at the exponent cap passes
+    for value in ("(a+1)^1000*u", "(a+b+c)^50*u", "(1/(a+b+c)^20 + 1/(a+b+c+1)^20)*u"):
+        path.write_text(head + f"u*u = {value}\n", encoding="utf-8")
+        assert run(capsys, "validate", "--file", str(path))[0] == 0, value
+
+
+def test_symbolic_derive_is_refused_before_its_power_outgrows_the_cap(capsys):
+    from homsuper.io import MAX_WORK
+
+    # alpha^(2^n) over Frac(Q[a,b,c,t]): --n 7 ran past 60 s
+    err = _assert_one_line_exit_two(capsys, ["derive", "--corpus", "dt-jordan", "--map", "alpha", "--n", "7"])
+    assert err == f"error: power 127 of the map would need more than {MAX_WORK} coefficient products\n"
+    # bound, every entry is one rational: level 10 keeps its bytes
+    sets = ["--set", "a=1", "--set", "b=1", "--set", "c=0", "--set", "t=1"]
+    code, out, err = run(capsys, "derive", "--corpus", "dt-jordan", "--map", "alpha", "--n", "10", *sets)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _DERIVE_10
+
+
+_DERIVE_10 = "59860e146eff45731a55bc76a72dd80df3a2325d4fd22e9c6933c52b39dcc896"
+
+
+def test_error_paths_of_sources_and_values(tmp_path, capsys):
+    assert run(capsys, "check", "--identity", "left-alt") == (
+        2, "", "error: one of --corpus or --file is required\n")
+    assert run(capsys, "twist", "--corpus", "m3-3-1") == (2, "", "error: twist needs --map NAME\n")
+    path = tmp_path / "divide.salg"
+    head = "[algebra]\nname = d\nfield = Q\neven = u, w\n[product]\n"
+    path.write_text(head + "u*u = u/w\n", encoding="utf-8")
+    assert run(capsys, "validate", "--file", str(path)) == (
+        2, "", "error: line 6, col 8: cannot divide by a vector\n")
+    path.write_text(head + "u*u = u/2\n", encoding="utf-8")
+    code, out, err = run(capsys, "plus", "--file", str(path))
+    assert (code, err) == (0, "") and "u*u = 1/2*u" in out
 
 
 # -- Fuzzed files: bundled documents with a few byte-level edits, and bare

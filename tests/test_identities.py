@@ -1,6 +1,10 @@
 import inspect
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import traceback
 from collections import Counter
 
@@ -11,6 +15,7 @@ from homsuper.coeff import Scalar
 from homsuper.identities import (
     CHECKERS,
     _IDENTITIES,
+    _SHAPES,
     CheckError,
     PreconditionError,
     UnknownCheckerError,
@@ -341,7 +346,7 @@ def test_generated_code_shows_its_words(corpus_instances):
     with pytest.raises(TypeError) as info:
         res(ctx, (0, 0, 0))
     frames = traceback.extract_tb(info.value.__traceback__)
-    assert [f.name for f in frames[-2:]] == ["residual", "fill_T0"]
+    assert [f.name for f in frames[-2:]] == ["residual", f"fill_T{_SHAPES[('as', 0, 1, 2)]}"]
     assert frames[-1].line == "v0 = acc(mul(c[x][y], acols[z]), mul(acols[x], c[y][z]), 1)"
 
 
@@ -401,9 +406,50 @@ def test_each_make_has_its_own_context(corpus_instances):
     H = corpus_instances[("b42", "alpha")].hom
     for name in ("jordan-admissible", "j-eq-6as", "bk-suite"):
         want = run_checker(name, H)
-        ctx, _ = CHECKERS[name].make(H)
-        for c in (ctx, *ctx.derived.values()):
+        ctx, res = CHECKERS[name].make(H)
+        for idx in _tuples(ctx, CHECKERS[name].arity):  # make and fill its tables first
+            res(ctx, idx)
+        contexts = (ctx, *ctx.derived.values())
+        assert any(c.tables for c in contexts), name
+        for c in contexts:
             c.mul = None
-            for table in c.tables:  # no filled cell outlives its run
+            for table in c.tables.values():  # no filled cell outlives its run
                 table[:] = [((0, None),)] * len(table)
         assert run_checker(name, H) == want, name
+
+
+def test_one_fill_function_per_shape_and_tables_on_first_read(corpus_instances):
+    # in a fresh process, every spec compiles its residual and each distinct
+    # shape's fill function exactly once, whatever spec reads it first
+    script = """
+import json, sys
+from collections import Counter
+import homsuper.identities as I
+from homsuper import corpus
+compiled = Counter()
+def counting(source, filename, mode):
+    compiled[filename] += 1
+    return compile(source, filename, mode)
+I.compile = counting
+H = corpus.build("b42", "alpha", corpus.suggested_bindings("b42")).hom
+specs = {**I._CLAIM_FORMS, "bk_f": I._BK_f, "bk_F": I._BK_F, **I._IDENTITIES}
+fresh = []
+for spec in specs.values():
+    ctx, _ = spec.make(H)
+    fresh.append(len(ctx.tables) + len(ctx.derived))
+print(json.dumps([dict(compiled), len(I._SHAPES), len(I._SIZES), len(set(map(id, specs.values()))), fresh]))
+"""
+    done = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    compiled, shapes, sizes, specs, fresh = json.loads(done.stdout)
+    fills = {name for name in compiled if name.startswith("<homsuper.identities:fill_T")}
+    assert shapes == sizes == len(fills) == 24
+    assert fills == {f"<homsuper.identities:fill_T{n}>" for n in range(24)}
+    assert set(compiled.values()) == {1} and len(compiled) == specs + 24 == 28 + 24
+    assert fresh == [0] * len(fresh)  # made on first read, not by make
+    H = corpus_instances[("b42", "alpha")].hom
+    for name in ("j-eq-6as", "jordan-expansion", "bk-suite"):
+        ctx, res = CHECKERS[name].make(H)
+        assert not ctx.tables and not ctx.derived, name
+        res(ctx, (0,) * CHECKERS[name].arity)
+        assert ctx.tables or ctx.derived, name

@@ -75,7 +75,7 @@ def _assert_residuals_match_oracle(H, label):
 
 
 def _carried_instances():
-    """A random table carried to GF(3), another to Frac(Q[a])."""
+    """A random table carried to GF(3), two others to Frac(Q[a])."""
     rng = random.Random(3)
     A = random_graded_algebra(rng, 3, 1)
     H = hom(A, random_even_map(rng, A))
@@ -92,6 +92,15 @@ def _carried_instances():
         return F.add(F.mul(v, a), F.one) if sum(pos) % 2 and c else v
 
     yield "Frac(Q[a])", _carried(H, frac, lift)
+    # denominators of several terms run the general fraction route: each
+    # constant c becomes c/(a + 1 + the sum of its position)
+    A = random_graded_algebra(rng, 2, 1)
+    H = hom(A, random_even_map(rng, A))
+
+    def lift_general(F, c, pos):
+        return F.div(F.from_fraction(Fraction(c)), F.add(a, F.from_int(1 + sum(pos))))
+
+    yield "Frac(Q[a]), general denominators", _carried(H, frac, lift_general)
 
 
 def test_full_residuals_match_oracle_on_every_tuple():
