@@ -238,8 +238,9 @@ def _is_lookup(node) -> bool:  # e_i*e_j or a(e_i)
     return node[0] in ("m", "a") and all(isinstance(a, int) for a in node[1:])
 
 
-# Shape tables across all identities: shape -> table number, and the
-# letter count of each table; the generated functions' one global scope.
+# Shape tables across all identities (shape -> table number, and each
+# table's letter count) and the generated functions' one global scope;
+# filled by one thread at a time (the package starts none).
 _SHAPES: Dict[tuple, int] = {}
 _SIZES = []
 _SCOPE = {"__name__": __name__}

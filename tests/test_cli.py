@@ -432,7 +432,8 @@ def test_value_work_cap_refuses_at_the_operator(tmp_path, capsys):
     head = "[algebra]\nname = w\nfield = Q\nparams = a, b, c\neven = u\n\n[product]\n"
     path = tmp_path / "work.salg"
     refused = {
-        # multivariate powers: (a+b+c)^200 ran past 30 s, ^100 took 2.4 s
+        # multivariate powers: squaring up to (a+b+c)^200, 20,301 terms,
+        # makes about 28M coefficient products
         "(a+b+c)^200*u": "col 14: '^'",
         "(a+b+c)^100*u": "col 14: '^'",
         # a sum over two denominators of many terms cross-multiplies them
@@ -456,7 +457,8 @@ def test_value_work_cap_refuses_at_the_operator(tmp_path, capsys):
 def test_symbolic_derive_is_refused_before_its_power_outgrows_the_cap(capsys):
     from homsuper.io import MAX_WORK
 
-    # alpha^(2^n) over Frac(Q[a,b,c,t]): --n 7 ran past 60 s
+    # the entries of alpha^(2^n) over Frac(Q[a,b,c,t]) grow about fourfold
+    # per level, and a step of the power costs about the square of that
     err = _assert_one_line_exit_two(capsys, ["derive", "--corpus", "dt-jordan", "--map", "alpha", "--n", "7"])
     assert err == f"error: power 127 of the map would need more than {MAX_WORK} coefficient products\n"
     # bound, every entry is one rational: level 10 keeps its bytes
