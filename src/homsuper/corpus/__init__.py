@@ -178,11 +178,11 @@ def build_from_document(
         return BuiltInstance(entry_id, variant, bindings, doc, base, hom(base, base_alpha), None)
     map_name = variant[: -len("-untwisted")] if variant.endswith("-untwisted") else variant
     beta = inst_maps[map_name]
-    twisted = compose_product(base, beta)
+    twisted = compose_product(base, beta, f"variant {variant}")
     if variant.endswith("-untwisted"):
         H = hom(twisted)  # identity twist
     else:
-        H = hom(twisted, compose(beta, base_alpha))
+        H = hom(twisted, compose(beta, base_alpha, f"variant {variant}"))
     return BuiltInstance(entry_id, variant, bindings, doc, base, H, beta)
 
 

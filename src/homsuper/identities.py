@@ -26,9 +26,9 @@ one such twist).
 A word becomes a line: on an identity's first `make` in a process (never per
 context) `_Emitter` writes it as the source of `residual(ctx, idx)`.  Letters
 are locals unpacked from idx; e_i*e_j and a(e_i) are the sparse cells
-c[i][j] and acols[i]; another product or twist calls the kernel mul or al,
-which look field methods up per call; a form is expanded in place over its
-argument words.  The parity pattern `pat` is computed once per call, and a
+c[i][j] and acols[i]; another product or twist binds its operands to locals
+in reading order and calls the kernel mul or al only if none is `()`, whose
+kernel value is `()`; a form is expanded in place over its argument words.  The parity pattern `pat` is computed once per call, and a
 sign that depends on it is a constant tuple indexed by it.  Each function is
 compiled alone under the file name `<homsuper.identities:NAME>`, its source
 in `linecache`, so tracebacks, `inspect.getsource` and profiles show the
@@ -43,9 +43,9 @@ entries, made on the first read in a context); a miss calls the shape's one
 fill function `fill_T<n>(ctx, x, y, ...)`, written the same way on the
 context it is given (a derived one for a marked term).  A repeated read
 reuses its local.  Fold rule, cache, don't reassociate: a side is summed
-left to right as written, one `acc` line per term, its first term negated
-when its sign is odd, then scaled, so the sums are the payloads the written
-expression gives (Frac(K[params]) payloads are not gcd-reduced; another
+left to right as written, one `acc` line per term (a `()` term keeps the sum,
+as `acc` would), its first term negated when its sign is odd, then scaled,
+so the sums are the payloads the written expression gives (Frac(K[params]) payloads are not gcd-reduced; another
 order could print differently).
 
 The minus and plus algebras are kept on H once made; contexts are made per
@@ -133,13 +133,18 @@ class _Ctx:
     def acc(self, u, v, exp: int):
         """u + (-1)^exp v, merged by index: a coordinate one side carries is
         taken as it is (negated from v when exp is odd), one that cancels
-        is dropped."""
-        if not v:
-            return u
+        is dropped.  Two single coordinates take the merge's own steps
+        without its dict.  The generated code never passes an empty v."""
         F = self.F
         if not u:
             return tuple((k, F.neg(x)) for k, x in v) if exp else v
         op, is_zero = F.sub if exp else F.add, F.is_zero
+        if len(u) == 1 == len(v):
+            ((a, x),), ((b, y),) = u, v
+            if a == b:
+                return () if is_zero(y := op(x, y)) else ((a, y),)
+            y = F.neg(y) if exp else y
+            return ((a, x), (b, y)) if a < b else ((b, y), (a, x))
         out = dict(u)
         for k, x in v:
             y = out.get(k)
@@ -280,6 +285,10 @@ class _Emitter:
         self.lines.append(f"    v{len(self.lines)} = {expr}")
         return f"v{len(self.lines) - 1}"
 
+    def bound(self, expr: str) -> str:
+        """`expr` as a name, bound to a local where it is asked for."""
+        return expr if expr.isidentifier() else self.local(expr)
+
     def sign(self, signs) -> str:
         self.signed |= len(set(signs)) > 1
         return f"{signs}[pat]" if len(set(signs)) > 1 else str(signs[0])
@@ -290,14 +299,14 @@ class _Emitter:
         more than once in `seen` is read from its table."""
         acc = self.get("", "acc")
         (v, s), *rest = [
-            (self.read(w, mark) if seen[shape] > 1 and not _is_lookup(w) else self.value(w, k, mark),
+            (self.bound(self.read(w, mark) if seen[shape] > 1 and not _is_lookup(w) else self.value(w, k, mark)),
              self.sign(_koszul(order, bit, pairs, len(self.letters), rank)))
             for bit, w in terms for shape, order in [_shape(w)]
         ]
-        neg = f"{acc}((), {v}, 1)"
-        out = v if s == "0" else self.local(neg if s == "1" else f"{neg} if {s} else {v}")
-        for v, s in rest:
-            out = self.local(f"{acc}({out}, {v}, {s})")
+        odd = v if s == "1" else f"{v} and {s}"
+        out = v if s == "0" else self.local(f"{acc}((), {v}, 1) if {odd} else {v}")
+        for v, s in rest:  # adding () gives out itself
+            out = self.local(f"{out} if not {v} else {acc}({out}, {v}, {s})")
         return out if scale == 1 else self.local(f"{self.get('', 'scale_int')}({scale}, {out})")
 
     def read(self, w, mark: str) -> str:
@@ -335,9 +344,11 @@ class _Emitter:
             cell = self.get(mark, {"m": "c", "a": "acols"}[head])
             return cell + "".join(f"[{self.letters[a]}]" for a in args)
         # a composite argument on fewer letters is shared through its table
-        vals = [self.value(a, k, mark) if _is_lookup(a) or len(_letters(a)) >= k else self.read(a, mark)
-                for a in args]
-        return f"{self.get(mark, {'m': 'mul', 'a': 'al'}[head])}({', '.join(vals)})"
+        vals = [self.bound(self.value(a, k, mark) if _is_lookup(a) or len(_letters(a)) >= k
+                           else self.read(a, mark)) for a in args]
+        # the kernel of an empty operand is (): skip its call
+        kernel = self.get(mark, {'m': 'mul', 'a': 'al'}[head])
+        return f"{kernel}({', '.join(vals)}) if {' and '.join(vals)} else ()"
 
 
 class _Identity:
@@ -363,7 +374,7 @@ class _Identity:
                 r = e.fold(left[1], n, "", seen, pairs, scale=left[0])
                 if right[1]:
                     rhs = e.fold(right[1], n, "", seen, pairs, scale=right[0])
-                    r = f"{e.get('', 'acc')}({r}, {rhs}, 1)"
+                    r = f"{r} if not {rhs} else {e.get('', 'acc')}({r}, {rhs}, 1)"
                 e.lines += [f"    r = {r}", "    if r:", "        return r"]
             return "r"
 
@@ -495,7 +506,7 @@ def _report(name: str, spec, H: HomSuperAlgebra, cap: int) -> IdentityReport:
                 bad.append(ctx.basis.counterexample(ctx.F, idx, r))
             else:
                 break
-    return IdentityReport(name, holds, tuple(bad), dim**spec.arity)
+    return IdentityReport(name, holds, ctx.basis.counterexamples(bad), dim**spec.arity)
 
 
 def is_super_commutative(A: SuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:

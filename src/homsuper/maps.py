@@ -70,6 +70,12 @@ def _weak_morphism_rows(src: SuperAlgebra, dst: SuperAlgebra, f: EvenLinearMap):
     if src.field != dst.field or f.field != src.field:
         raise FieldMismatchError("weak morphism across different fields")
     F, n, names = src.field, src.dim, src.basis.names
+
+    def terms(a, b):  # of f(mu(ea,eb)) and of mu'(f(ea), f(eb)), as the kernels take them
+        yield from ((i, m, x) for j, x in src._nz[a][b] for i, m in f._nz[j])
+        yield from ((k, x, y, c) for i, x in f._nz[a] for j, y in f._nz[b] for k, c in dst._nz[i][j])
+
+    _bounded(F, (terms(a, b) for a in range(n) for b in range(n)), "the weak-morphism check")
     return (((names[i], names[j]),
              tuple(map(F.sub, dense(F, n, f.apply_payload(src._nz[i][j])),
                        dense(F, n, dst._mul_payload(f._nz[i], f._nz[j])))))
@@ -96,29 +102,38 @@ def is_morphism(
     return table_report("morphism", F, itertools.chain(weak, square), n * n + n)
 
 
-def compose(f: EvenLinearMap, g: EvenLinearMap) -> EvenLinearMap:
-    """Matrix of f . g (apply g first)."""
+def compose(f: EvenLinearMap, g: EvenLinearMap, what: str = "the composed map") -> EvenLinearMap:
+    """Matrix of f . g (apply g first), refused as `what` past MAX_WORK."""
     if f.dim != g.dim or f.field != g.field:
         raise DimensionError("composition dimension/field mismatch")
+    _bounded(f.field, _applied(f, g._nz), what)
     return EvenLinearMap(f.field, [dense(f.field, f.dim, f.apply_payload(col)) for col in g._nz])
 
 
-def _bounded(f: EvenLinearMap, vecs, what: str):
-    """Refuse applying f to the sparse vectors `vecs` when the coefficient
-    products that could take, bounded as the parser bounds them, pass
-    MAX_WORK."""
-    F, work = f.field, 0
-    for u in vecs:
+def _bounded(F, sums, what: str):
+    """Refuse `what` when the sparse sums `sums`, each an iterable of
+    (index, factor payloads) terms added by index, could take more than
+    MAX_WORK coefficient products, bounded as the parser bounds them."""
+    work = 0
+    for terms in sums:
         acc = {}
-        for j, uj in u:
-            for i, m in f._nz[j]:
-                size, w = product_bound(value_size(F, m), value_size(F, uj))
-                if i in acc:
-                    size, w2 = sum_bound(acc[i], size)
-                    w += w2
-                acc[i], work = size, work + w
+        for i, x, *ys in terms:
+            size = value_size(F, x)
+            for y in ys:
+                size, w = product_bound(size, value_size(F, y))
+                work += w
+            if i in acc:
+                size, w = sum_bound(acc[i], size)
+                work += w
+            acc[i] = size
         if work > MAX_WORK:
             raise MapError(f"{what} would need more than {MAX_WORK} coefficient products")
+
+
+def _applied(f: EvenLinearMap, vecs):
+    """The terms of f applied to each sparse vector of `vecs`, as its kernel
+    takes them."""
+    return (((i, m, uj) for j, uj in u for i, m in f._nz[j]) for u in vecs)
 
 
 def power(f: EvenLinearMap, k: int) -> EvenLinearMap:
@@ -127,12 +142,10 @@ def power(f: EvenLinearMap, k: int) -> EvenLinearMap:
     out, what = EvenLinearMap.identity(f.field, f.dim), f"power {k} of the map"
     while k:
         if k & 1:
-            _bounded(f, out._nz, what)
-            out = compose(f, out)
+            out = compose(f, out, what)
         k >>= 1
         if k:
-            _bounded(f, f._nz, what)
-            f = compose(f, f)
+            f = compose(f, f, what)
     return out
 
 
@@ -168,8 +181,10 @@ def matrix_inverse(f: EvenLinearMap) -> EvenLinearMap:
     return EvenLinearMap(F, inv_cols)
 
 
-def compose_product(A: SuperAlgebra, beta: EvenLinearMap) -> SuperAlgebra:
-    """Structure constants of beta . mu over the same basis."""
+def compose_product(A: SuperAlgebra, beta: EvenLinearMap, what: str = "the composed product") -> SuperAlgebra:
+    """Structure constants of beta . mu over the same basis, refused as
+    `what` past MAX_WORK."""
+    _bounded(A.field, _applied(beta, (cell for row in A._nz for cell in row)), what)
     table = [[dense(A.field, A.dim, beta.apply_payload(cell)) for cell in row] for row in A._nz]
     return SuperAlgebra(A.basis, A.field, table)
 
@@ -202,5 +217,4 @@ def derived(H: HomSuperAlgebra, n: int) -> HomSuperAlgebra:
         return H
     k = 2**n
     beta = power(H.alpha, k - 1)
-    _bounded(beta, (cell for row in H.algebra._nz for cell in row), f"derived level {n}")
-    return HomSuperAlgebra(compose_product(H.algebra, beta), power(H.alpha, k))
+    return HomSuperAlgebra(compose_product(H.algebra, beta, f"derived level {n}"), power(H.alpha, k))

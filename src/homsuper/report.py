@@ -11,7 +11,7 @@ Vector = Tuple[Scalar, ...]
 Counterexample = Tuple[Tuple[str, ...], Vector]
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityReport:
     identity: str
     holds: bool

@@ -44,7 +44,8 @@ class DimensionError(AlgebraError):
 class Basis:
     names: Tuple[str, ...]
     parities: Tuple[int, ...]
-    # (field, slots, residual key) -> entry, field -> its zero Scalar
+    # (field, slots, residual key) -> entry, field -> its zero Scalar, and
+    # ("report", entry ids) -> those entries (held here, so ids stay unique)
     _entries: Dict[object, object] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,6 +79,10 @@ class Basis:
                 vec[k] = F.scalar(x)
             got = self._entries[key] = (tuple(self.names[i] for i in idx), tuple(vec))
         return got
+
+    def counterexamples(self, entries) -> tuple:
+        """The tuple of `counterexample` entries, shared like them."""
+        return self._entries.setdefault(("report", *map(id, entries)), tuple(entries))
 
 
 PayloadVector = Tuple[object, ...]
@@ -161,7 +166,10 @@ class SuperAlgebra:
     # -- raw product --------------------------------------------------------
 
     def _mul_payload(self, u: SparseVector, v: SparseVector) -> SparseVector:
-        """The product kernel: bilinear extension over the nonzero cells."""
+        """The product kernel: bilinear extension over the nonzero cells;
+        `()` at once for an empty operand, which the loop would give too."""
+        if not u or not v:
+            return ()
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz
@@ -237,7 +245,10 @@ class EvenLinearMap:
         return Scalar(self.field, self.cols[j][i])
 
     def apply_payload(self, u: SparseVector) -> SparseVector:
-        """The map kernel: matrix-vector product over the nonzero entries."""
+        """The map kernel: matrix-vector product over the nonzero entries;
+        `()` at once for the empty vector, which the loop would give too."""
+        if not u:
+            return ()
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz

@@ -454,6 +454,34 @@ def test_value_work_cap_refuses_at_the_operator(tmp_path, capsys):
         assert run(capsys, "validate", "--file", str(path))[0] == 0, value
 
 
+def test_map_compositions_are_refused_past_the_work_cap(tmp_path, capsys):
+    from homsuper.io import MAX_WORK
+
+    # the parser admits each entry; a product of two makes the work:
+    # (a+b+c)^50 has 1326 terms, (a+b+c+1)^20 1771, (a+b+c)^45 1081
+    def write(maps, twist=""):
+        path = tmp_path / "maps.salg"
+        path.write_text("[algebra]\nname = w\nfield = Q\nparams = a, b, c\neven = u\n" + twist
+                        + "\n[product]\nu*u = u\n\n" + maps, encoding="utf-8")
+        return str(path)
+
+    cap = f"would need more than {MAX_WORK} coefficient products\n"
+    twisted = write("[map alpha]\nu = (a+b+c)^50*u\n\n[map beta]\nu = (a+b+c+1)^20*u\n", "twist = alpha\n")
+    # the variant composes beta with the twist alpha: 1771 * 1326 products
+    for cmd in ("validate", "check", "twist"):
+        err = _assert_one_line_exit_two(capsys, [cmd, "--file", twisted, "--map", "beta"])
+        assert err == f"error: variant beta {cap}", cmd
+    # with the identity twist the variant builds, and the weak-morphism row
+    # mu(beta(u), beta(u)) is refused (1081^2, then times the constant of
+    # u*u), also before twisting by beta; (a+b+c)^30 (496 terms) runs
+    path = write("[map beta]\nu = (a+b+c)^45*u\n")
+    for cmd in ("validate", "twist"):
+        err = _assert_one_line_exit_two(capsys, [cmd, "--file", path, "--map", "beta"])
+        assert err == f"error: the weak-morphism check {cap}", cmd
+    code, _, err = run(capsys, "validate", "--file", write("[map beta]\nu = (a+b+c)^30*u\n"), "--map", "beta")
+    assert (code, err) == (1, "")
+
+
 def test_symbolic_derive_is_refused_before_its_power_outgrows_the_cap(capsys):
     from homsuper.io import MAX_WORK
 

@@ -347,7 +347,38 @@ def test_generated_code_shows_its_words(corpus_instances):
         res(ctx, (0, 0, 0))
     frames = traceback.extract_tb(info.value.__traceback__)
     assert [f.name for f in frames[-2:]] == ["residual", f"fill_T{_SHAPES[('as', 0, 1, 2)]}"]
-    assert frames[-1].line == "v0 = acc(mul(c[x][y], acols[z]), mul(acols[x], c[y][z]), 1)"
+    assert frames[-1].line == "v2 = mul(v0, v1) if v0 and v1 else ()"
+
+
+def test_no_kernel_call_gets_an_empty_operand(corpus_instances, monkeypatch):
+    # the generated code skips a product or twist of `()` and the merge of a
+    # `()` term, whose results it already has
+    import homsuper.identities as identities
+    from homsuper.superalg import SuperAlgebra
+
+    calls = Counter()
+
+    def wrap(cls, attr, empty):
+        kernel = getattr(cls, attr)
+
+        def wrapper(self, *args):
+            calls[attr] += 1
+            assert not empty(*args), (attr, args)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    wrap(SuperAlgebra, "_mul_payload", lambda u, v: not u or not v)
+    wrap(EvenLinearMap, "apply_payload", lambda u: not u)
+    wrap(identities._Ctx, "acc", lambda u, v, exp: not v)
+    for inst in corpus_instances.values():
+        H = HomSuperAlgebra(inst.hom.algebra, inst.hom.alpha)  # its minus and plus algebras made here
+        for name in CHECKERS:
+            try:
+                run_checker(name, H)
+            except PreconditionError:
+                calls["refused"] += 1
+    assert len(calls) == 4, calls
 
 
 def test_precondition_reports_match_the_oracle(corpus_instances):

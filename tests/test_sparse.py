@@ -10,7 +10,7 @@ random graded tables, over Q and GF(3).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from homsuper.coeff import FieldSpec, field_for
 from homsuper.identities import _Ctx
@@ -81,7 +81,8 @@ def _assert_matches(F, n, r, want):
 @st.composite
 def _instances(draw):
     """A random graded table and even map over Q or GF(3), two payload
-    vectors and an integer scale; small coefficients make cancellations."""
+    vectors, each empty, of one nonzero coordinate or random, and an integer
+    scale; small coefficients make cancellations."""
     F = field_for(draw(st.sampled_from([FieldSpec("Q"), FieldSpec("GF", 3)])))
     n = draw(st.integers(1, 4))
     par = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -90,7 +91,17 @@ def _instances(draw):
     table = [[tuple(entry(par[k] == (par[i] + par[j]) % 2) for k in range(n)) for j in range(n)]
              for i in range(n)]
     cols = [tuple(entry(par[i] == par[j]) for i in range(n)) for j in range(n)]
-    vec = lambda: [entry(True) for _ in range(n)]
+    nonzero = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])  # also in GF(3)
+
+    def vec():
+        kind = draw(st.sampled_from(["empty", "single", "random"]))
+        if kind == "random":
+            return kind, [entry(True) for _ in range(n)]
+        if kind == "empty":
+            return kind, [F.zero] * n
+        k, x = draw(st.integers(0, n - 1)), F.from_fraction(Fraction(draw(nonzero)))
+        return kind, [x if i == k else F.zero for i in range(n)]
+
     H = hom(SuperAlgebra(Basis(tuple(f"v{i}" for i in range(n)), par), F, table), EvenLinearMap(F, cols))
     return H, vec(), vec(), draw(st.sampled_from([1, 2, 3, 6, -1]))
 
@@ -98,13 +109,20 @@ def _instances(draw):
 @settings(max_examples=150)
 @given(_instances())
 def test_kernels_and_merges_match_the_oracle(case):
-    H, u, v, scale = case
+    # every kind pair of operands is drawn: the kernels' `()` at once for an
+    # empty operand and `acc`'s paths for an empty side and for two single
+    # coordinates are each compared with the dense evaluation
+    H, (ku, u), (kv, v), scale = case
+    event(f"{ku} x {kv}")
     F, n, raw, ctx = H.field, H.dim, _Raw(H), _Ctx(H)
     su, sv = sparse(F, u), sparse(F, v)
+    assert len(su) == {"empty": 0, "single": 1}.get(ku, len(su))
     _assert_matches(F, n, H.algebra._mul_payload(su, sv), raw.mul(u, v))
     _assert_matches(F, n, H.alpha.apply_payload(su), raw.app(u))
     _assert_matches(F, n, ctx.acc(su, sv, 0), raw.addv(u, v))
     _assert_matches(F, n, ctx.acc(su, sv, 1), raw.subv(u, v))
+    _assert_matches(F, n, ctx.acc(sv, su, 1), raw.subv(v, u))
+    _assert_matches(F, n, ctx.acc(su, su, 1), raw.subv(u, u))  # every coordinate cancels
     _assert_matches(F, n, ctx.scale_int(scale, su), raw.smul(scale, u))
 
 
