@@ -347,7 +347,7 @@ class _Emitter:
         vals = [self.bound(self.value(a, k, mark) if _is_lookup(a) or len(_letters(a)) >= k
                            else self.read(a, mark)) for a in args]
         # the kernel of an empty operand is (): skip its call
-        kernel = self.get(mark, {'m': 'mul', 'a': 'al'}[head])
+        kernel = self.get(mark, {"m": "mul", "a": "al"}[head])
         return f"{kernel}({', '.join(vals)}) if {' and '.join(vals)} else ()"
 
 
