@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Tuple
 
-from .coeff import FieldMismatchError
+from .coeff import FieldMismatchError, FractionField
 from .io import MAX_WORK, product_bound, sum_bound, value_size
 from .report import IdentityReport, table_report
 from .superalg import (
@@ -113,7 +113,10 @@ def compose(f: EvenLinearMap, g: EvenLinearMap, what: str = "the composed map") 
 def _bounded(F, sums, what: str):
     """Refuse `what` when the sparse sums `sums`, each an iterable of
     (index, factor payloads) terms added by index, could take more than
-    MAX_WORK coefficient products, bounded as the parser bounds them."""
+    MAX_WORK coefficient products, bounded as the parser bounds them; only
+    Frac(K[params]) values grow (MAX_BASIS bounds numeric work)."""
+    if not isinstance(F, FractionField):
+        return
     work = 0
     for terms in sums:
         acc = {}

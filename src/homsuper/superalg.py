@@ -81,7 +81,8 @@ class Basis:
         return got
 
     def counterexamples(self, entries) -> tuple:
-        """The tuple of `counterexample` entries, shared like them."""
+        """The tuple of `counterexample` entries, shared like them; it pays
+        where many equal reports are kept, as the benchmark keeps rounds."""
         return self._entries.setdefault(("report", *map(id, entries)), tuple(entries))
 
 

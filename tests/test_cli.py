@@ -482,6 +482,27 @@ def test_map_compositions_are_refused_past_the_work_cap(tmp_path, capsys):
     assert (code, err) == (1, "")
 
 
+def test_numeric_map_compositions_are_not_bounded_by_the_work_cap(tmp_path, capsys):
+    # numeric values do not grow, so a dense table and a dense map at
+    # MAX_BASIS-sized work stay admitted: with p = (1, 2, 3, 4, -1, -2, -3, -3),
+    # which sums to 1, and w the sum of the basis, e_i*e_j = p_i p_j w and
+    # beta(e_j) = p_j w make beta a weak endomorphism
+    p = (1, 2, 3, 4, -1, -2, -3, -3)
+    names = [f"e{i}" for i in range(len(p))]
+    w = lambda c: " + ".join(f"{c}*{e}" for e in names)
+    lines = [f"{a}*{b} = {w(p[i] * p[j])}" for i, a in enumerate(names) for j, b in enumerate(names)]
+    beta = [f"{e} = {w(p[j])}" for j, e in enumerate(names)]
+    path = tmp_path / "dense.salg"
+    path.write_text("[algebra]\nname = dense\nfield = Q\neven = " + ", ".join(names)
+                    + "\n\n[product]\n" + "\n".join(lines) + "\n\n[map beta]\n" + "\n".join(beta) + "\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(path), "--map", "beta")
+    assert (code, err) == (0, "")
+    assert out.count('"holds":true') == 3, out
+    code, _, err = run(capsys, "twist", "--file", str(path), "--map", "beta")
+    assert (code, err) == (0, "")
+
+
 def test_symbolic_derive_is_refused_before_its_power_outgrows_the_cap(capsys):
     from homsuper.io import MAX_WORK
 

@@ -94,7 +94,7 @@ def _instances(draw):
     nonzero = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])  # also in GF(3)
 
     def vec():
-        kind = draw(st.sampled_from(["empty", "single", "random"]))
+        kind = draw(st.sampled_from(["random"] * 4 + ["empty", "single"]))
         if kind == "random":
             return kind, [entry(True) for _ in range(n)]
         if kind == "empty":
@@ -106,12 +106,14 @@ def _instances(draw):
     return H, vec(), vec(), draw(st.sampled_from([1, 2, 3, 6, -1]))
 
 
-@settings(max_examples=150)
+@settings(max_examples=350)
 @given(_instances())
 def test_kernels_and_merges_match_the_oracle(case):
     # every kind pair of operands is drawn: the kernels' `()` at once for an
     # empty operand and `acc`'s paths for an empty side and for two single
-    # coordinates are each compared with the dense evaluation
+    # coordinates are each compared with the dense evaluation; "random" is
+    # weighted (and drawn first, which hypothesis favours), so two random
+    # operands, the general case, still make over 150 of the 350 examples
     H, (ku, u), (kv, v), scale = case
     event(f"{ku} x {kv}")
     F, n, raw, ctx = H.field, H.dim, _Raw(H), _Ctx(H)
