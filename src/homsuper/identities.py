@@ -27,12 +27,12 @@ A word becomes a line: on an identity's first `make` in a process (never per
 context) `_Emitter` writes it as the source of `residual(ctx, idx)`.  Letters
 are locals unpacked from idx; e_i*e_j and a(e_i) are the sparse cells
 c[i][j] and acols[i]; another product or twist binds its operands to locals
-in reading order and calls the kernel mul or al only if none is `()`, whose
-kernel value is `()`; a form is expanded in place over its argument words.  The parity pattern `pat` is computed once per call, and a
-sign that depends on it is a constant tuple indexed by it.  Each function is
-compiled alone under the file name `<homsuper.identities:NAME>`, its source
-in `linecache`, so tracebacks, `inspect.getsource` and profiles show the
-generated lines.
+in reading order and calls the kernel mul or al only if none is `()` (else
+it gives `()`); a form is expanded in place over its argument words.  The
+parity pattern `pat` is computed once per call, and a sign that depends on
+it is a constant tuple indexed by it.  Each function is compiled alone under
+the file name `<homsuper.identities:NAME>`, its source in `linecache`, so
+tracebacks, `inspect.getsource` and profiles show the generated lines.
 
 Shape tables: a shape is a word with its letters renumbered by first
 appearance, numbered once per process across all identities.  A composite
