@@ -5,10 +5,12 @@
 
 Every checker verdict (and first counterexample) must agree between the two
 evaluation routes; disagreements are printed and the exit code is nonzero.
+The sweep's wall time goes to stderr, so stdout stays the verdict lines.
 """
 
 import random
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,4 +48,7 @@ def main(count: int, seed: int) -> int:
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 50
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
-    sys.exit(main(count, seed))
+    start = time.perf_counter()
+    status = main(count, seed)
+    print(f"wall {time.perf_counter() - start:.2f} s", file=sys.stderr)
+    sys.exit(status)

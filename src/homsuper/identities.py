@@ -44,8 +44,9 @@ fill function `fill_T<n>(ctx, x, y, ...)`, written the same way on the
 context it is given (a derived one for a marked term).  A repeated read
 reuses its local.  Fold rule, cache, don't reassociate: a side is summed
 left to right as written, one `acc` line per term (a `()` term keeps the sum,
-as `acc` would), its first term negated when its sign is odd, then scaled,
-so the sums are the payloads the written expression gives (Frac(K[params]) payloads are not gcd-reduced; another
+as `acc` would), its first term negated when its sign is odd, then scaled
+(a `()` side is left as it is), so the sums are the payloads the written
+expression gives (Frac(K[params]) payloads are not gcd-reduced; another
 order could print differently).
 
 The minus and plus algebras are kept on H once made; contexts are made per
@@ -307,7 +308,8 @@ class _Emitter:
         out = v if s == "0" else self.local(f"{acc}((), {v}, 1) if {odd} else {v}")
         for v, s in rest:  # adding () gives out itself
             out = self.local(f"{out} if not {v} else {acc}({out}, {v}, {s})")
-        return out if scale == 1 else self.local(f"{self.get('', 'scale_int')}({scale}, {out})")
+        # a scaled () is (): skip its call
+        return out if scale == 1 else self.local(f"{out} and {self.get('', 'scale_int')}({scale}, {out})")
 
     def read(self, w, mark: str) -> str:
         """`w` from the flat table of its shape, filled on a miss."""

@@ -5,8 +5,10 @@ equation directly over raw coefficient tables with its own little evaluator,
 sharing no evaluation code with the checkers in `identities` (only the field
 arithmetic underneath is common).  Differences that matter:
 
-  * products, map applications and brackets are expanded with plain index
-    loops (zero factors are skipped, nothing else) and no cached tables;
+  * a vector is a plain dict {index: payload} of its nonzero coordinates
+    (`{}` is zero, and a coordinate that cancels is dropped); products, map
+    applications and brackets are expanded with plain index loops over
+    those items and the nonzero cells of the tables, with no cached tables;
   * the Bruck-Kleinfeld F goes through its functorial definition (the signed
     cyclic-permutation sum) instead of the unrolled four-bracket form;
   * commutator and plus products are rebuilt inline.
@@ -51,64 +53,96 @@ class _Raw:
         ]
 
     def zero(self):
-        return [self.F.zero] * self.n
+        return {}
 
     def basis(self, i):
-        cache = getattr(self, "_bvecs", None)
-        if cache is None:
-            cache = self._bvecs = {}
-        got = cache.get(i)
-        if got is None:
-            v = self.zero()
-            v[i] = self.F.one
-            got = cache[i] = v
-        return list(got)
+        return {i: self.F.one}
+
+    def dense(self, u):
+        """The payload tuple of vector u, F.zero where it holds nothing."""
+        return tuple(u.get(k, self.F.zero) for k in range(self.n))
+
+    # Vectors are dicts {index: payload} of their nonzero coordinates, and no
+    # operation changes its operands.  A coordinate sums its terms in the
+    # order they are met: the value is exact, and so is its payload wherever
+    # payloads are canonical (Q, GF(p), monomial-denominator Frac).  A
+    # coordinate that got a single term is a product of nonzero payloads, so
+    # only a sum of several is tested for zero.
 
     def mul(self, u, v):
         F = self.F
         add, mulf, isz, cnz = F.add, F.mul, F.is_zero, self.cnz
-        out = [F.zero] * self.n
-        for i, ui in enumerate(u):
-            if isz(ui):
-                continue
+        out = {}
+        summed = False
+        vs = v.items()
+        for i, ui in u.items():
             ci = cnz[i]
-            for j, vj in enumerate(v):
-                if isz(vj):
-                    continue
-                uv = mulf(ui, vj)
-                for k, ck in ci[j]:
-                    out[k] = add(out[k], mulf(uv, ck))
-        return out
+            for j, vj in vs:
+                cij = ci[j]
+                if cij:
+                    uv = mulf(ui, vj)
+                    for k, ck in cij:
+                        if k in out:
+                            out[k] = add(out[k], mulf(uv, ck))
+                            summed = True
+                        else:
+                            out[k] = mulf(uv, ck)
+        return {k: x for k, x in out.items() if not isz(x)} if summed else out
 
     def app(self, u):
         F = self.F
-        add, mulf, isz = F.add, F.mul, F.is_zero
-        out = [F.zero] * self.n
-        for j, uj in enumerate(u):
-            if isz(uj):
-                continue
-            for i, mji in self.mnz[j]:
-                out[i] = add(out[i], mulf(mji, uj))
-        return out
+        add, mulf, isz, mnz = F.add, F.mul, F.is_zero, self.mnz
+        out = {}
+        summed = False
+        for j, uj in u.items():
+            for i, mji in mnz[j]:
+                if i in out:
+                    out[i] = add(out[i], mulf(mji, uj))
+                    summed = True
+                else:
+                    out[i] = mulf(mji, uj)
+        return {i: x for i, x in out.items() if not isz(x)} if summed else out
 
     def app2(self, u):
         return self.app(self.app(u))
 
     def addv(self, u, v):
-        return [self.F.add(a, b) for a, b in zip(u, v)]
+        F = self.F
+        out = dict(u)
+        for k, y in v.items():
+            x = out.get(k)
+            if x is None:
+                out[k] = y
+            elif F.is_zero(x := F.add(x, y)):
+                del out[k]
+            else:
+                out[k] = x
+        return out
 
     def subv(self, u, v):
-        return [self.F.sub(a, b) for a, b in zip(u, v)]
+        F = self.F
+        out = dict(u)
+        for k, y in v.items():
+            x = out.get(k)
+            if x is None:
+                out[k] = F.neg(y)
+            elif F.is_zero(x := F.sub(x, y)):
+                del out[k]
+            else:
+                out[k] = x
+        return out
 
     def smul(self, k: int, u):
         c = self.F.from_int(k)
-        return [self.F.mul(c, a) for a in u]
+        if self.F.is_zero(c):
+            return {}
+        return {i: self.F.mul(c, a) for i, a in u.items()}
 
     def sgnv(self, exp: int, u):
-        return [self.F.neg(a) for a in u] if exp % 2 else list(u)
+        return {i: self.F.neg(a) for i, a in u.items()} if exp % 2 else u
 
     def iszero(self, u):
-        return all(self.F.is_zero(a) for a in u)
+        return not u
 
     def assoc(self, x, y, z):
         return self.subv(
@@ -180,13 +214,15 @@ class _Raw:
 
 def _pair_residual(raw: _Raw, i, j, want_commutative: bool):
     s = (raw.p[i] * raw.p[j]) % 2
-    out = []
+    out = {}
     for k in range(raw.n):
         other = raw.c[j][i][k]
         if (s == 0) == want_commutative:
-            out.append(raw.F.sub(raw.c[i][j][k], other))
+            x = raw.F.sub(raw.c[i][j][k], other)
         else:
-            out.append(raw.F.add(raw.c[i][j][k], other))
+            x = raw.F.add(raw.c[i][j][k], other)
+        if not raw.F.is_zero(x):
+            out[k] = x
     return out
 
 
@@ -201,7 +237,7 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
         return _pair_residual(raw, i, j, False)
     if name == "multiplicative":
         i, j = idx
-        return raw.subv(raw.app(raw.c[i][j]), raw.mul(raw.app(b(i)), raw.app(b(j))))
+        return raw.subv(raw.app(dict(raw.cnz[i][j])), raw.mul(raw.app(b(i)), raw.app(b(j))))
     if name in ("left-alt", "right-alt", "alternative"):
         i, j, k = idx
         left = raw.addv(
@@ -547,37 +583,37 @@ def oracle_verdict(
 
 
 def oracle_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
-    """Named multilinear value by direct expansion (payload vector)."""
+    """Named multilinear value by direct expansion (dense payload tuple)."""
     raw = _Raw(H)
     idx = [raw.names.index(nm) for nm in tuple_names]
     b, p = raw.basis, raw.p
     if form == "product":
         i, j = idx
-        return tuple(raw.mul(b(i), b(j)))
+        return raw.dense(raw.mul(b(i), b(j)))
     if form == "as":
         i, j, k = idx
-        return tuple(raw.assoc(b(i), b(j), b(k)))
+        return raw.dense(raw.assoc(b(i), b(j), b(k)))
     if form == "S":
         i, j, k = idx
         s = raw.assoc(b(i), b(j), b(k))
         s = raw.addv(s, raw.sgnv(p[i] * (p[j] + p[k]), raw.assoc(b(j), b(k), b(i))))
         s = raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), raw.assoc(b(k), b(i), b(j))))
-        return tuple(s)
+        return raw.dense(s)
     if form == "J":
         i, j, k = idx
-        return tuple(raw.jac(b(i), b(j), b(k), p[j], p[k]))
+        return raw.dense(raw.jac(b(i), b(j), b(k), p[j], p[k]))
     if form == "J-minus":
         minus = raw.commutator_raw()
         i, j, k = idx
-        return tuple(minus.jac(b(i), b(j), b(k), p[j], p[k]))
+        return raw.dense(minus.jac(b(i), b(j), b(k), p[j], p[k]))
     if form == "leftalt":
         i, j, k = idx
-        return tuple(
+        return raw.dense(
             raw.addv(
                 raw.assoc(b(i), b(j), b(k)),
                 raw.sgnv(p[i] * p[j], raw.assoc(b(j), b(i), b(k))),
             )
         )
     if form == "jordan":
-        return tuple(_residual("hom-jordan", raw, tuple(idx)))
+        return raw.dense(_residual("hom-jordan", raw, tuple(idx)))
     raise KeyError(form)

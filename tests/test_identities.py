@@ -351,8 +351,8 @@ def test_generated_code_shows_its_words(corpus_instances):
 
 
 def test_no_kernel_call_gets_an_empty_operand(corpus_instances, monkeypatch):
-    # the generated code skips a product or twist of `()` and the merge of a
-    # `()` term, whose results it already has
+    # the generated code skips a product or twist of `()`, the merge of a
+    # `()` term and the scaling of a `()` side, whose results it already has
     import homsuper.identities as identities
     from homsuper.superalg import SuperAlgebra
 
@@ -371,6 +371,7 @@ def test_no_kernel_call_gets_an_empty_operand(corpus_instances, monkeypatch):
     wrap(SuperAlgebra, "_mul_payload", lambda u, v: not u or not v)
     wrap(EvenLinearMap, "apply_payload", lambda u: not u)
     wrap(identities._Ctx, "acc", lambda u, v, exp: not v)
+    wrap(identities._Ctx, "scale_int", lambda n, u: not u)
     for inst in corpus_instances.values():
         H = HomSuperAlgebra(inst.hom.algebra, inst.hom.alpha)  # its minus and plus algebras made here
         for name in CHECKERS:
@@ -378,7 +379,7 @@ def test_no_kernel_call_gets_an_empty_operand(corpus_instances, monkeypatch):
                 run_checker(name, H)
             except PreconditionError:
                 calls["refused"] += 1
-    assert len(calls) == 4, calls
+    assert len(calls) == 5, calls
 
 
 def test_precondition_reports_match_the_oracle(corpus_instances):

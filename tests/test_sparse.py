@@ -3,8 +3,8 @@ context give the payloads of a dense evaluation.
 
 The dense operations the sparse code skips (see the `identities` module
 docstring) are pinned for every field kind; the kernels and `acc` /
-`scale_int`, densified, are compared with the oracle's dense evaluator on
-random graded tables, over Q and GF(3).
+`scale_int`, densified, are compared with the oracle's evaluator on random
+graded tables, over Q and GF(3).
 """
 
 from fractions import Fraction
@@ -119,13 +119,16 @@ def test_kernels_and_merges_match_the_oracle(case):
     F, n, raw, ctx = H.field, H.dim, _Raw(H), _Ctx(H)
     su, sv = sparse(F, u), sparse(F, v)
     assert len(su) == {"empty": 0, "single": 1}.get(ku, len(su))
-    _assert_matches(F, n, H.algebra._mul_payload(su, sv), raw.mul(u, v))
-    _assert_matches(F, n, H.alpha.apply_payload(su), raw.app(u))
-    _assert_matches(F, n, ctx.acc(su, sv, 0), raw.addv(u, v))
-    _assert_matches(F, n, ctx.acc(su, sv, 1), raw.subv(u, v))
-    _assert_matches(F, n, ctx.acc(sv, su, 1), raw.subv(v, u))
-    _assert_matches(F, n, ctx.acc(su, su, 1), raw.subv(u, u))  # every coordinate cancels
-    _assert_matches(F, n, ctx.scale_int(scale, su), raw.smul(scale, u))
+    # the oracle's own vector form, its nonzero coordinates by index, made
+    # here from the dense draw; its results are densified to compare
+    ru, rv = ({k: x for k, x in enumerate(w) if not F.is_zero(x)} for w in (u, v))
+    _assert_matches(F, n, H.algebra._mul_payload(su, sv), raw.dense(raw.mul(ru, rv)))
+    _assert_matches(F, n, H.alpha.apply_payload(su), raw.dense(raw.app(ru)))
+    _assert_matches(F, n, ctx.acc(su, sv, 0), raw.dense(raw.addv(ru, rv)))
+    _assert_matches(F, n, ctx.acc(su, sv, 1), raw.dense(raw.subv(ru, rv)))
+    _assert_matches(F, n, ctx.acc(sv, su, 1), raw.dense(raw.subv(rv, ru)))
+    _assert_matches(F, n, ctx.acc(su, su, 1), raw.dense(raw.subv(ru, ru)))  # every coordinate cancels
+    _assert_matches(F, n, ctx.scale_int(scale, su), raw.dense(raw.smul(scale, ru)))
 
 
 def test_cancellation_and_characteristic_give_the_empty_vector():
