@@ -62,8 +62,7 @@ class _Raw:
         """The payload tuple of vector u, F.zero where it holds nothing."""
         return tuple(u.get(k, self.F.zero) for k in range(self.n))
 
-    # Vectors are dicts {index: payload} of their nonzero coordinates, and no
-    # operation changes its operands.  A coordinate sums its terms in the
+    # No operation changes its operands.  A coordinate sums its terms in the
     # order they are met: the value is exact, and so is its payload wherever
     # payloads are canonical (Q, GF(p), monomial-denominator Frac).  A
     # coordinate that got a single term is a product of nonzero payloads, so

@@ -246,7 +246,10 @@ def test_oracle_vectors_hold_only_nonzero_payloads():
     rng = random.Random(1729)
     for label, F in _raw_fields():
         a = F.monomial("a") if hasattr(F, "monomial") else F.one
-        lift = lambda F, c, pos: F.mul(F.from_fraction(Fraction(c)), a) if sum(pos) % 2 else F.from_fraction(Fraction(c))
+
+        def lift(F, c, pos):  # constants at odd positions pick up the parameter
+            return F.mul(F.from_fraction(Fraction(c)), a) if sum(pos) % 2 else F.from_fraction(Fraction(c))
+
         for trial in range(6):
             A = random_graded_algebra(rng, 3, rng.randint(0, 3))
             raw = oracle._Raw(_carried(hom(A, random_even_map(rng, A)), F, lift))
