@@ -5,12 +5,15 @@
 
 Every checker verdict (and first counterexample) must agree between the two
 evaluation routes; disagreements are printed and the exit code is nonzero.
-The sweep's wall time goes to stderr, so stdout stays the verdict lines.
+The sweep's wall time, the seconds spent in `run_checker` and in
+`oracle_verdict`, and the three checkers with the most oracle time go to
+stderr, so stdout stays the verdict lines.
 """
 
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,16 +28,22 @@ from homsuper.superalg import hom  # noqa: E402
 def main(count: int, seed: int) -> int:
     rng = random.Random(seed)
     bad = 0
+    checker_s, oracle_s = 0.0, Counter()
     for trial in range(count):
         dim = rng.choice([2, 3])
         A = random_graded_algebra(rng, dim, rng.randint(0, dim))
         H = hom(A, random_even_map(rng, A))
         for name in CHECKERS:
+            start = time.perf_counter()
             try:
                 rep = run_checker(name, H, max_counterexamples=1)
             except PreconditionError:
                 continue
+            finally:
+                checker_s += time.perf_counter() - start
+            start = time.perf_counter()
             holds, first = oracle_verdict(name, H)
+            oracle_s[name] += time.perf_counter() - start
             agree = rep.holds == holds and (
                 holds or rep.counterexamples[0][0] == first
             )
@@ -42,6 +51,9 @@ def main(count: int, seed: int) -> int:
                 bad += 1
                 print(f"MISMATCH trial={trial} checker={name}")
     print(f"{count} random instances swept, {bad} mismatches")
+    top = ", ".join(f"{name} {t:.2f} s" for name, t in oracle_s.most_common(3))
+    print(f"run_checker {checker_s:.2f} s, oracle_verdict {sum(oracle_s.values()):.2f} s"
+          f" (most: {top})", file=sys.stderr)
     return 1 if bad else 0
 
 

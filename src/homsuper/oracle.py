@@ -8,7 +8,11 @@ arithmetic underneath is common).  Differences that matter:
   * a vector is a plain dict {index: payload} of its nonzero coordinates
     (`{}` is zero, and a coordinate that cancels is dropped); products, map
     applications and brackets are expanded with plain index loops over
-    those items and the nonzero cells of the tables, with no cached tables;
+    those items and the nonzero cells of the tables;
+  * no residual value is cached: the jordan expansion and the bk-suite
+    share their operands, twists, products and associators within one
+    tuple's evaluation (`_Words`), and nothing is kept from one tuple to
+    the next;
   * the Bruck-Kleinfeld F goes through its functorial definition (the signed
     cyclic-permutation sum) instead of the unrolled four-bracket form;
   * commutator and plus products are rebuilt inline.
@@ -211,6 +215,33 @@ class _Raw:
         return out
 
 
+class _Words(dict):
+    """One tuple's values over one evaluator, each made on first read and
+    keyed by its word: a basis index x is e_x, (u,) is alpha(u), (u, v) is
+    the product uv and (u, v, w) is the associator as(u, v, w), for words
+    u, v, w; so w[(x,),] is alpha^2 e_x.  Each value is made as `_Raw`
+    makes it, so its payload is the same.  A new one is made for every
+    tuple, so nothing outlives it."""
+
+    def __init__(self, raw: _Raw):
+        super().__init__()
+        self.raw = raw
+
+    def __missing__(self, word):
+        raw = self.raw
+        if word.__class__ is int:
+            v = raw.basis(word)
+        elif len(word) == 1:
+            v = raw.app(self[word[0]])
+        elif len(word) == 2:
+            v = raw.mul(self[word[0]], self[word[1]])
+        else:
+            x, y, z = word
+            v = raw.subv(raw.mul(self[x, y], self[z,]), raw.mul(self[x,], self[y, z]))
+        self[word] = v
+        return v
+
+
 def _pair_residual(raw: _Raw, i, j, want_commutative: bool):
     s = (raw.p[i] * raw.p[j]) % 2
     out = {}
@@ -394,26 +425,18 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     raise KeyError(name)
 
 
-def _f_raw(raw: _Raw, l, i, j, k):
-    p, b = raw.p, raw.basis
+def _f_raw(w: _Words, l, i, j, k):
+    raw, p = w.raw, w.raw.p
     pt, px, py, pz = p[l], p[i], p[j], p[k]
-    out = raw.assoc(raw.mul(b(l), b(i)), raw.app(b(j)), raw.app(b(k)))
-    out = raw.subv(
-        out,
-        raw.sgnv(
-            pt * (px + py + pz),
-            raw.mul(raw.assoc(b(i), b(j), b(k)), raw.app2(b(l))),
-        ),
-    )
-    return raw.subv(
-        out, raw.sgnv(pt * px, raw.mul(raw.app2(b(i)), raw.assoc(b(l), b(j), b(k))))
-    )
+    out = w[(l, i), (j,), (k,)]
+    out = raw.subv(out, raw.sgnv(pt * (px + py + pz), raw.mul(w[i, j, k], w[(l,),])))
+    return raw.subv(out, raw.sgnv(pt * px, raw.mul(w[(i,),], w[l, j, k])))
 
 
-def _F_functorial(raw: _Raw, l, i, j, k):
+def _F_functorial(w: _Words, l, i, j, k):
     """F = [-,-] . (alpha^2 x as) . (Id - zeta + zeta^2 - zeta^3) with
     zeta(t,x,y,z) = (z,t,x,y) carrying its Koszul sign."""
-    p, b = raw.p, raw.basis
+    raw, p = w.raw, w.raw.p
     slots = [l, i, j, k]
     out = raw.zero()
     for step in range(4):
@@ -426,9 +449,8 @@ def _F_functorial(raw: _Raw, l, i, j, k):
             for s in stayed:
                 koszul += p[a] * p[s]
         head, tail = rotated[0], rotated[1:]
-        as_part = raw.assoc(b(tail[0]), b(tail[1]), b(tail[2]))
         ptail = (p[tail[0]] + p[tail[1]] + p[tail[2]]) % 2
-        term = raw.bra(raw.app2(b(head)), as_part, p[head] * ptail)
+        term = raw.bra(w[(head,),], w[tuple(tail)], p[head] * ptail)
         out = raw.addv(out, raw.sgnv(step + koszul, term))
     return out
 
@@ -464,85 +486,70 @@ def _bk_residual(name: str, raw: _Raw, idx):
         )
         return raw.subv(lhs, rhs)
     # bk-suite: first failing sub-identity
-    f = _f_raw(raw, l, i, j, k)
+    w = _Words(raw)
+    f = _f_raw(w, l, i, j, k)
     for other, exp in (
-        (_f_raw(raw, i, l, j, k), pt * px),
-        (_f_raw(raw, l, j, i, k), px * py),
-        (_f_raw(raw, l, i, k, j), py * pz),
+        ((i, l, j, k), pt * px),
+        ((l, j, i, k), px * py),
+        ((l, i, k, j), py * pz),
     ):
-        r = raw.addv(f, raw.sgnv(exp, other))
+        r = raw.addv(f, raw.sgnv(exp, _f_raw(w, *other)))
         if not raw.iszero(r):
             return r
-    bigF = _F_functorial(raw, l, i, j, k)
+    bigF = _F_functorial(w, l, i, j, k)
     r = raw.subv(bigF, raw.smul(3, f))
     if not raw.iszero(r):
         return r
-    rho = raw.subv(
-        f, raw.sgnv(pt * (px + py + pz), _f_raw(raw, i, j, k, l))
-    )
-    rho = raw.addv(rho, raw.sgnv((pt + px) * (py + pz), _f_raw(raw, j, k, l, i)))
+    rho = raw.subv(f, raw.sgnv(pt * (px + py + pz), _f_raw(w, i, j, k, l)))
+    rho = raw.addv(rho, raw.sgnv((pt + px) * (py + pz), _f_raw(w, j, k, l, i)))
     r = raw.subv(bigF, rho)
     if not raw.iszero(r):
         return r
-    rhs = raw.assoc(raw.bra(b(l), b(i), pt * px), raw.app(b(j)), raw.app(b(k)))
+    rhs = raw.assoc(raw.bra(b(l), b(i), pt * px), w[j,], w[k,])
     rhs = raw.addv(
         rhs,
         raw.sgnv(
             (py + pz) * (px + pt),
-            raw.assoc(raw.bra(b(j), b(k), py * pz), raw.app(b(l)), raw.app(b(i))),
+            raw.assoc(raw.bra(b(j), b(k), py * pz), w[l,], w[i,]),
         ),
     )
     return raw.subv(f, rhs)
 
 
-def _jordan_expansion_residual(raw: _Raw, idx):
-    p, b = raw.p, raw.basis
+# The twelve signed associators of one cyclic summand (a, b, t) of the
+# jordan expansion's right side: (sign exponent from the parities of a, b,
+# t and k, X, Y, Z) for as(X, Y, Z) over the operands ab = e_a e_b,
+# ba = e_b e_a, t = alpha e_t and z = alpha e_k.  ab and ba stay apart:
+# merging them by bilinearity would rebuild the plus product under test.
+_JORDAN_TERMS = (
+    (lambda a, b, t, z: t * (a + z), "ab", "z", "t"),
+    (lambda a, b, t, z: t * (a + z) + a * b, "ba", "z", "t"),
+    (lambda a, b, t, z: 1 + t * b + z * (a + b), "t", "z", "ab"),
+    (lambda a, b, t, z: 1 + b * (a + t) + z * (a + b), "t", "z", "ba"),
+    (lambda a, b, t, z: 1 + t * b, "t", "ab", "z"),
+    (lambda a, b, t, z: 1 + b * (a + t), "t", "ba", "z"),
+    (lambda a, b, t, z: a * (t + b) + z * (a + b + t), "z", "ba", "t"),
+    (lambda a, b, t, z: t * (a + z) + z * (a + b), "z", "ab", "t"),
+    (lambda a, b, t, z: 1 + z * (a + b + t) + t * b, "z", "t", "ab"),
+    (lambda a, b, t, z: t * a, "ab", "t", "z"),
+    (lambda a, b, t, z: 1 + z * (a + b + t) + b * (a + t), "z", "t", "ba"),
+    (lambda a, b, t, z: a * (b + t), "ba", "t", "z"),
+)
+
+
+def _jordan_rhs(raw: _Raw, idx):
+    """The jordan expansion's right side: the 36 associators of the three
+    cyclic summands and the six brackets [alpha^2 e_k, as(...)]."""
+    p, w = raw.p, _Words(raw)
     i, j, k, l = idx
     px, py, pz, pt = p[i], p[j], p[k], p[l]
-    plus = raw.plus()
-    lhs = raw.sgnv(
-        pt * (px + pz),
-        plus.assoc(plus.mul(b(i), b(j)), plus.app(b(k)), plus.app(b(l))),
-    )
-    lhs = raw.addv(
-        lhs,
-        raw.sgnv(
-            px * (py + pz),
-            plus.assoc(plus.mul(b(j), b(l)), plus.app(b(k)), plus.app(b(i))),
-        ),
-    )
-    lhs = raw.addv(
-        lhs,
-        raw.sgnv(
-            py * (pt + pz),
-            plus.assoc(plus.mul(b(l), b(i)), plus.app(b(k)), plus.app(b(j))),
-        ),
-    )
-    lhs = raw.smul(8, lhs)
-
     rhs = raw.zero()
-    for (a, b_, t_) in ((i, j, l), (j, l, i), (l, i, j)):
-        qa, qb, qt, qz = p[a], p[b_], p[t_], pz
-        ab = raw.mul(b(a), b(b_))
-        ba = raw.mul(b(b_), b(a))
-        at, az = raw.app(b(t_)), raw.app(b(k))
-        for exp, args in (
-            (qt * (qa + qz), (ab, az, at)),
-            (qt * (qa + qz) + qa * qb, (ba, az, at)),
-            (1 + qt * qb + qz * (qa + qb), (at, az, ab)),
-            (1 + qb * (qa + qt) + qz * (qa + qb), (at, az, ba)),
-            (1 + qt * qb, (at, ab, az)),
-            (1 + qb * (qa + qt), (at, ba, az)),
-            (qa * (qt + qb) + qz * (qa + qb + qt), (az, ba, at)),
-            (qt * (qa + qz) + qz * (qa + qb), (az, ab, at)),
-            (1 + qz * (qa + qb + qt) + qt * qb, (az, at, ab)),
-            (qt * qa, (ab, at, az)),
-            (1 + qz * (qa + qb + qt) + qb * (qa + qt), (az, at, ba)),
-            (qa * (qb + qt), (ba, at, az)),
-        ):
-            rhs = raw.addv(rhs, raw.sgnv(exp, raw.assoc(*args)))
+    for (a, b, t) in ((i, j, l), (j, l, i), (l, i, j)):
+        ops = {"ab": (a, b), "ba": (b, a), "t": (t,), "z": (k,)}
+        for exp, x, y, z in _JORDAN_TERMS:
+            term = w[ops[x], ops[y], ops[z]]
+            rhs = raw.addv(rhs, raw.sgnv(exp(p[a], p[b], p[t], pz), term))
     S3 = px + py + pt
-    az2 = raw.app2(b(k))
     for exp, trip in (
         (px * py, (j, l, i)),
         (py * (px + pt), (l, j, i)),
@@ -551,11 +558,20 @@ def _jordan_expansion_residual(raw: _Raw, idx):
         (px * pt, (i, j, l)),
         (px * (py + pt), (j, i, l)),
     ):
-        as_part = raw.assoc(b(trip[0]), b(trip[1]), b(trip[2]))
         rhs = raw.addv(
-            rhs, raw.sgnv(exp + pz * S3, raw.bra(az2, as_part, pz * S3))
+            rhs, raw.sgnv(exp + pz * S3, raw.bra(w[(k,),], w[trip], pz * S3))
         )
-    return raw.subv(lhs, rhs)
+    return rhs
+
+
+def _jordan_expansion_residual(raw: _Raw, idx):
+    p, w = raw.p, _Words(raw.plus())
+    i, j, k, l = idx
+    px, py, pz, pt = p[i], p[j], p[k], p[l]
+    lhs = raw.sgnv(pt * (px + pz), w[(i, j), (k,), (l,)])
+    lhs = raw.addv(lhs, raw.sgnv(px * (py + pz), w[(j, l), (k,), (i,)]))
+    lhs = raw.addv(lhs, raw.sgnv(py * (pt + pz), w[(l, i), (k,), (j,)]))
+    return raw.subv(raw.smul(8, lhs), _jordan_rhs(raw, idx))
 
 
 _ARITY = {
