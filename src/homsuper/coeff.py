@@ -9,36 +9,35 @@ Scalars live in one of three kinds of field:
                        K = Q or GF(p)
 
 A polynomial is a dict mapping exponent tuples to nonzero base-field
-coefficients; the zero polynomial is the empty dict.  Fractions are not
-reduced by multivariate gcd; `eq` cross-multiplies, which is exact whatever
-the representation, except on two monomial denominators (below).  Every
-denominator in the bundled tables is a monic monomial z^e = x1^e1 ... xn^en,
-and such payloads go through one exact kernel: `mul` multiplies the
-numerators over z^(ex+ey); `add` and `sub` bring both numerators to
-z^max(ex,ey) by shifting their exponents, with no coefficient product, and
-add or subtract them; one normaliser, `_mono`, then cancels the common
-monomial factor of the numerator against z^e and attaches the field's
-shared denominator.  It returns at once when e = 0 (all-polynomial tables).
-No field has a power of its own: `Field.pow` serves every field, by
-square-and-multiply over the field's `mul`.
+coefficients; the zero polynomial is the empty dict.  A fraction whose
+denominator is a monomial, as in every bundled table, is kept as a Laurent
+polynomial: one such dict whose exponents may be negative, standing for
+N/z^e with z^e = x1^e1 ... xn^en.  `mul` is the polynomial product and
+`add` and `sub` merge the two dicts; no exponent is shifted and no factor is
+cancelled.  Only a denominator with several terms (none in the bundled
+tables) keeps a `FracPayload` num/den pair, which is not reduced by
+multivariate gcd; `eq` cross-multiplies there, which is exact whatever the
+representation.  No field has a power of its own: `Field.pow` serves every
+field, by square-and-multiply over the field's `mul`.
 
-Exactness.  K[x1..xn] is a UFD, each xv is a prime in it, and val_v, the
-least exponent of xv in a nonzero polynomial, satisfies val_v(N z^d) =
-val_v(N) + d_v.  So a nonzero value has exactly one representative N/z^e
-with z^e monic and min(val_v(N), e_v) = 0 for every parameter v: if N z^e' =
-N' z^e for two of them and e_v > e'_v, then val_v(N) = val_v(N') + e_v - e'_v
-> 0 and e_v > 0, against the condition; so e = e' and N = N'.  The normaliser
-returns that representative, and so does the general route, `_make` on the
-cross-multiplied operands, which cancels the common monomial factor of
-numerator and denominator and makes the denominator monic; the two give
-equal payloads.  They also insert the numerator's terms in the same order (a
-shift by a fixed exponent keeps a dict's order, and both routes combine the
-same terms of the same two operands in turn), so `key` and every rendered
-byte agree.  `_make` sends a single-monomial denominator through the same
-normaliser after scaling by its coefficient's inverse, and keeps its general
-code only for denominators with several terms, which no bundled table has.
-Any other payload over a shared denominator is 0, 1 or a parameter over z^0
-or a `neg` (valuations kept), so `eq` compares two by exponent and numerator.
+Exactness.  A Laurent polynomial is a finitely supported map from exponents
+to nonzero coefficients, and the monomials z^m (m in Z^n) are a basis of
+K[x1^+-1..xn^+-1], so each value has exactly one such map and needs no
+normaliser: `eq` compares two dicts.  Its lowest-terms form N/z^e is unique
+too.  K[x1..xn] is a UFD, each xv is a prime in it, and val_v, the least
+exponent of xv in a nonzero polynomial, satisfies val_v(N z^d) = val_v(N) +
+d_v; so a nonzero value has exactly one representative N/z^e with z^e monic
+and min(val_v(N), e_v) = 0 for every parameter v: if N z^e' = N' z^e for two
+of them and e_v > e'_v, then val_v(N) = val_v(N') + e_v - e'_v > 0 and e_v >
+0, against the condition.  `key`, `render` and `substitute` read that
+representative off the dict: e_v is minus the least exponent of xv, or 0,
+and N is the dict shifted by e, its terms in the dict's order.  A Laurent
+operand meets a num/den one only after the same conversion, and `_make`
+turns a single-term denominator back into a Laurent dict.  The products and
+merges run over the same terms in the same order as on N/z^e, shifted by a
+fixed exponent, so `key` and every rendered byte agree with the general
+route, `_make` on the cross-multiplied operands, which cancels the common
+monomial factor and makes the denominator monic.
 
 A Q payload is canonical: an int when the value is integral, else a stdlib
 Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul`,
@@ -63,12 +62,11 @@ payloads through the `Field` objects for speed.
 All scalar values are immutable after construction and all operations are
 pure, so values can be shared and sent between threads freely.  Fraction
 fields lean on that to save memory: every zero result is the field's one
-`zero` payload (`neg` of zero returns its argument), a monic single-monomial
-denominator is one dict per monomial per field, shared by every payload that
-has it, and a product by a coefficient that is the base field's `one` keeps
-the other coefficient object.  Reported residuals are shared through their
-basis (`superalg.Basis.counterexample`), keyed by `Field.key`.  No code
-mutates a payload's polynomials, so the sharing is invisible except to `is`.
+`zero` payload (`neg` of zero returns its argument), and a product by a
+coefficient that is the base field's `one` keeps the other coefficient
+object.  Reported residuals are shared through their basis
+(`superalg.Basis.counterexample`), keyed by `Field.key`.  No code mutates a
+payload's polynomials, so the sharing is invisible except to `is`.
 """
 
 from __future__ import annotations
@@ -216,13 +214,6 @@ def poly_sub(a: Poly, b: Poly, base: "Field") -> Poly:
     return out
 
 
-def poly_shift(a: Poly, d: Exponent) -> Poly:
-    """a * z^d; the exponents move and the coefficients and order stay."""
-    if not any(d):
-        return a
-    return {tuple(map(_add, e, d)): c for e, c in a.items()}
-
-
 def poly_neg(a: Poly, base: "Field") -> Poly:
     return {e: base.neg(c) for e, c in a.items()}
 
@@ -265,20 +256,9 @@ def poly_scale(a: Poly, c, base: "Field") -> Poly:
     return {e: base.mul(coef, c) for e, coef in a.items()}
 
 
-class _MonoDen(dict):
-    """The monic single-monomial polynomial {exp: 1}, as a denominator.  A
-    fraction field makes one per exponent, keeps it in `_mono_dens` and
-    shares it; the class marks the payloads the monomial kernel takes."""
-
-    __slots__ = ("exp",)
-
-    def __init__(self, exp: Exponent, one):
-        super().__init__({exp: one})
-        self.exp = exp
-
-
 class FracPayload:
-    """num/den pair of polynomials; den is never the zero polynomial."""
+    """num/den pair of polynomials, for a denominator of several terms; a
+    monomial denominator is kept as a Laurent polynomial instead."""
 
     __slots__ = ("num", "den")
 
@@ -551,37 +531,29 @@ class FractionField(Field):
         self.base = base
         self.n = len(params)
         self._zero_exp = (0,) * self.n
-        # monic single-monomial denominators, one shared dict per exponent
-        self._mono_dens: Dict[Exponent, _MonoDen] = {
-            self._zero_exp: _MonoDen(self._zero_exp, base.one)
-        }
-        self.zero = FracPayload({}, self._mono_dens[self._zero_exp])
-        self.one = FracPayload({self._zero_exp: base.one}, self._mono_dens[self._zero_exp])
+        self.zero = {}
+        self.one = {self._zero_exp: base.one}
 
     # -- construction helpers
 
-    def _mono(self, num: Poly, e: Exponent) -> FracPayload:
-        """The normaliser of the monomial kernel: num / z^e with the common
-        monomial factor of `num` cancelled against z^e, over the field's
-        shared denominator."""
-        if not num:
-            return self.zero
-        if not any(e):
-            return FracPayload(num, self._mono_dens[e])
-        lows = e
-        for m in num:
+    def _split(self, x: Poly) -> Tuple[Poly, Exponent]:
+        """(N, e) with the Laurent polynomial x = N/z^e in lowest terms, N's
+        terms in x's order."""
+        lows = self._zero_exp
+        if min(map(min, x), default=0) >= 0:  # a polynomial
+            return x, lows
+        for m in x:
             lows = tuple(map(min, lows, m))
-            if not any(lows):
-                break
-        else:  # no break: a common factor z^lows is left to cancel
-            num = {tuple(map(_sub, m, lows)): c for m, c in num.items()}
-            e = tuple(map(_sub, e, lows))
-        den = self._mono_dens.get(e)
-        if den is None:
-            den = self._mono_dens[e] = _MonoDen(e, self.base.one)
-        return FracPayload(num, den)
+        return {tuple(map(_sub, m, lows)): c for m, c in x.items()}, tuple(-k for k in lows)
 
-    def _make(self, num: Poly, den: Poly) -> FracPayload:
+    def _pair(self, x) -> Tuple[Poly, Poly]:
+        """(numerator, denominator) of a payload; N/z^e for a Laurent one."""
+        if x.__class__ is dict:
+            num, e = self._split(x)
+            return num, {e: self.base.one} if any(e) else self.one
+        return x.num, x.den
+
+    def _make(self, num: Poly, den: Poly):
         if not den:
             raise ZeroInversionError("zero denominator")
         if not num:
@@ -591,7 +563,9 @@ class FractionField(Field):
             ((e, c),) = den.items()
             if not base.eq(c, base.one):
                 num = poly_scale(num, base.inv(c), base)
-            return self._mono(num, e)
+            if not any(e):
+                return num
+            return {tuple(map(_sub, m, e)): coef for m, coef in num.items()}
         # several terms: cancel the common monomial factor and make the
         # denominator monic in its lex-leading term
         num, den = self._cancel_monomial(num, den)
@@ -615,93 +589,92 @@ class FractionField(Field):
             shift(e): c for e, c in den.items()
         }
 
-    def monomial(self, name: str) -> FracPayload:
+    def monomial(self, name: str) -> Poly:
         i = self.spec.params.index(name)
-        e = tuple(1 if j == i else 0 for j in range(self.n))
-        return FracPayload({e: self.base.one}, self._mono_dens[self._zero_exp])
+        return {tuple(1 if j == i else 0 for j in range(self.n)): self.base.one}
 
-    # -- arithmetic
+    def size(self, x) -> Tuple[int, int]:
+        """The term counts of x's lowest-terms numerator and denominator."""
+        if x.__class__ is dict:
+            return len(x), 1
+        return len(x.num), len(x.den)
 
-    def _combine(self, x: FracPayload, y: FracPayload, op) -> FracPayload:
-        """x + y or x - y for nonzero x and y; `op` is poly_add or poly_sub."""
-        xd, yd = x.den, y.den
-        if xd.__class__ is _MonoDen and yd.__class__ is _MonoDen:
-            if xd is yd:
-                return self._mono(op(x.num, y.num, self.base), xd.exp)
-            ex, ey = xd.exp, yd.exp
-            e = tuple(map(max, ex, ey))
-            return self._mono(
-                op(
-                    poly_shift(x.num, tuple(map(_sub, e, ex))),
-                    poly_shift(y.num, tuple(map(_sub, e, ey))),
-                    self.base,
-                ),
-                e,
-            )
+    # -- arithmetic: the zero payload is the one falsy one
+
+    def _combine(self, x, y, op):
+        """x + y or x - y over num/den pairs; `op` is poly_add or poly_sub."""
+        (xn, xd), (yn, yd) = self._pair(x), self._pair(y)
         if xd == yd:
-            return self._make(op(x.num, y.num, self.base), xd)
-        num = op(
-            poly_mul(x.num, yd, self.base), poly_mul(y.num, xd, self.base), self.base
-        )
+            return self._make(op(xn, yn, self.base), xd)
+        num = op(poly_mul(xn, yd, self.base), poly_mul(yn, xd, self.base), self.base)
         return self._make(num, poly_mul(xd, yd, self.base))
 
-    def add(self, x: FracPayload, y: FracPayload):
-        if not x.num:
+    def add(self, x, y):
+        if not x:
             return y
-        if not y.num:
+        if not y:
             return x
+        if x.__class__ is dict and y.__class__ is dict:
+            return poly_add(x, y, self.base) or self.zero
         return self._combine(x, y, poly_add)
 
-    def sub(self, x: FracPayload, y: FracPayload):
-        if not y.num:
+    def sub(self, x, y):
+        if not y:
             return x
-        if not x.num:
+        if not x:
             return self.neg(y)
+        if x.__class__ is dict and y.__class__ is dict:
+            return poly_sub(x, y, self.base) or self.zero
         return self._combine(x, y, poly_sub)
 
-    def neg(self, x: FracPayload):
-        if not x.num:
+    def neg(self, x):
+        if not x:
             return x
+        if x.__class__ is dict:
+            return poly_neg(x, self.base)
         return FracPayload(poly_neg(x.num, self.base), x.den)
 
-    def mul(self, x: FracPayload, y: FracPayload):
-        if not x.num or not y.num:
+    def mul(self, x, y):
+        if not x or not y:
             return self.zero
-        xd, yd = x.den, y.den
-        num = poly_mul(x.num, y.num, self.base)
-        if xd.__class__ is _MonoDen and yd.__class__ is _MonoDen:
-            return self._mono(num, tuple(map(_add, xd.exp, yd.exp)))
-        return self._make(num, poly_mul(xd, yd, self.base))
+        if x.__class__ is dict and y.__class__ is dict:
+            return poly_mul(x, y, self.base)  # nonzero: K[z^+-1] is a domain
+        (xn, xd), (yn, yd) = self._pair(x), self._pair(y)
+        return self._make(poly_mul(xn, yn, self.base), poly_mul(xd, yd, self.base))
 
-    def inv(self, x: FracPayload):
-        if not x.num:
+    def inv(self, x):
+        if not x:
             raise ZeroInversionError("inverse of zero")
-        return self._make(x.den, x.num)
+        num, den = self._pair(x)
+        return self._make(den, num)
 
-    def is_zero(self, x: FracPayload):
-        return not x.num
+    def is_zero(self, x):
+        return not x
 
-    def key(self, x: FracPayload):
+    def key(self, x):
+        if x.__class__ is dict:
+            num, e = self._split(x)
+            return tuple(num.items()), ((e, self.base.one),)
         return tuple(x.num.items()), tuple(x.den.items())
 
-    def eq(self, x: FracPayload, y: FracPayload):
-        if x.den.__class__ is _MonoDen and y.den.__class__ is _MonoDen:
-            # both in lowest terms over a monic monomial: unique (see above)
-            return x.den.exp == y.den.exp and x.num == y.num
+    def eq(self, x, y):
+        if x.__class__ is dict and y.__class__ is dict:
+            return x == y  # one Laurent polynomial per value (see above)
         # cross multiplication: exact whatever the normalisation
-        if x.den is y.den or x.den == y.den:
-            return x.num == y.num or not poly_sub(x.num, y.num, self.base)
-        lhs = poly_mul(x.num, y.den, self.base)
-        rhs = poly_mul(y.num, x.den, self.base)
+        (xn, xd), (yn, yd) = self._pair(x), self._pair(y)
+        if xd == yd:
+            return xn == yn or not poly_sub(xn, yn, self.base)
+        lhs = poly_mul(xn, yd, self.base)
+        rhs = poly_mul(yn, xd, self.base)
         return not poly_sub(lhs, rhs, self.base)
 
     def from_fraction(self, q: Fraction):
         c = self.base.from_fraction(q)
-        return self._mono({} if self.base.is_zero(c) else {self._zero_exp: c}, self._zero_exp)
+        return self.zero if self.base.is_zero(c) else {self._zero_exp: c}
 
     # -- substitution
 
-    def substitute(self, x: FracPayload, bindings: Mapping[str, object], target: Field):
+    def substitute(self, x, bindings: Mapping[str, object], target: Field):
         """Bind a subset of the parameters to base-field values.
 
         `target` must be the field over the remaining parameters (or the bare
@@ -716,11 +689,11 @@ class FractionField(Field):
                 f"unbound parameters: {', '.join(remaining)}"
             )
         keep = [i for i, p in enumerate(self.spec.params) if p not in bindings]
-        vals = {
-            i: self.base.from_fraction(Fraction(bindings[p]))
-            for i, p in enumerate(self.spec.params)
-            if p in bindings
-        }
+        vals = {}
+        for i, p in enumerate(self.spec.params):
+            if p in bindings:
+                v = bindings[p]  # a Fraction is used as it is: Fraction() would copy it
+                vals[i] = self.base.from_fraction(v if v.__class__ is Fraction else Fraction(v))
 
         def down(poly: Poly) -> Poly:
             out: Poly = {}
@@ -739,8 +712,13 @@ class FractionField(Field):
                     out[ne] = coef
             return out
 
-        num = down(x.num)
-        den = down(x.den)
+        xn, xd = self._pair(x)
+        num = down(xn)
+        if xd is self.one:  # a polynomial: nothing to divide by
+            if isinstance(target, FractionField):
+                return num or target.zero
+            return num.get((), target.zero)
+        den = down(xd)
         if not den:
             raise ZeroInversionError("denominator vanishes under binding")
         if isinstance(target, FractionField):
@@ -790,13 +768,13 @@ class FractionField(Field):
                 out.append(f" - {body}" if negative else f" + {body}")
         return "".join(out)
 
-    def render(self, x: FracPayload) -> str:
-        num = self._poly_str(x.num)
-        den_trivial = x.den == {self._zero_exp: self.base.one}
-        if den_trivial:
+    def render(self, x) -> str:
+        xn, xd = self._pair(x)
+        num = self._poly_str(xn)
+        if xd == self.one:
             return num
-        den = self._poly_str(x.den)
-        num_atom = num if (num.isalnum() or self._is_single_monomial(x.num)) else f"({num})"
+        den = self._poly_str(xd)
+        num_atom = num if (num.isalnum() or self._is_single_monomial(xn)) else f"({num})"
         den_atom = den if den.isidentifier() else f"({den})"
         return f"{num_atom}/{den_atom}"
 
@@ -923,7 +901,7 @@ def _occurring_params(x: Scalar) -> Tuple[str, ...]:
     if not isinstance(f, FractionField):
         return ()
     used = set()
-    for poly in (x.v.num, x.v.den):
+    for poly in (x.v,) if x.v.__class__ is dict else (x.v.num, x.v.den):
         for e in poly:
             for i, k in enumerate(e):
                 if k:

@@ -117,7 +117,7 @@ def _substituter(doc: AlgebraDocument, bindings: Mapping[str, Fraction]):
     frs = {k: Fraction(v) for k, v in bindings.items()}
     # a zero payload substitutes to zero; taking it at once keeps unstated
     # products cheap
-    return target, (lambda v: full.substitute(v, frs, target) if v.num else target.zero)
+    return target, (lambda v: target.zero if full.is_zero(v) else full.substitute(v, frs, target))
 
 
 def document_variants(doc: AlgebraDocument) -> Tuple[str, ...]:

@@ -82,7 +82,7 @@ MAX_WORK = 10**6
 def value_size(field: Field, x) -> Tuple[int, int]:
     """The term counts of a payload's numerator and denominator; (1, 1)
     outside Frac(K[params])."""
-    return (len(x.num), len(x.den)) if isinstance(field, FractionField) else (1, 1)
+    return field.size(x) if isinstance(field, FractionField) else (1, 1)
 
 
 def product_bound(a: Tuple[int, int], b: Tuple[int, int]):

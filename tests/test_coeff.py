@@ -334,8 +334,8 @@ def test_rational_constants_and_integer_division():
     assert type(parse_expression("6/3", Q).v) is int
     assert type(parse_expression("1/3", Q).v) is Fraction
     half = parse_expression("a/2", QAB)
-    assert all(isinstance(c, Fraction) for c in half.v.num.values())
-    assert all(type(c) is int for c in parse_expression("2*a + 4", QAB).v.num.values())
+    assert all(isinstance(c, Fraction) for _, c in QAB.key(half.v)[0])
+    assert all(type(c) is int for _, c in QAB.key(parse_expression("2*a + 4", QAB).v)[0])
 
 
 @given(rationals_st, st.integers(min_value=0, max_value=40))
@@ -357,8 +357,8 @@ def test_binary_power_matches_repeated_product(x, k):
         assert got == slow and F.render(got.v) == F.render(slow.v), (text, k % 9)
 
 
-# The monomial kernel of the fraction fields: operands whose denominator is a
-# monic monomial z^e (e = 0 included), against the general route and sympy
+# Values of the fraction fields whose denominator is a monomial z^e (e = 0
+# included), kept as Laurent polynomials, against the general route and sympy
 _exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
@@ -367,6 +367,16 @@ def _coeffs(F):
         return st.builds(lambda n, d: Q.normal(Fraction(n, d)),
                          st.integers(-4, 4).filter(bool), st.integers(1, 3))
     return st.integers(1, 2)
+
+
+def _lowest_terms(F, x):
+    """(numerator, denominator) of a payload as plain dicts: for a Laurent
+    polynomial, N/z^e with e_v = max(0, -least exponent of v), worked out
+    here and not by the field."""
+    if isinstance(x, FracPayload):
+        return dict(x.num), dict(x.den)
+    e = tuple(max([0] + [-m[v] for m in x]) for v in range(F.n))
+    return {tuple(map(operator.add, m, e)): c for m, c in x.items()}, {e: F.base.one}
 
 
 @st.composite
@@ -382,25 +392,27 @@ def mono_pairs(draw):
     if how == "free":
         y = operand()
     elif how == "negated":  # x + y cancels to zero
-        y = FracPayload(poly_neg(x.num, F.base), x.den)
+        y = poly_neg(x, F.base) or F.zero
     elif how == "same":  # x - y cancels to zero
         y = x
     else:  # x + y = c*z^m/z^e, whose common monomial factor cancels
         m = {draw(_exps): draw(_coeffs(F))}
-        y = F._make(poly_add(m, poly_neg(x.num, F.base), F.base), dict(x.den))
+        num, den = _lowest_terms(F, x)
+        y = F._make(poly_add(m, poly_neg(num, F.base), F.base), den)
     return F, x, y
 
 
 def _general(F, op, x, y):
-    """`_make` on the cross-multiplied polynomials, over plain dicts that are
-    not the field's shared denominators."""
-    base, xd, yd = F.base, dict(x.den), dict(y.den)
+    """`_make` on the cross-multiplied polynomials of the operands' lowest
+    terms."""
+    base, (xn, xd) = F.base, _lowest_terms(F, x)
     if op == "neg":
-        return F._make(poly_neg(x.num, base), xd)
+        return F._make(poly_neg(xn, base), xd)
+    yn, yd = _lowest_terms(F, y)
     if op == "mul":
-        return F._make(poly_mul(x.num, y.num, base), poly_mul(xd, yd, base))
-    yn = y.num if op == "add" else poly_neg(y.num, base)
-    num = poly_add(poly_mul(x.num, yd, base), poly_mul(yn, xd, base), base)
+        return F._make(poly_mul(xn, yn, base), poly_mul(xd, yd, base))
+    yn = yn if op == "add" else poly_neg(yn, base)
+    num = poly_add(poly_mul(xn, yd, base), poly_mul(yn, xd, base), base)
     return F._make(num, poly_mul(xd, yd, base))
 
 
@@ -421,11 +433,11 @@ def test_monomial_kernel_matches_general_route_and_sympy(case, op):
     want = _general(F, op, x, y)
     assert F.key(got) == F.key(want)
     assert F.render(got) == F.render(want)
-    ((e, _),) = got.den.items()
-    assert got.den is F._mono_dens[e]
+    # a monomial denominator stays a Laurent polynomial; zero is F.zero
+    assert got.__class__ is dict and F.is_zero(got) == (got is F.zero)
     # the value is sympy's cancelled quotient, in lowest terms
-    nx, dx = _sympy_poly(F, x.num), _sympy_poly(F, x.den)
-    ny, dy = _sympy_poly(F, y.num), _sympy_poly(F, y.den)
+    nx, dx = (_sympy_poly(F, p) for p in _lowest_terms(F, x))
+    ny, dy = (_sympy_poly(F, p) for p in _lowest_terms(F, y))
     num, den = {
         "add": (nx * dy + ny * dx, dx * dy),
         "sub": (nx * dy - ny * dx, dx * dy),
@@ -433,23 +445,23 @@ def test_monomial_kernel_matches_general_route_and_sympy(case, op):
         "neg": (-nx, dx),
     }[op]
     p, q = num.cancel(den, include=True)
-    ngot, dgot = _sympy_poly(F, got.num), _sympy_poly(F, got.den)
+    ngot, dgot = (_sympy_poly(F, p) for p in _lowest_terms(F, got))
     assert dgot == q.monic()
     assert ngot * q == p * dgot
 
 
-def test_power_goes_through_the_normaliser():
+def test_power_of_a_monomial_denominator_stays_laurent():
     for F in (QAB, GFAS):
         x = F.inv(F.monomial("a"))
         got = F.pow(x, 2)
-        assert got.den is F._mono_dens[(2, 0)]
+        assert got == {(-2, 0): F.base.one}
         assert F.key(got) == ((((0, 0), 1),), (((2, 0), 1),))
         assert F.render(got) == "1/(a^2)"
         assert F.key(F.pow(x, 3)) == F.key(F.mul(got, x))
-        assert F.pow(x, 0).den is F._mono_dens[(0, 0)] and F.render(F.pow(x, 0)) == "1"
+        assert F.pow(x, 0) is F.one and F.render(F.pow(x, 0)) == "1"
     y = parse_expression("(a+b)/(3*a*b^2)", QAB).v
     got = QAB.pow(y, 2)
-    assert got.den is QAB._mono_dens[(2, 4)]
+    assert got.__class__ is dict and QAB.key(got)[1] == (((2, 4), 1),)
     assert QAB.render(got) == "(1/9*a^2 + 2/9*a*b + 1/9*b^2)/(a^2*b^4)"
     # a denominator with several terms keeps the general route
     z = QAB.pow(parse_expression("2/(a+1)", QAB).v, 2)
@@ -457,16 +469,16 @@ def test_power_goes_through_the_normaliser():
 
 
 def _cross_eq(F, x, y):
-    base = F.base
-    return not poly_sub(poly_mul(x.num, dict(y.den), base), poly_mul(y.num, dict(x.den), base), base)
+    base, (xn, xd), (yn, yd) = F.base, _lowest_terms(F, x), _lowest_terms(F, y)
+    return not poly_sub(poly_mul(xn, yd, base), poly_mul(yn, xd, base), base)
 
 
 @settings(max_examples=300)
 @given(mono_pairs(), st.sampled_from(("drawn", "times-over", "there-and-back", "copied")),
        st.sampled_from(("a", "a+1", "a*s")))
 def test_monomial_eq_matches_cross_multiplication(case, route, factor):
-    # equal values reached by different routes: (x*w)/w, (x - y) + y, and a
-    # copy whose denominator is not the field's shared dict
+    # equal values reached by different routes: (x*w)/w, which is a num/den
+    # pair for w = a+1, (x - y) + y, and a copy that is another dict
     F, x, y = case
     if route == "times-over":
         w = parse_expression(factor.replace("s", F.spec.params[1]), F).v
@@ -477,3 +489,81 @@ def test_monomial_eq_matches_cross_multiplication(case, route, factor):
         y = copy.deepcopy(x)
     assert F.eq(x, y) == F.eq(y, x) == _cross_eq(F, x, y)
     assert F.eq(x, y) or route == "drawn"
+
+
+# Laurent operands (exponents of either sign) against num/den operands, whose
+# denominators have several terms
+@st.composite
+def mixed_pairs(draw):
+    F = draw(st.sampled_from((QAB, GFAS)))
+    laurent = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), _coeffs(F),
+                              max_size=3)
+    x = draw(laurent) or F.zero
+    num = draw(st.dictionaries(_exps, _coeffs(F), min_size=1, max_size=3))
+    y = F._make(num, draw(st.dictionaries(_exps, _coeffs(F), min_size=2, max_size=3)))
+    assert isinstance(y, FracPayload)
+    return F, x, y
+
+
+def _snapshot(x):
+    if isinstance(x, FracPayload):
+        return list(x.num.items()), list(x.den.items())
+    return list(x.items())
+
+
+@settings(max_examples=300)
+@given(mixed_pairs(), st.sampled_from(("add", "sub", "mul", "inv")), st.booleans())
+def test_laurent_operands_meet_the_general_route(case, op, swap):
+    F, x, y = case
+    if swap:
+        x, y = y, x
+    before = _snapshot(x), _snapshot(y)
+    if op == "inv":
+        if F.is_zero(x):
+            with pytest.raises(ZeroInversionError):
+                F.inv(x)
+            return
+        got = F.inv(x)
+        num, den = _lowest_terms(F, x)
+        want = F._make(den, num)
+        assert F.eq(F.mul(got, x), F.one) and F.eq(x, F.mul(x, F.mul(got, x)))
+    else:
+        got = getattr(F, op)(x, y)
+        want = _general(F, op, x, y)
+    assert F.key(got) == F.key(want)
+    assert F.render(got) == F.render(want)
+    assert F.eq(got, want) and F.eq(want, got)
+    # the rendered text parses back to the value
+    assert F.eq(parse_expression(F.render(got), F).v, got)
+    # no operation changes an operand
+    assert (_snapshot(x), _snapshot(y)) == before
+
+
+@given(mixed_pairs(), st.booleans())
+def test_cancelling_sums_give_the_shared_zero(case, general):
+    F, x, y = case
+    v = y if general else x
+    assert F.sub(v, v) is F.zero
+    assert F.add(v, F.neg(v)) is F.zero and F.add(F.neg(v), v) is F.zero
+
+
+@given(mixed_pairs())
+def test_laurent_payload_survives_pickle_and_copies(case):
+    F, x, y = case
+    for z in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert z.__class__ is dict and list(z.items()) == list(x.items())
+        assert F.eq(z, x) and F.key(z) == F.key(x) and F.render(z) == F.render(x)
+        assert F.key(F.add(z, y)) == F.key(F.add(x, y))
+        assert F.key(F.mul(z, x)) == F.key(F.mul(x, x))
+
+
+@given(mixed_pairs())
+def test_laurent_payload_substitutes_term_by_term(case):
+    # x at a = 2 and the second parameter 1 (nonzero in Q and GF(3)), summed
+    # here over Fraction with negative exponents as reciprocals
+    F, x, _ = case
+    total = Fraction(0)
+    for m, c in x.items():
+        total += Fraction(c) * Fraction(2) ** m[0]
+    got = F.substitute(x, dict(zip(F.spec.params, (2, 1))), F.base)
+    assert F.base.eq(got, F.base.from_fraction(total))

@@ -53,29 +53,19 @@ def test_reverse_order_tables_match_fresh_context_b42(name):
     _assert_reverse_order_matches_fresh(inst.hom, name)
 
 
-def _shared_payloads(F):
-    return (F.zero, F.one, dict(F._mono_dens))
-
-
 def test_symbolic_run_leaves_shared_payloads_unchanged():
     H = corpus.build("dt-jordan", "alpha").hom
     F = H.field
-    zero, one, dens = _shared_payloads(F)
-    before = (
-        copy.deepcopy((zero.num, zero.den, one.num, one.den)),
-        {e: copy.deepcopy(d) for e, d in dens.items()},
-    )
+    zero, one = F.zero, F.one
+    before = copy.deepcopy((zero, one))
     for name in ("hom-jordan", "teichmuller", "bk-suite", "cyclic-assoc", "jordan-admissible"):
         run_checker(name, H)
     assert F.zero is zero and F.one is one
-    assert (zero.num, zero.den, one.num, one.den) == before[0]
-    assert not zero.num
-    for e, d in before[1].items():
-        assert F._mono_dens[e] is dens[e]
-        assert dens[e] == d
-    # every shared denominator is a monic single monomial under its own key
-    for e, d in F._mono_dens.items():
-        assert list(d) == [e] and F.base.eq(d[e], F.base.one)
+    assert (zero, one) == before
+    assert not zero
+    # the one is the constant monomial with the base field's one
+    e0 = (0,) * len(F.spec.params)
+    assert list(one) == [e0] and F.base.eq(one[e0], F.base.one)
 
 
 def test_reported_coordinates_are_hash_consed():
