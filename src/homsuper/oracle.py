@@ -10,9 +10,10 @@ arithmetic underneath is common).  Differences that matter:
     applications and brackets are expanded with plain index loops over
     those items and the nonzero cells of the tables;
   * no residual value is cached: the jordan expansion and the bk-suite
-    share their operands, twists, products and associators within one
-    tuple's evaluation (`_Words`), and nothing is kept from one tuple to
-    the next;
+    read their operands, twists, products and associators from the
+    evaluator's word memo (`_Raw.word`), which every tuple of one
+    `oracle_verdict` call shares and which goes with its `_Raw` when the
+    call returns; nothing is kept from one verdict or algebra to the next;
   * the Bruck-Kleinfeld F goes through its functorial definition (the signed
     cyclic-permutation sum) instead of the unrolled four-bracket form;
   * commutator and plus products are rebuilt inline.
@@ -55,6 +56,7 @@ class _Raw:
             [(i, mji) for i, mji in enumerate(col) if not isz(mji)]
             for col in self.m
         ]
+        self.words = {}
 
     def zero(self):
         return {}
@@ -108,6 +110,40 @@ class _Raw:
 
     def app2(self, u):
         return self.app(self.app(u))
+
+    def word(self, key):
+        """The value of the word `key`, made on its first read and kept in
+        `words`: a basis index x is e_x, (u,) is alpha(u), (u, v) is the
+        product uv and (u, v, w) is the associator as(u, v, w), for words
+        u, v, w; so word(((x,),)) is alpha^2 e_x.  Each value is made as
+        `assoc`, `mul` and `app` make it, so its payload is the same, and
+        it depends on the word and these tables alone, so every tuple may
+        read it.
+
+        The memo lives as long as this evaluator, which `oracle_verdict`
+        makes for one call, and holds nothing that refers back to it, so
+        reference counting frees both when the call returns.  The minus and
+        plus evaluators keep their own.  It grows to O(dim^4) words: a
+        `jordan-expansion` verdict that holds leaves 504 words (about
+        100 KB, with its plus evaluator's) at dimension 3 and 6,300 words
+        (1.5 MB) on b42/alpha at dimension 6.  The CLI never runs
+        `oracle_verdict`."""
+        v = self.words.get(key)
+        if v is None:
+            if key.__class__ is int:
+                v = self.basis(key)
+            elif len(key) == 1:
+                v = self.app(self.word(key[0]))
+            elif len(key) == 2:
+                v = self.mul(self.word(key[0]), self.word(key[1]))
+            else:
+                x, y, z = key
+                v = self.subv(
+                    self.mul(self.word((x, y)), self.word((z,))),
+                    self.mul(self.word((x,)), self.word((y, z))),
+                )
+            self.words[key] = v
+        return v
 
     def addv(self, u, v):
         F = self.F
@@ -213,33 +249,6 @@ class _Raw:
         ]
         out._index()
         return out
-
-
-class _Words(dict):
-    """One tuple's values over one evaluator, each made on first read and
-    keyed by its word: a basis index x is e_x, (u,) is alpha(u), (u, v) is
-    the product uv and (u, v, w) is the associator as(u, v, w), for words
-    u, v, w; so w[(x,),] is alpha^2 e_x.  Each value is made as `_Raw`
-    makes it, so its payload is the same.  A new one is made for every
-    tuple, so nothing outlives it."""
-
-    def __init__(self, raw: _Raw):
-        super().__init__()
-        self.raw = raw
-
-    def __missing__(self, word):
-        raw = self.raw
-        if word.__class__ is int:
-            v = raw.basis(word)
-        elif len(word) == 1:
-            v = raw.app(self[word[0]])
-        elif len(word) == 2:
-            v = raw.mul(self[word[0]], self[word[1]])
-        else:
-            x, y, z = word
-            v = raw.subv(raw.mul(self[x, y], self[z,]), raw.mul(self[x,], self[y, z]))
-        self[word] = v
-        return v
 
 
 def _pair_residual(raw: _Raw, i, j, want_commutative: bool):
@@ -425,18 +434,18 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     raise KeyError(name)
 
 
-def _f_raw(w: _Words, l, i, j, k):
-    raw, p = w.raw, w.raw.p
+def _f_raw(raw: _Raw, l, i, j, k):
+    p, w = raw.p, raw.word
     pt, px, py, pz = p[l], p[i], p[j], p[k]
-    out = w[(l, i), (j,), (k,)]
-    out = raw.subv(out, raw.sgnv(pt * (px + py + pz), raw.mul(w[i, j, k], w[(l,),])))
-    return raw.subv(out, raw.sgnv(pt * px, raw.mul(w[(i,),], w[l, j, k])))
+    out = w(((l, i), (j,), (k,)))
+    out = raw.subv(out, raw.sgnv(pt * (px + py + pz), raw.mul(w((i, j, k)), w(((l,),)))))
+    return raw.subv(out, raw.sgnv(pt * px, raw.mul(w(((i,),)), w((l, j, k)))))
 
 
-def _F_functorial(w: _Words, l, i, j, k):
+def _F_functorial(raw: _Raw, l, i, j, k):
     """F = [-,-] . (alpha^2 x as) . (Id - zeta + zeta^2 - zeta^3) with
     zeta(t,x,y,z) = (z,t,x,y) carrying its Koszul sign."""
-    raw, p = w.raw, w.raw.p
+    p, w = raw.p, raw.word
     slots = [l, i, j, k]
     out = raw.zero()
     for step in range(4):
@@ -450,7 +459,7 @@ def _F_functorial(w: _Words, l, i, j, k):
                 koszul += p[a] * p[s]
         head, tail = rotated[0], rotated[1:]
         ptail = (p[tail[0]] + p[tail[1]] + p[tail[2]]) % 2
-        term = raw.bra(w[(head,),], w[tuple(tail)], p[head] * ptail)
+        term = raw.bra(w(((head,),)), w(tuple(tail)), p[head] * ptail)
         out = raw.addv(out, raw.sgnv(step + koszul, term))
     return out
 
@@ -486,31 +495,31 @@ def _bk_residual(name: str, raw: _Raw, idx):
         )
         return raw.subv(lhs, rhs)
     # bk-suite: first failing sub-identity
-    w = _Words(raw)
-    f = _f_raw(w, l, i, j, k)
+    f = _f_raw(raw, l, i, j, k)
     for other, exp in (
         ((i, l, j, k), pt * px),
         ((l, j, i, k), px * py),
         ((l, i, k, j), py * pz),
     ):
-        r = raw.addv(f, raw.sgnv(exp, _f_raw(w, *other)))
+        r = raw.addv(f, raw.sgnv(exp, _f_raw(raw, *other)))
         if not raw.iszero(r):
             return r
-    bigF = _F_functorial(w, l, i, j, k)
+    bigF = _F_functorial(raw, l, i, j, k)
     r = raw.subv(bigF, raw.smul(3, f))
     if not raw.iszero(r):
         return r
-    rho = raw.subv(f, raw.sgnv(pt * (px + py + pz), _f_raw(w, i, j, k, l)))
-    rho = raw.addv(rho, raw.sgnv((pt + px) * (py + pz), _f_raw(w, j, k, l, i)))
+    rho = raw.subv(f, raw.sgnv(pt * (px + py + pz), _f_raw(raw, i, j, k, l)))
+    rho = raw.addv(rho, raw.sgnv((pt + px) * (py + pz), _f_raw(raw, j, k, l, i)))
     r = raw.subv(bigF, rho)
     if not raw.iszero(r):
         return r
-    rhs = raw.assoc(raw.bra(b(l), b(i), pt * px), w[j,], w[k,])
+    w = raw.word
+    rhs = raw.assoc(raw.bra(b(l), b(i), pt * px), w((j,)), w((k,)))
     rhs = raw.addv(
         rhs,
         raw.sgnv(
             (py + pz) * (px + pt),
-            raw.assoc(raw.bra(b(j), b(k), py * pz), w[l,], w[i,]),
+            raw.assoc(raw.bra(b(j), b(k), py * pz), w((l,)), w((i,))),
         ),
     )
     return raw.subv(f, rhs)
@@ -540,14 +549,14 @@ _JORDAN_TERMS = (
 def _jordan_rhs(raw: _Raw, idx):
     """The jordan expansion's right side: the 36 associators of the three
     cyclic summands and the six brackets [alpha^2 e_k, as(...)]."""
-    p, w = raw.p, _Words(raw)
+    p, w = raw.p, raw.word
     i, j, k, l = idx
     px, py, pz, pt = p[i], p[j], p[k], p[l]
     rhs = raw.zero()
     for (a, b, t) in ((i, j, l), (j, l, i), (l, i, j)):
         ops = {"ab": (a, b), "ba": (b, a), "t": (t,), "z": (k,)}
         for exp, x, y, z in _JORDAN_TERMS:
-            term = w[ops[x], ops[y], ops[z]]
+            term = w((ops[x], ops[y], ops[z]))
             rhs = raw.addv(rhs, raw.sgnv(exp(p[a], p[b], p[t], pz), term))
     S3 = px + py + pt
     for exp, trip in (
@@ -559,18 +568,18 @@ def _jordan_rhs(raw: _Raw, idx):
         (px * (py + pt), (j, i, l)),
     ):
         rhs = raw.addv(
-            rhs, raw.sgnv(exp + pz * S3, raw.bra(w[(k,),], w[trip], pz * S3))
+            rhs, raw.sgnv(exp + pz * S3, raw.bra(w(((k,),)), w(trip), pz * S3))
         )
     return rhs
 
 
 def _jordan_expansion_residual(raw: _Raw, idx):
-    p, w = raw.p, _Words(raw.plus())
+    p, w = raw.p, raw.plus().word
     i, j, k, l = idx
     px, py, pz, pt = p[i], p[j], p[k], p[l]
-    lhs = raw.sgnv(pt * (px + pz), w[(i, j), (k,), (l,)])
-    lhs = raw.addv(lhs, raw.sgnv(px * (py + pz), w[(j, l), (k,), (i,)]))
-    lhs = raw.addv(lhs, raw.sgnv(py * (pt + pz), w[(l, i), (k,), (j,)]))
+    lhs = raw.sgnv(pt * (px + pz), w(((i, j), (k,), (l,))))
+    lhs = raw.addv(lhs, raw.sgnv(px * (py + pz), w(((j, l), (k,), (i,)))))
+    lhs = raw.addv(lhs, raw.sgnv(py * (pt + pz), w(((l, i), (k,), (j,)))))
     return raw.subv(raw.smul(8, lhs), _jordan_rhs(raw, idx))
 
 

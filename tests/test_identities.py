@@ -93,14 +93,24 @@ def test_hom_lie_examples(corpus_instances):
     assert run_checker("hom-lie", hom(A)).holds
 
 
+def _refusal(name, H):
+    with pytest.raises(PreconditionError) as info:
+        run_checker(name, H)
+    return info.value
+
+
 def test_hom_lie_requires_skew(corpus_instances):
-    with pytest.raises(PreconditionError):
-        run_checker("hom-lie", corpus_instances[("b42", "base")].hom)
+    H = corpus_instances[("b42", "base")].hom
+    first, again = _refusal("hom-lie", H), _refusal("hom-malcev", H)
+    assert str(first) == "hom-lie: requires a super-skewsymmetric product"
+    assert again.requirement is first.requirement  # one string for every refusal
 
 
 def test_hom_jordan_requires_commutative(corpus_instances):
-    with pytest.raises(PreconditionError):
-        run_checker("hom-jordan", corpus_instances[("m3-3-1", "base")].hom)
+    H = corpus_instances[("m3-3-1", "base")].hom
+    first, again = _refusal("hom-jordan", H), _refusal("hom-jordan", H)
+    assert str(first) == "hom-jordan: requires a super-commutative product"
+    assert again.requirement is first.requirement
 
 
 def test_malcev_forms_agree(corpus_instances):

@@ -1,8 +1,10 @@
 """Every checker verdict must match the independent brute-force expansion."""
 
 import ast
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,11 +215,13 @@ def _payloads(F, u):
 
 
 def test_jordan_right_side_matches_the_plain_expansion():
-    # the right side shares each operand's twist and each product within a
-    # tuple; it must equal the term-by-term sum payload for payload, and the
-    # left side must be nonzero somewhere or the comparison says nothing
+    # every tuple, in lex order as `oracle_verdict` walks them, reads the
+    # one word memo of its evaluator (and of its plus evaluator); each side
+    # must equal the term-by-term sum payload for payload, and the left side
+    # must be nonzero somewhere or the comparison says nothing
     for label, H in _shared_term_tables():
         F, raw = H.field, oracle._Raw(H)
+        memo, plus_memo = raw.words, raw.plus().words
         lhs_seen = False
         for idx in itertools.product(range(raw.n), repeat=4):
             lhs, rhs = _plain_jordan_sides(raw, idx)
@@ -226,24 +230,70 @@ def test_jordan_right_side_matches_the_plain_expansion():
             assert _payloads(F, got) == _payloads(F, raw.subv(lhs, rhs)), (label, idx)
             lhs_seen = lhs_seen or bool(lhs)
         assert lhs_seen, label
+        assert raw.words is memo and raw.plus().words is plus_memo and memo and plus_memo, label
 
 
 def test_bk_pieces_match_the_plain_expansion():
-    # one tuple's f at the bk-suite's six slot orders and F share a single
-    # `_Words`; each must equal its plain expansion payload for payload
+    # f at the bk-suite's six slot orders and F, on every tuple in lex
+    # order, read the one word memo of their evaluator; each must equal its
+    # plain expansion payload for payload
     for label, H in _shared_term_tables():
         F, raw = H.field, oracle._Raw(H)
+        memo = raw.words
         f_seen = False
         for l, i, j, k in itertools.product(range(raw.n), repeat=4):
-            w = oracle._Words(raw)
             for slots in ((l, i, j, k), (i, l, j, k), (l, j, i, k), (l, i, k, j),
                           (i, j, k, l), (j, k, l, i)):
                 want = _plain_f(raw, *slots)
-                assert _payloads(F, oracle._f_raw(w, *slots)) == _payloads(F, want), (label, slots)
+                assert _payloads(F, oracle._f_raw(raw, *slots)) == _payloads(F, want), (label, slots)
                 f_seen = f_seen or bool(want)
-            got = oracle._F_functorial(w, l, i, j, k)
+            got = oracle._F_functorial(raw, l, i, j, k)
             assert _payloads(F, got) == _payloads(F, _plain_F(raw, l, i, j, k)), (label, l, i, j, k)
         assert f_seen, label
+        assert raw.words is memo and memo, label
+
+
+def test_word_memo_is_freed_with_its_verdict(monkeypatch):
+    # the memo lives on its evaluator and holds nothing that points back,
+    # so reference counting alone frees the evaluator, its minus and plus
+    # evaluators and their memos once `oracle_verdict` returns
+    made = []
+    index = oracle._Raw._index
+
+    def recording_index(raw):
+        index(raw)
+        made.append(weakref.ref(raw))
+
+    monkeypatch.setattr(oracle._Raw, "_index", recording_index)
+    H = next(_shared_term_tables())[1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("jordan-expansion", "bk-suite", "j-eq-6as"):
+            made.clear()
+            oracle_verdict(name, H)
+            assert len(made) == (1 if name == "bk-suite" else 2), name
+            assert all(ref() is None for ref in made), name
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_word_memo_does_not_outlive_its_algebra(corpus_instances):
+    # two tables on one basis with different bk-suite verdicts, alternately:
+    # a memo keyed by word alone that outlived one verdict would hand one
+    # table's values to the other.  The failing table goes first: the
+    # holding one then reads its words and no longer holds.
+    for fails_key, holds_key in ((("b42", "alpha-untwisted"), ("b42", "alpha")),
+                                 (("m3-3-1", "alpha1"), ("m3-3-1", "alpha2"))):
+        pair = [corpus_instances[key].hom for key in (fails_key, holds_key)]
+        want = []
+        for H in pair:
+            rep = run_checker("bk-suite", H, max_counterexamples=1)
+            want.append((rep.holds, None if rep.holds else rep.counterexamples[0][0]))
+        assert not want[0][0] and want[1][0], fails_key
+        for H, verdict in [*zip(pair, want)] * 2:
+            assert oracle_verdict("bk-suite", H) == verdict, fails_key
 
 
 def test_oracle_values_match_checker_forms(corpus_instances):
@@ -322,9 +372,9 @@ def _assert_forms_match_oracle(H, rng, label):
          _expand(F, dim, (x, y, z), named("S")), "S")
     slots = (t, x, y, z)
     same(bk_f(H, *map(wrap, slots)),
-         _expand(F, dim, slots, lambda idx: raw.dense(oracle._f_raw(oracle._Words(raw), *idx))), "f")
+         _expand(F, dim, slots, lambda idx: raw.dense(oracle._f_raw(raw, *idx))), "f")
     same(bk_F(H, *map(wrap, slots)),
-         _expand(F, dim, slots, lambda idx: raw.dense(oracle._F_functorial(oracle._Words(raw), *idx))), "F")
+         _expand(F, dim, slots, lambda idx: raw.dense(oracle._F_functorial(raw, *idx))), "F")
 
 
 def test_public_forms_match_oracle_on_combinations():
