@@ -11,9 +11,11 @@ with T the `run_seconds` of BENCHMARK.json and the same seed S = --seed + k, one
 first alternates from pair to pair.  The final JSON line and the
 `attempted ... rounds R` line of every run are kept.  The output file holds,
 per workload and end-to-end metric, the median and quartiles of both trees
-and the number of pairs the change won, plus every run's values and rounds,
-the seeds, the Python version and the core count.  Neither tree is modified
-beyond the benchmark's own git-ignored output directory.
+and the number of pairs the change won (and, beside `peak_rss_mb`, each
+tree's fewest and most rounds), plus every run's values and rounds, the
+seeds, the Python version and the core count; the same summary is printed
+after each workload.  Neither tree is modified beyond the benchmark's own
+git-ignored output directory.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def round_range(pairs, side):
+    """[fewest, most] rounds of one side's runs (None where not printed)."""
+    rounds = [p[side]["rounds"] for p in pairs if p[side]["rounds"] is not None]
+    return [min(rounds), max(rounds)] if rounds else None
+
+
 def summarise(pairs, metrics) -> dict:
     out = {}
     for m in metrics:
@@ -77,7 +85,27 @@ def summarise(pairs, metrics) -> dict:
             "parent": quartiles(parent), "change": quartiles(change),
             "change_wins": wins, "pairs": len(pairs),
         }
+    # the harness keeps every round, so peak RSS rises with the rounds a
+    # run managed: keep each side's range beside it
+    if "peak_rss_mb" in out:
+        out["peak_rss_mb"]["rounds"] = {side: round_range(pairs, side) for side in ("parent", "change")}
     return out
+
+
+def printout(workload: str, summary: dict) -> str:
+    """One line per end-to-end metric: medians, quartiles, wins, and for
+    peak_rss_mb the rounds of each side."""
+    lines = []
+    for name, s in summary.items():
+        par, chg = s["parent"], s["change"]
+        line = (f"{workload} {name}: parent {par['median']:.4g} [{par['q1']:.4g}-{par['q3']:.4g}]"
+                f" -> change {chg['median']:.4g} [{chg['q1']:.4g}-{chg['q3']:.4g}] {s['unit']},"
+                f" change wins {s['change_wins']} of {s['pairs']}")
+        if "rounds" in s:
+            line += "; rounds " + ", ".join(
+                f"{side} {'-'.join(map(str, r)) if r else '?'}" for side, r in s["rounds"].items())
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -109,11 +137,13 @@ def main(argv=None) -> int:
                 f"{side} sweep_s {pair[side]['metrics']['sweep_s']:.3f} rounds {pair[side]['rounds']}"
                 for side in ("parent", "change")), flush=True)
             pairs.append(pair)
+        summary = summarise(pairs, spec["end_to_end"])
+        print(printout(workload, summary), flush=True)
         report["workloads"][workload] = {
             "seeds": [p["parent"]["seed"] for p in pairs],
             "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
             "correct": all(p[side]["correct"] for p in pairs for side in ("parent", "change")),
-            "summary": summarise(pairs, spec["end_to_end"]),
+            "summary": summary,
             "runs": pairs,
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

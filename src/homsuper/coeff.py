@@ -680,6 +680,12 @@ class FractionField(Field):
         `target` must be the field over the remaining parameters (or the bare
         base field when every parameter is bound).
         """
+        return self.binder(bindings, target)(x)
+
+    def binder(self, bindings: Mapping[str, object], target: Field):
+        """`substitute` with its bindings and target fixed, as a function of
+        the value alone: the unbound names, the kept exponent positions and
+        the bound base-field values are worked out once, here."""
         remaining = [p for p in self.spec.params if p not in bindings]
         if isinstance(target, FractionField):
             if tuple(remaining) != target.spec.params:
@@ -712,19 +718,24 @@ class FractionField(Field):
                     out[ne] = coef
             return out
 
-        xn, xd = self._pair(x)
-        num = down(xn)
-        if xd is self.one:  # a polynomial: nothing to divide by
-            if isinstance(target, FractionField):
-                return num or target.zero
-            return num.get((), target.zero)
-        den = down(xd)
-        if not den:
-            raise ZeroInversionError("denominator vanishes under binding")
-        if isinstance(target, FractionField):
-            return target._make(num, den)
-        # every parameter bound: each polynomial is its constant term ()
-        return self.base.div(num.get((), self.base.zero), den[()])
+        to_fraction = isinstance(target, FractionField)
+
+        def bound(x):
+            xn, xd = self._pair(x)
+            num = down(xn)
+            if xd is self.one:  # a polynomial: nothing to divide by
+                if to_fraction:
+                    return num or target.zero
+                return num.get((), target.zero)
+            den = down(xd)
+            if not den:
+                raise ZeroInversionError("denominator vanishes under binding")
+            if to_fraction:
+                return target._make(num, den)
+            # every parameter bound: each polynomial is its constant term ()
+            return self.base.div(num.get((), self.base.zero), den[()])
+
+        return bound
 
     # -- rendering (grammar-compatible; see io module)
 

@@ -114,10 +114,10 @@ def _substituter(doc: AlgebraDocument, bindings: Mapping[str, Fraction]):
         raise ConstraintError(f"unknown parameters: {', '.join(sorted(unknown))}")
     remaining = tuple(p for p in full.spec.params if p not in bindings)
     target = field_for(FieldSpec(full.spec.base, full.spec.p, remaining))
-    frs = {k: Fraction(v) for k, v in bindings.items()}
+    bind = full.binder({k: Fraction(v) for k, v in bindings.items()}, target)
     # a zero payload substitutes to zero; taking it at once keeps unstated
     # products cheap
-    return target, (lambda v: target.zero if full.is_zero(v) else full.substitute(v, frs, target))
+    return target, (lambda v: target.zero if full.is_zero(v) else bind(v))
 
 
 def document_variants(doc: AlgebraDocument) -> Tuple[str, ...]:

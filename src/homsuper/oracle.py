@@ -9,11 +9,17 @@ arithmetic underneath is common).  Differences that matter:
     (`{}` is zero, and a coordinate that cancels is dropped); products, map
     applications and brackets are expanded with plain index loops over
     those items and the nonzero cells of the tables;
-  * no residual value is cached: the jordan expansion and the bk-suite
-    read their operands, twists, products and associators from the
-    evaluator's word memo (`_Raw.word`), which every tuple of one
-    `oracle_verdict` call shares and which goes with its `_Raw` when the
-    call returns; nothing is kept from one verdict or algebra to the next;
+  * no residual value is cached: every four-letter residual (hom-malcev,
+    -2 and -3, hom-jordan, teichmuller, cyclic-assoc, the bk-suite, the
+    jordan expansion, and malcev-/jordan-admissible on the minus and plus
+    evaluators) reads the twists, products and associators of basis words
+    from the evaluator's word memo (`_Raw.word`), and the jordan expansion
+    keeps its cyclic summands and brackets there too (`_Raw.kept`); every
+    tuple of one `oracle_verdict` call shares the memo, and it goes with
+    its `_Raw` when the call returns.  The one thing kept past a verdict is
+    a failing verdict's returned (False, names) pair, on the instance's
+    `Basis` under its index tuple: it holds names only, so no value passes
+    from one verdict or algebra to the next;
   * the Bruck-Kleinfeld F goes through its functorial definition (the signed
     cyclic-permutation sum) instead of the unrolled four-bracket form;
   * commutator and plus products are rebuilt inline.
@@ -108,9 +114,6 @@ class _Raw:
                     out[i] = mulf(mji, uj)
         return {i: x for i, x in out.items() if not isz(x)} if summed else out
 
-    def app2(self, u):
-        return self.app(self.app(u))
-
     def word(self, key):
         """The value of the word `key`, made on its first read and kept in
         `words`: a basis index x is e_x, (u,) is alpha(u), (u, v) is the
@@ -123,11 +126,11 @@ class _Raw:
         The memo lives as long as this evaluator, which `oracle_verdict`
         makes for one call, and holds nothing that refers back to it, so
         reference counting frees both when the call returns.  The minus and
-        plus evaluators keep their own.  It grows to O(dim^4) words: a
-        `jordan-expansion` verdict that holds leaves 504 words (about
-        100 KB, with its plus evaluator's) at dimension 3 and 6,300 words
-        (1.5 MB) on b42/alpha at dimension 6.  The CLI never runs
-        `oracle_verdict`."""
+        plus evaluators keep their own.  It grows to O(dim^4) entries: a
+        `jordan-expansion` verdict that holds leaves 666 (words, summands
+        and brackets; about 140 KB, with its plus evaluator's) at
+        dimension 3 and 8,892 (2.2 MB) on b42/alpha at dimension 6.  The
+        CLI never runs `oracle_verdict`."""
         v = self.words.get(key)
         if v is None:
             if key.__class__ is int:
@@ -143,6 +146,17 @@ class _Raw:
                     self.mul(self.word((x,)), self.word((y, z))),
                 )
             self.words[key] = v
+        return v
+
+    def kept(self, make, *args):
+        """make(self, *args), kept in the word memo under (make, *args) for
+        the rest of the verdict, like a word: for sums of words that
+        several tuples read.  `make` is a module function, so the key refers
+        back to nothing of this evaluator."""
+        key = (make, *args)
+        v = self.words.get(key)
+        if v is None:
+            v = self.words[key] = make(self, *args)
         return v
 
     def addv(self, u, v):
@@ -190,12 +204,11 @@ class _Raw:
         )
 
     def jac(self, x, y, z, py, pz):
-        out = self.subv(
-            self.mul(self.mul(x, y), self.app(z)),
-            self.mul(self.app(x), self.mul(y, z)),
-        )
-        t3 = self.mul(self.mul(x, z), self.app(y))
-        return self.subv(out, self.sgnv(py * pz, t3))
+        """The Jacobian of the words x, y, z (parities py, pz of y, z):
+        as(x, y, z) - (-1)^(py pz) (xz) alpha(y), both read from the word
+        memo."""
+        w = self.word
+        return self.subv(w((x, y, z)), self.sgnv(py * pz, w(((x, z), (y,)))))
 
     def bra(self, u, v, exp):
         return self.subv(self.mul(u, v), self.sgnv(exp, self.mul(v, u)))
@@ -303,57 +316,38 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
         )
     if name == "hom-lie":
         i, j, k = idx
-        return raw.jac(b(i), b(j), b(k), p[j], p[k])
+        return raw.jac(i, j, k, p[j], p[k])
     if name == "hom-malcev":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        lhs = raw.smul(2, raw.mul(raw.app2(b(l)), raw.jac(b(i), b(j), b(k), py, pz)))
-        at = raw.app(b(l))
-        rhs = raw.jac(at, raw.app(b(i)), raw.mul(b(j), b(k)), px, (py + pz) % 2)
-        rhs = raw.addv(
-            rhs,
-            raw.sgnv(
-                px * (py + pz),
-                raw.jac(at, raw.app(b(j)), raw.mul(b(k), b(i)), py, (pz + px) % 2),
-            ),
-        )
-        rhs = raw.addv(
-            rhs,
-            raw.sgnv(
-                pz * (px + py),
-                raw.jac(at, raw.app(b(k)), raw.mul(b(i), b(j)), pz, (px + py) % 2),
-            ),
-        )
+        w, jac = raw.word, raw.jac
+        lhs = raw.smul(2, raw.mul(w(((l,),)), jac(i, j, k, py, pz)))
+        rhs = jac((l,), (i,), (j, k), px, (py + pz) % 2)
+        rhs = raw.addv(rhs, raw.sgnv(px * (py + pz), jac((l,), (j,), (k, i), py, (pz + px) % 2)))
+        rhs = raw.addv(rhs, raw.sgnv(pz * (px + py), jac((l,), (k,), (i, j), pz, (px + py) % 2)))
         return raw.subv(lhs, rhs)
     if name == "hom-malcev-2":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        lhs = raw.jac(raw.app(b(i)), raw.app(b(j)), raw.mul(b(l), b(k)), py, (pt + pz) % 2)
+        w, jac = raw.word, raw.jac
+        lhs = jac((i,), (j,), (l, k), py, (pt + pz) % 2)
         lhs = raw.addv(
             lhs,
-            raw.sgnv(
-                px * py + pt * (px + py),
-                raw.jac(raw.app(b(l)), raw.app(b(j)), raw.mul(b(i), b(k)), py, (px + pz) % 2),
-            ),
+            raw.sgnv(px * py + pt * (px + py), jac((l,), (j,), (i, k), py, (px + pz) % 2)),
         )
-        rhs = raw.sgnv(pt * pz, raw.mul(raw.jac(b(i), b(j), b(k), py, pz), raw.app2(b(l))))
+        rhs = raw.sgnv(pt * pz, raw.mul(jac(i, j, k, py, pz), w(((l,),))))
         rhs = raw.addv(
             rhs,
-            raw.sgnv(
-                px * (py + pz + pt) + pt * py,
-                raw.mul(raw.jac(b(l), b(j), b(k), py, pz), raw.app2(b(i))),
-            ),
+            raw.sgnv(px * (py + pz + pt) + pt * py, raw.mul(jac(l, j, k, py, pz), w(((i,),)))),
         )
         return raw.subv(lhs, rhs)
     if name == "hom-malcev-3":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
+        w = raw.word
         lhs = raw.addv(
-            raw.sgnv(
-                px * py + pt * (px + py),
-                raw.app(raw.mul(raw.mul(b(l), b(j)), raw.mul(b(i), b(k)))),
-            ),
-            raw.app(raw.mul(raw.mul(b(i), b(j)), raw.mul(b(l), b(k)))),
+            raw.sgnv(px * py + pt * (px + py), w((((l, j), (i, k)),))),
+            w((((i, j), (l, k)),)),
         )
         rhs = raw.zero()
         for exp, pair, mid, outer in (
@@ -364,26 +358,15 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
             (pt * py + px * (pt + py + pz), (l, j), k, i),
             (pz * pt, (i, j), k, l),
         ):
-            inner = raw.mul(b(pair[0]), b(pair[1]))
-            v = raw.mul(raw.mul(inner, raw.app(b(mid))), raw.app2(b(outer)))
-            rhs = raw.addv(rhs, raw.sgnv(exp, v))
+            rhs = raw.addv(rhs, raw.sgnv(exp, w(((pair, (mid,)), ((outer,),)))))
         return raw.subv(lhs, rhs)
     if name == "hom-jordan":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        az = raw.app(b(k))
-        out = raw.sgnv(
-            pt * (px + pz), raw.assoc(raw.mul(b(i), b(j)), az, raw.app(b(l)))
-        )
-        out = raw.addv(
-            out,
-            raw.sgnv(px * (py + pz), raw.assoc(raw.mul(b(j), b(l)), az, raw.app(b(i)))),
-        )
-        out = raw.addv(
-            out,
-            raw.sgnv(py * (pt + pz), raw.assoc(raw.mul(b(l), b(i)), az, raw.app(b(j)))),
-        )
-        return out
+        w = raw.word
+        out = raw.sgnv(pt * (px + pz), w(((i, j), (k,), (l,))))
+        out = raw.addv(out, raw.sgnv(px * (py + pz), w(((j, l), (k,), (i,)))))
+        return raw.addv(out, raw.sgnv(py * (pt + pz), w(((l, i), (k,), (j,)))))
     if name == "lie-admissible":
         return _residual("hom-lie", raw.minus(), idx)
     if name == "malcev-admissible":
@@ -393,25 +376,13 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     if name == "teichmuller":
         l, i, j, k = idx
         pt, px, py, pz = p[l], p[i], p[j], p[k]
-        lhs = raw.assoc(raw.mul(b(l), b(i)), raw.app(b(j)), raw.app(b(k)))
+        w = raw.word
         lhs = raw.subv(
-            lhs,
-            raw.sgnv(
-                pt * (px + py + pz),
-                raw.assoc(raw.mul(b(i), b(j)), raw.app(b(k)), raw.app(b(l))),
-            ),
+            w(((l, i), (j,), (k,))),
+            raw.sgnv(pt * (px + py + pz), w(((i, j), (k,), (l,)))),
         )
-        lhs = raw.addv(
-            lhs,
-            raw.sgnv(
-                (pt + px) * (py + pz),
-                raw.assoc(raw.mul(b(j), b(k)), raw.app(b(l)), raw.app(b(i))),
-            ),
-        )
-        rhs = raw.addv(
-            raw.mul(raw.app2(b(l)), raw.assoc(b(i), b(j), b(k))),
-            raw.mul(raw.assoc(b(l), b(i), b(j)), raw.app2(b(k))),
-        )
+        lhs = raw.addv(lhs, raw.sgnv((pt + px) * (py + pz), w(((j, k), (l,), (i,)))))
+        rhs = raw.addv(raw.mul(w(((l,),)), w((i, j, k))), raw.mul(w((l, i, j)), w(((k,),))))
         return raw.subv(lhs, rhs)
     if name in ("bk-suite", "cyclic-assoc"):
         return _bk_residual(name, raw, idx)
@@ -419,7 +390,7 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
         i, j, k = idx
         minus = raw.minus()
         return raw.subv(
-            minus.jac(b(i), b(j), b(k), p[j], p[k]),
+            minus.jac(i, j, k, p[j], p[k]),
             raw.smul(6, raw.assoc(b(i), b(j), b(k))),
         )
     if name == "j-eq-2s":
@@ -428,7 +399,7 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
         s = raw.assoc(b(i), b(j), b(k))
         s = raw.addv(s, raw.sgnv(p[i] * (p[j] + p[k]), raw.assoc(b(j), b(k), b(i))))
         s = raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), raw.assoc(b(k), b(i), b(j))))
-        return raw.subv(minus.jac(b(i), b(j), b(k), p[j], p[k]), raw.smul(2, s))
+        return raw.subv(minus.jac(i, j, k, p[j], p[k]), raw.smul(2, s))
     if name == "jordan-expansion":
         return _jordan_expansion_residual(raw, idx)
     raise KeyError(name)
@@ -469,30 +440,21 @@ def _bk_residual(name: str, raw: _Raw, idx):
     l, i, j, k = idx
     pt, px, py, pz = p[l], p[i], p[j], p[k]
     if name == "cyclic-assoc":
-        lhs = raw.smul(
-            2,
-            raw.bra(
-                raw.app2(b(l)),
-                raw.assoc(b(i), b(j), b(k)),
-                pt * (px + py + pz),
-            ),
-        )
-        at = raw.app(b(l))
-        rhs = raw.assoc(at, raw.app(b(i)), raw.bra(b(j), b(k), py * pz))
-        rhs = raw.addv(
-            rhs,
-            raw.sgnv(
-                px * (py + pz),
-                raw.assoc(at, raw.app(b(j)), raw.bra(b(k), b(i), pz * px)),
-            ),
-        )
-        rhs = raw.addv(
-            rhs,
-            raw.sgnv(
-                pz * (px + py),
-                raw.assoc(at, raw.app(b(k)), raw.bra(b(i), b(j), px * py)),
-            ),
-        )
+        # as(alpha t, alpha x, [y, z]) is taken apart at its bracket, so each
+        # associator is a word that the tuple with y and z swapped reads too
+        w = raw.word
+        lhs = raw.smul(2, raw.bra(w(((l,),)), w((i, j, k)), pt * (px + py + pz)))
+        rhs = raw.zero()
+        for exp, x, y, z in (
+            (0, i, j, k),
+            (px * (py + pz), j, k, i),
+            (pz * (px + py), k, i, j),
+        ):
+            term = raw.subv(
+                w(((l,), (x,), (y, z))),
+                raw.sgnv(p[y] * p[z], w(((l,), (x,), (z, y)))),
+            )
+            rhs = raw.addv(rhs, raw.sgnv(exp, term))
         return raw.subv(lhs, rhs)
     # bk-suite: first failing sub-identity
     f = _f_raw(raw, l, i, j, k)
@@ -546,18 +508,33 @@ _JORDAN_TERMS = (
 )
 
 
+def _jordan_summand(raw: _Raw, a, b, t, k):
+    """The twelve signed associators of the cyclic summand (a, b, t) at k."""
+    p, w = raw.p, raw.word
+    ops = {"ab": (a, b), "ba": (b, a), "t": (t,), "z": (k,)}
+    out = raw.zero()
+    for exp, x, y, z in _JORDAN_TERMS:
+        term = w((ops[x], ops[y], ops[z]))
+        out = raw.addv(out, raw.sgnv(exp(p[a], p[b], p[t], p[k]), term))
+    return out
+
+
+def _jordan_bracket(raw: _Raw, k, trip):
+    """[alpha^2 e_k, as(trip)] with the Koszul sign of its two slots."""
+    p, w = raw.p, raw.word
+    return raw.bra(w(((k,),)), w(trip), p[k] * (p[trip[0]] + p[trip[1]] + p[trip[2]]))
+
+
 def _jordan_rhs(raw: _Raw, idx):
     """The jordan expansion's right side: the 36 associators of the three
-    cyclic summands and the six brackets [alpha^2 e_k, as(...)]."""
-    p, w = raw.p, raw.word
+    cyclic summands and the six brackets [alpha^2 e_k, as(...)].  A summand
+    depends on (a, b, t, k) alone and a bracket on (k, trip) alone, so each
+    is kept for the three, or six, tuples that permute its letters."""
+    p, kept = raw.p, raw.kept
     i, j, k, l = idx
     px, py, pz, pt = p[i], p[j], p[k], p[l]
-    rhs = raw.zero()
-    for (a, b, t) in ((i, j, l), (j, l, i), (l, i, j)):
-        ops = {"ab": (a, b), "ba": (b, a), "t": (t,), "z": (k,)}
-        for exp, x, y, z in _JORDAN_TERMS:
-            term = w((ops[x], ops[y], ops[z]))
-            rhs = raw.addv(rhs, raw.sgnv(exp(p[a], p[b], p[t], pz), term))
+    rhs = raw.addv(kept(_jordan_summand, i, j, l, k), kept(_jordan_summand, j, l, i, k))
+    rhs = raw.addv(rhs, kept(_jordan_summand, l, i, j, k))
     S3 = px + py + pt
     for exp, trip in (
         (px * py, (j, l, i)),
@@ -567,9 +544,7 @@ def _jordan_rhs(raw: _Raw, idx):
         (px * pt, (i, j, l)),
         (px * (py + pt), (j, i, l)),
     ):
-        rhs = raw.addv(
-            rhs, raw.sgnv(exp + pz * S3, raw.bra(w(((k,),)), w(trip), pz * S3))
-        )
+        rhs = raw.addv(rhs, raw.sgnv(exp + pz * S3, kept(_jordan_bracket, k, trip)))
     return rhs
 
 
@@ -600,9 +575,14 @@ def oracle_verdict(
     raw = _Raw(H)
     arity = _ARITY[name]
     for idx in itertools.product(range(raw.n), repeat=arity):
-        r = _residual(name, raw, idx)
-        if not raw.iszero(r):
-            return False, tuple(raw.names[i] for i in idx)
+        if not raw.iszero(_residual(name, raw, idx)):
+            # one pair per failing tuple for as long as the basis lives: it
+            # holds names only, so it is the same for every table on it
+            entries, key = H.algebra.basis._entries, ("oracle", idx)
+            got = entries.get(key)
+            if got is None:
+                got = entries[key] = (False, tuple(raw.names[i] for i in idx))
+            return got
     return True, None
 
 
@@ -625,11 +605,11 @@ def oracle_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
         return raw.dense(s)
     if form == "J":
         i, j, k = idx
-        return raw.dense(raw.jac(b(i), b(j), b(k), p[j], p[k]))
+        return raw.dense(raw.jac(i, j, k, p[j], p[k]))
     if form == "J-minus":
         minus = raw.commutator_raw()
         i, j, k = idx
-        return raw.dense(minus.jac(b(i), b(j), b(k), p[j], p[k]))
+        return raw.dense(minus.jac(i, j, k, p[j], p[k]))
     if form == "leftalt":
         i, j, k = idx
         return raw.dense(

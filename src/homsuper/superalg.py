@@ -44,8 +44,9 @@ class DimensionError(AlgebraError):
 class Basis:
     names: Tuple[str, ...]
     parities: Tuple[int, ...]
-    # (field, slots, residual key) -> entry, field -> its zero Scalar, and
-    # ("report", entry ids) -> those entries (held here, so ids stay unique)
+    # (field, slots, residual key) -> entry, field -> its zero Scalar,
+    # ("report", entry ids) -> those entries (held here, so ids stay unique),
+    # and ("oracle", slots) -> the oracle's failing (False, names) pair
     _entries: Dict[object, object] = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

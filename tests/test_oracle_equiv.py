@@ -132,6 +132,10 @@ def test_minus_and_plus_tables_match_the_oracle():
         assert keys(plus_algebra(H).algebra.table) == keys(raw.plus_raw().c), label
 
 
+def _app2(raw, u):
+    return raw.app(raw.app(u))
+
+
 def _plain_jordan_sides(raw, idx):
     """The jordan expansion written term by term, every associator through
     `raw.assoc`: 8 times the three plus associators on the left; on the
@@ -169,7 +173,7 @@ def _plain_jordan_sides(raw, idx):
     for exp, (x, y, z) in ((px * py, (j, l, i)), (py * (px + pt), (l, j, i)),
                            (pt * py, (l, i, j)), (pt * (px + py), (i, l, j)),
                            (px * pt, (i, j, l)), (px * (py + pt), (j, i, l))):
-        term = raw.bra(raw.app2(b(k)), raw.assoc(b(x), b(y), b(z)), pz * S3)
+        term = raw.bra(_app2(raw, b(k)), raw.assoc(b(x), b(y), b(z)), pz * S3)
         rhs = raw.addv(rhs, raw.sgnv(exp + pz * S3, term))
     return raw.smul(8, lhs), rhs
 
@@ -179,8 +183,8 @@ def _plain_f(raw, l, i, j, k):
     pt, px, py, pz = p[l], p[i], p[j], p[k]
     out = raw.assoc(raw.mul(b(l), b(i)), raw.app(b(j)), raw.app(b(k)))
     out = raw.subv(out, raw.sgnv(pt * (px + py + pz),
-                                 raw.mul(raw.assoc(b(i), b(j), b(k)), raw.app2(b(l)))))
-    return raw.subv(out, raw.sgnv(pt * px, raw.mul(raw.app2(b(i)), raw.assoc(b(l), b(j), b(k)))))
+                                 raw.mul(raw.assoc(b(i), b(j), b(k)), _app2(raw, b(l)))))
+    return raw.subv(out, raw.sgnv(pt * px, raw.mul(_app2(raw, b(i)), raw.assoc(b(l), b(j), b(k)))))
 
 
 def _plain_F(raw, l, i, j, k):
@@ -192,7 +196,7 @@ def _plain_F(raw, l, i, j, k):
         moved = (l, i, j, k)[4 - step:]
         stayed = (l, i, j, k)[:4 - step]
         koszul = sum(p[a] * p[s] for a in moved for s in stayed)
-        term = raw.bra(raw.app2(b(head)), raw.assoc(b(x), b(y), b(z)), p[head] * (p[x] + p[y] + p[z]))
+        term = raw.bra(_app2(raw, b(head)), raw.assoc(b(x), b(y), b(z)), p[head] * (p[x] + p[y] + p[z]))
         out = raw.addv(out, raw.sgnv(step + koszul, term))
     return out
 
@@ -253,6 +257,96 @@ def test_bk_pieces_match_the_plain_expansion():
         assert raw.words is memo and memo, label
 
 
+def _plain_four_letter(name, raw, idx):
+    """The four-letter residuals of `_residual` written term by term on
+    vectors: every product, twist, associator and Jacobian made afresh
+    through `raw.mul`, `raw.app` and `raw.assoc`."""
+    p, b = raw.p, raw.basis
+    mul, app, assoc = raw.mul, raw.app, raw.assoc
+    app2 = lambda u: app(app(u))
+    # the Jacobian of vectors: as(x, y, z) - (-1)^(py pz) (xz) alpha(y)
+    jac = lambda x, y, z, py, pz: raw.subv(assoc(x, y, z), raw.sgnv(py * pz, mul(mul(x, z), app(y))))
+    add = lambda u, exp, v: raw.addv(u, raw.sgnv(exp, v))
+    if name == "teichmuller":
+        l, i, j, k = idx
+        pt, px, py, pz = p[l], p[i], p[j], p[k]
+        lhs = assoc(mul(b(l), b(i)), app(b(j)), app(b(k)))
+        lhs = add(lhs, 1 + pt * (px + py + pz), assoc(mul(b(i), b(j)), app(b(k)), app(b(l))))
+        lhs = add(lhs, (pt + px) * (py + pz), assoc(mul(b(j), b(k)), app(b(l)), app(b(i))))
+        rhs = raw.addv(mul(app2(b(l)), assoc(b(i), b(j), b(k))),
+                       mul(assoc(b(l), b(i), b(j)), app2(b(k))))
+        return raw.subv(lhs, rhs)
+    if name == "cyclic-assoc":
+        l, i, j, k = idx
+        pt, px, py, pz = p[l], p[i], p[j], p[k]
+        lhs = raw.smul(2, raw.bra(app2(b(l)), assoc(b(i), b(j), b(k)), pt * (px + py + pz)))
+        rhs = raw.zero()
+        for exp, x, y, z in ((0, i, j, k), (px * (py + pz), j, k, i), (pz * (px + py), k, i, j)):
+            # as(alpha t, alpha x, [y, z]), linear in its bracket
+            term = assoc(app(b(l)), app(b(x)), mul(b(y), b(z)))
+            term = add(term, 1 + p[y] * p[z], assoc(app(b(l)), app(b(x)), mul(b(z), b(y))))
+            rhs = add(rhs, exp, term)
+        return raw.subv(lhs, rhs)
+    i, j, k, l = idx
+    px, py, pz, pt = p[i], p[j], p[k], p[l]
+    if name == "hom-malcev":
+        lhs = raw.smul(2, mul(app2(b(l)), jac(b(i), b(j), b(k), py, pz)))
+        rhs = jac(app(b(l)), app(b(i)), mul(b(j), b(k)), px, py + pz)
+        rhs = add(rhs, px * (py + pz), jac(app(b(l)), app(b(j)), mul(b(k), b(i)), py, pz + px))
+        rhs = add(rhs, pz * (px + py), jac(app(b(l)), app(b(k)), mul(b(i), b(j)), pz, px + py))
+        return raw.subv(lhs, rhs)
+    if name == "hom-malcev-2":
+        lhs = jac(app(b(i)), app(b(j)), mul(b(l), b(k)), py, pt + pz)
+        lhs = add(lhs, px * py + pt * (px + py), jac(app(b(l)), app(b(j)), mul(b(i), b(k)), py, px + pz))
+        rhs = raw.sgnv(pt * pz, mul(jac(b(i), b(j), b(k), py, pz), app2(b(l))))
+        rhs = add(rhs, px * (py + pz + pt) + pt * py, mul(jac(b(l), b(j), b(k), py, pz), app2(b(i))))
+        return raw.subv(lhs, rhs)
+    if name == "hom-malcev-3":
+        lhs = raw.sgnv(px * py + pt * (px + py), app(mul(mul(b(l), b(j)), mul(b(i), b(k)))))
+        lhs = raw.addv(lhs, app(mul(mul(b(i), b(j)), mul(b(l), b(k)))))
+        rhs = raw.zero()
+        for exp, (x, y), mid, outer in (
+            (pt * pz + px * (pt + py + pz), (j, k), l, i),
+            (pt * pz + px * (py + pz), (j, k), i, l),
+            (pz * (px + pt) + py * (pz + pt), (k, i), l, j),
+            (pt * pz + py * (pt + pz) + px * (pt + pz), (k, l), i, j),
+            (pt * py + px * (pt + py + pz), (l, j), k, i),
+            (pz * pt, (i, j), k, l),
+        ):
+            rhs = add(rhs, exp, mul(mul(mul(b(x), b(y)), app(b(mid))), app2(b(outer))))
+        return raw.subv(lhs, rhs)
+    assert name == "hom-jordan", name
+    out = raw.sgnv(pt * (px + pz), assoc(mul(b(i), b(j)), app(b(k)), app(b(l))))
+    out = add(out, px * (py + pz), assoc(mul(b(j), b(l)), app(b(k)), app(b(i))))
+    return add(out, py * (pt + pz), assoc(mul(b(l), b(i)), app(b(k)), app(b(j))))
+
+
+FOUR_LETTER = ("hom-malcev", "hom-malcev-2", "hom-malcev-3", "hom-jordan", "teichmuller", "cyclic-assoc")
+
+
+def test_four_letter_residuals_match_the_plain_expansion():
+    # each residual on the evaluator, its minus evaluator (malcev-admissible
+    # runs hom-malcev there) and its plus evaluator (jordan-admissible runs
+    # hom-jordan there), every tuple in lex order as `oracle_verdict` walks
+    # them, all reading one word memo per evaluator; each must equal its
+    # plain expansion payload for payload, and be nonzero somewhere (but
+    # cyclic-assoc on plus: a super-commutative product has no brackets)
+    seen = dict.fromkeys(itertools.product(FOUR_LETTER, ("raw", "minus", "plus")), False)
+    seen["cyclic-assoc", "plus"] = True
+    for label, H in _shared_term_tables():
+        F, raw = H.field, oracle._Raw(H)
+        for kind, ops in (("raw", raw), ("minus", raw.minus()), ("plus", raw.plus())):
+            memo = ops.words
+            for name in FOUR_LETTER:
+                for idx in itertools.product(range(raw.n), repeat=4):
+                    want = _plain_four_letter(name, ops, idx)
+                    got = oracle._residual(name, ops, idx)
+                    assert _payloads(F, got) == _payloads(F, want), (label, kind, name, idx)
+                    seen[name, kind] = seen[name, kind] or bool(want)
+            assert ops.words is memo and memo, (label, kind)
+    assert all(seen.values()), [key for key, hit in seen.items() if not hit]
+
+
 def test_word_memo_is_freed_with_its_verdict(monkeypatch):
     # the memo lives on its evaluator and holds nothing that points back,
     # so reference counting alone frees the evaluator, its minus and plus
@@ -269,10 +363,12 @@ def test_word_memo_is_freed_with_its_verdict(monkeypatch):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for name in ("jordan-expansion", "bk-suite", "j-eq-6as"):
+        for name, evaluators in (("jordan-expansion", 2), ("bk-suite", 1), ("j-eq-6as", 2),
+                                 ("malcev-admissible", 2), ("jordan-admissible", 2),
+                                 ("teichmuller", 1), ("cyclic-assoc", 1)):
             made.clear()
             oracle_verdict(name, H)
-            assert len(made) == (1 if name == "bk-suite" else 2), name
+            assert len(made) == evaluators, name
             assert all(ref() is None for ref in made), name
     finally:
         if enabled:
@@ -294,6 +390,29 @@ def test_word_memo_does_not_outlive_its_algebra(corpus_instances):
         assert not want[0][0] and want[1][0], fails_key
         for H, verdict in [*zip(pair, want)] * 2:
             assert oracle_verdict("bk-suite", H) == verdict, fails_key
+
+
+def test_failing_verdicts_share_one_pair(corpus_instances):
+    # a failing verdict returns the one (False, names) pair of its tuple on
+    # the basis, however often it is asked; it is not a cached verdict, so
+    # a holding table on the same basis object still holds, with the plain
+    # (True, None)
+    fails = corpus_instances[("b42", "alpha-untwisted")].hom
+    H = corpus_instances[("b42", "alpha")].hom
+    holds = hom(SuperAlgebra(fails.algebra.basis, H.field, H.algebra.table), H.alpha)
+    for name in ("bk-suite", "teichmuller", "cyclic-assoc"):
+        rep = run_checker(name, fails, max_counterexamples=1)
+        first = oracle_verdict(name, fails)
+        assert first == (False, rep.counterexamples[0][0]), name
+        assert oracle_verdict(name, fails) is first, name
+        assert oracle_verdict(name, holds) == (True, None), name
+        assert oracle_verdict(name, fails) is first, name
+    rng = random.Random(6)
+    A = random_graded_algebra(rng, 3, 1)
+    H = hom(A, random_even_map(rng, A))
+    for name in ("malcev-admissible", "jordan-admissible", "hom-malcev-3"):
+        twice = [oracle_verdict(name, H) for _ in range(2)]
+        assert not twice[0][0] and twice[0] is twice[1], name
 
 
 def test_oracle_values_match_checker_forms(corpus_instances):
@@ -422,10 +541,10 @@ def test_oracle_vectors_hold_only_nonzero_payloads():
             for ops in (raw, raw.minus(), raw.plus()):
                 u, v = (_raw_vector(rng, F, 3, a) for _ in range(2))
                 before = [{k: F.key(x) for k, x in w.items()} for w in (u, v)]
-                results = [ops.mul(u, v), ops.mul(v, u), ops.app(u), ops.app2(v), ops.addv(u, v),
+                results = [ops.mul(u, v), ops.mul(v, u), ops.app(u), ops.app(ops.app(v)), ops.addv(u, v),
                            ops.subv(u, v), ops.subv(u, u), ops.addv(u, ops.sgnv(1, u)),
                            ops.sgnv(0, u), ops.sgnv(1, v), ops.assoc(u, v, u), ops.bra(u, v, 1),
-                           ops.jac(u, v, u, 0, 1), *(ops.smul(k, u) for k in (1, 2, 3, 6, -1))]
+                           ops.jac(0, 1, 0, 0, 1), *(ops.smul(k, u) for k in (1, 2, 3, 6, -1))]
                 assert [{k: F.key(x) for k, x in w.items()} for w in (u, v)] == before, label
                 for r in results:
                     assert isinstance(r, dict) and set(r) <= {0, 1, 2}, (label, r)
