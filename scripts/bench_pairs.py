@@ -13,8 +13,9 @@ first alternates from pair to pair.  The final JSON line and the
 per workload and end-to-end metric, the median and quartiles of both trees
 and the number of pairs the change won (and, beside `peak_rss_mb`, each
 tree's fewest and most rounds), plus every run's values and rounds, the
-seeds, the Python version and the core count; the same summary is printed
-after each workload.  Neither tree is modified beyond the benchmark's own
+seeds, the Python version, the core count and each tree's `src/` line
+count; the same summary is printed after each workload, and the line counts
+before the first.  Neither tree is modified beyond the benchmark's own
 git-ignored output directory.
 """
 
@@ -59,6 +60,13 @@ def label(tree: Path) -> str:
     done = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     return done.stdout.strip() if done.returncode == 0 else tree.resolve().name
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of src/homsuper/*.py and src/homsuper/corpus/__init__.py, as
+    `wc -l` counts them."""
+    src = tree / "src" / "homsuper"
+    return sum(f.read_bytes().count(b"\n") for f in [*src.glob("*.py"), src / "corpus" / "__init__.py"])
 
 
 def quartiles(values):
@@ -123,8 +131,11 @@ def main(argv=None) -> int:
     report = {
         "parent": label(args.parent), "change": label(args.change),
         "python": platform.python_version(), "cores": os.cpu_count(),
-        "seconds": seconds, "workloads": {},
+        "seconds": seconds,
+        "src_lines": {side: src_lines(getattr(args, side)) for side in ("parent", "change")},
+        "workloads": {},
     }
+    print("src lines: " + "  ".join(f"{side} {n}" for side, n in report["src_lines"].items()), flush=True)
     for workload in WORKLOADS:
         pairs = []
         for k in range(args.pairs):

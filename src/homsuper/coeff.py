@@ -75,7 +75,7 @@ import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from operator import add as _add
 from operator import sub as _sub
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -274,6 +274,12 @@ class FracPayload:
 # Field objects
 # ---------------------------------------------------------------------------
 
+# The work meter: the parser refuses a value operator, and `maps` a
+# composition, whose coefficient products could pass MAX_WORK before it
+# computes.  The count reads only term counts (`Field.size`), so (a+1)^1000
+# passes and (a+b+c)^100 does not.
+MAX_WORK = 10**6
+
 
 class Field:
     """Arithmetic over payload values of one scalar kind."""
@@ -315,6 +321,55 @@ class Field:
             if k:
                 x = self.mul(x, x)
         return out
+
+    # -- the work meter (see MAX_WORK)
+
+    def size(self, x) -> Tuple[int, int]:
+        """The term counts of x's numerator and denominator; (1, 1) where
+        values do not grow."""
+        return 1, 1
+
+    def sum_work(self, sums) -> int:
+        """The coefficient products of the sparse sums `sums`, each an
+        iterable of (index, factor payloads) terms whose products are added
+        by index, counted until past MAX_WORK.  A product of sizes (n, d) and
+        (n', d') takes n n' + d d'; a sum cross-multiplies the denominators."""
+        size = self.size
+        work = 0
+        for terms in sums:
+            acc = {}
+            for i, x, *ys in terms:
+                num, den = size(x)
+                for y in ys:
+                    n, d = size(y)
+                    num, den = num * n, den * d
+                    work += num + den
+                if i in acc:
+                    n, d = acc[i]
+                    num, den = num * d + n * den, den * d
+                    work += num + den
+                acc[i] = num, den
+            if work > MAX_WORK:
+                break
+        return work
+
+    def pow_work(self, x, k: int) -> int:
+        """The coefficient products of `pow(x, k)` as `sum_work` counts them,
+        until past MAX_WORK: x^j has at most C(t + j - 1, j) terms where x
+        has t.  `out` and `sq` are the exponents of pow's `out` and `x`."""
+        size = self.size(x)
+        products = lambda a, b: sum(comb(t + a - 1, a) * comb(t + b - 1, b) for t in size)
+        out, sq, work = 0, 1, 0
+        while k and work <= MAX_WORK:
+            if k & 1:
+                if out:
+                    work += products(out, sq)
+                out += sq
+            k >>= 1
+            if k:
+                work += products(sq, sq)
+                sq *= 2
+        return work
 
     def from_int(self, n: int):
         return self.from_fraction(n)

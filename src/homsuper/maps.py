@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Tuple
 
-from .coeff import FieldMismatchError, FractionField
-from .io import MAX_WORK, product_bound, sum_bound, value_size
+from .coeff import MAX_WORK, FieldMismatchError, FractionField
 from .report import IdentityReport, table_report
 from .superalg import (
     AlgebraError,
@@ -31,7 +30,7 @@ from .superalg import (
 # The n-th derived algebra uses alpha^(2^n); past this level the entries
 # of that power outgrow any table worth printing.  Symbolic entries outgrow
 # it sooner: a step of the power, or the product table, whose coefficient
-# products could pass the parser's MAX_WORK is refused before it computes.
+# products could pass coeff.MAX_WORK is refused before it computes.
 MAX_DERIVED_LEVEL = 10
 
 
@@ -111,26 +110,11 @@ def compose(f: EvenLinearMap, g: EvenLinearMap, what: str = "the composed map") 
 
 
 def _bounded(F, sums, what: str):
-    """Refuse `what` when the sparse sums `sums`, each an iterable of
-    (index, factor payloads) terms added by index, could take more than
-    MAX_WORK coefficient products, bounded as the parser bounds them; only
-    Frac(K[params]) values grow (MAX_BASIS bounds numeric work)."""
-    if not isinstance(F, FractionField):
-        return
-    work = 0
-    for terms in sums:
-        acc = {}
-        for i, x, *ys in terms:
-            size = value_size(F, x)
-            for y in ys:
-                size, w = product_bound(size, value_size(F, y))
-                work += w
-            if i in acc:
-                size, w = sum_bound(acc[i], size)
-                work += w
-            acc[i] = size
-        if work > MAX_WORK:
-            raise MapError(f"{what} would need more than {MAX_WORK} coefficient products")
+    """Refuse `what` when the sparse sums `sums` could take more than
+    MAX_WORK coefficient products (`Field.sum_work`); only Frac(K[params])
+    values grow (MAX_BASIS bounds numeric work)."""
+    if isinstance(F, FractionField) and F.sum_work(sums) > MAX_WORK:
+        raise MapError(f"{what} would need more than {MAX_WORK} coefficient products")
 
 
 def _applied(f: EvenLinearMap, vecs):

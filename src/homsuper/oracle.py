@@ -22,7 +22,9 @@ arithmetic underneath is common).  Differences that matter:
     from one verdict or algebra to the next;
   * the Bruck-Kleinfeld F goes through its functorial definition (the signed
     cyclic-permutation sum) instead of the unrolled four-bracket form;
-  * commutator and plus products are rebuilt inline.
+  * the super-commutator and plus products are rebuilt from the raw table by
+    one builder (`_Raw._paired`), over the same graded pair formula
+    (`_pair_residual`) that decides supercommutative and superskew.
 
 `oracle_verdict` mirrors the checker registry names and tuple conventions so
 verdicts and first counterexamples can be compared one to one.
@@ -47,9 +49,6 @@ class _Raw:
         self.names = list(A.basis.names)
         self.c = [[list(A.table[i][j]) for j in range(A.dim)] for i in range(A.dim)]
         self.m = [list(col) for col in H.alpha.cols]  # m[j][i]: e_j -> sum_i m[j][i] e_i
-        self._index()
-
-    def _index(self):
         isz = self.F.is_zero
         self.cnz = [
             [
@@ -58,6 +57,13 @@ class _Raw:
             ]
             for i in range(self.n)
         ]
+        self._index()
+
+    def _index(self):
+        """Index the twist's nonzero entries and open an empty word memo:
+        every evaluator, the minus and plus ones too, ends here once its
+        nonzero product cells (`cnz`) are set."""
+        isz = self.F.is_zero
         self.mnz = [
             [(i, mji) for i, mji in enumerate(col) if not isz(mji)]
             for col in self.m
@@ -215,78 +221,60 @@ class _Raw:
 
     def minus(self) -> "_Raw":
         if getattr(self, "_minus", None) is None:
-            self._minus = self.commutator_raw()
+            self._minus = self._paired(True)
         return self._minus
 
     def plus(self) -> "_Raw":
         if getattr(self, "_plus", None) is None:
-            self._plus = self.plus_raw()
+            self._plus = self._paired(False)
         return self._plus
 
-    def commutator_raw(self) -> "_Raw":
+    def _paired(self, minus: bool) -> "_Raw":
+        """The evaluator on this basis and twist whose product is the
+        super-commutator xy - (-1)^(|x||y|) yx (minus) or the plus product
+        (xy + (-1)^(|x||y|) yx)/2, its cells made by `_pair_residual`.  It
+        keeps only the nonzero cells (`cnz`), which are all it reads."""
+        F, n = self.F, self.n
+        half = None if minus else F.inv(F.from_int(2))
         out = _Raw.__new__(_Raw)
-        out.F, out.n, out.p, out.names, out.m = self.F, self.n, self.p, self.names, self.m
-        out.c = [
+        out.F, out.n, out.p, out.names, out.m = F, n, self.p, self.names, self.m
+        out.cnz = [
             [
-                [
-                    self.F.sub(self.c[i][j][k], self.c[j][i][k])
-                    if (self.p[i] * self.p[j]) % 2 == 0
-                    else self.F.add(self.c[i][j][k], self.c[j][i][k])
-                    for k in range(self.n)
-                ]
-                for j in range(self.n)
+                [(k, x if minus else F.mul(half, x)) for k, x in _pair_residual(self, i, j, minus)]
+                for j in range(n)
             ]
-            for i in range(self.n)
-        ]
-        out._index()
-        return out
-
-    def plus_raw(self) -> "_Raw":
-        half = self.F.inv(self.F.from_int(2))
-        out = _Raw.__new__(_Raw)
-        out.F, out.n, out.p, out.names, out.m = self.F, self.n, self.p, self.names, self.m
-        out.c = [
-            [
-                [
-                    self.F.mul(
-                        half,
-                        self.F.add(self.c[i][j][k], self.c[j][i][k])
-                        if (self.p[i] * self.p[j]) % 2 == 0
-                        else self.F.sub(self.c[i][j][k], self.c[j][i][k]),
-                    )
-                    for k in range(self.n)
-                ]
-                for j in range(self.n)
-            ]
-            for i in range(self.n)
+            for i in range(n)
         ]
         out._index()
         return out
 
 
 def _pair_residual(raw: _Raw, i, j, want_commutative: bool):
-    s = (raw.p[i] * raw.p[j]) % 2
-    out = {}
+    """The nonzero (k, coordinate) pairs of e_i e_j - (-1)^(|i||j|) e_j e_i
+    (want_commutative), or of e_i e_j + (-1)^(|i||j|) e_j e_i."""
+    F, cij, cji = raw.F, raw.c[i][j], raw.c[j][i]
+    op = F.sub if ((raw.p[i] * raw.p[j]) % 2 == 0) == want_commutative else F.add
     for k in range(raw.n):
-        other = raw.c[j][i][k]
-        if (s == 0) == want_commutative:
-            x = raw.F.sub(raw.c[i][j][k], other)
-        else:
-            x = raw.F.add(raw.c[i][j][k], other)
-        if not raw.F.is_zero(x):
-            out[k] = x
-    return out
+        x = op(cij[k], cji[k])
+        if not F.is_zero(x):
+            yield k, x
+
+
+def _cyclic(raw: _Raw, i, j, k):
+    """S(e_i, e_j, e_k): the sum of as(e_i, e_j, e_k) and its two signed
+    cyclic permutations."""
+    p, b = raw.p, raw.basis
+    s = raw.assoc(b(i), b(j), b(k))
+    s = raw.addv(s, raw.sgnv(p[i] * (p[j] + p[k]), raw.assoc(b(j), b(k), b(i))))
+    return raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), raw.assoc(b(k), b(i), b(j))))
 
 
 def _residual(name: str, raw: _Raw, idx) -> Sequence:
     F, p = raw.F, raw.p
     b = raw.basis
-    if name == "supercommutative":
+    if name in ("supercommutative", "superskew"):
         i, j = idx
-        return _pair_residual(raw, i, j, True)
-    if name == "superskew":
-        i, j = idx
-        return _pair_residual(raw, i, j, False)
+        return dict(_pair_residual(raw, i, j, name == "supercommutative"))
     if name == "multiplicative":
         i, j = idx
         return raw.subv(raw.app(dict(raw.cnz[i][j])), raw.mul(raw.app(b(i)), raw.app(b(j))))
@@ -396,10 +384,7 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     if name == "j-eq-2s":
         i, j, k = idx
         minus = raw.minus()
-        s = raw.assoc(b(i), b(j), b(k))
-        s = raw.addv(s, raw.sgnv(p[i] * (p[j] + p[k]), raw.assoc(b(j), b(k), b(i))))
-        s = raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), raw.assoc(b(k), b(i), b(j))))
-        return raw.subv(minus.jac(i, j, k, p[j], p[k]), raw.smul(2, s))
+        return raw.subv(minus.jac(i, j, k, p[j], p[k]), raw.smul(2, _cyclic(raw, i, j, k)))
     if name == "jordan-expansion":
         return _jordan_expansion_residual(raw, idx)
     raise KeyError(name)
@@ -598,26 +583,15 @@ def oracle_value(form: str, H: HomSuperAlgebra, tuple_names: Sequence[str]):
         i, j, k = idx
         return raw.dense(raw.assoc(b(i), b(j), b(k)))
     if form == "S":
-        i, j, k = idx
-        s = raw.assoc(b(i), b(j), b(k))
-        s = raw.addv(s, raw.sgnv(p[i] * (p[j] + p[k]), raw.assoc(b(j), b(k), b(i))))
-        s = raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), raw.assoc(b(k), b(i), b(j))))
-        return raw.dense(s)
+        return raw.dense(_cyclic(raw, *idx))
     if form == "J":
         i, j, k = idx
         return raw.dense(raw.jac(i, j, k, p[j], p[k]))
     if form == "J-minus":
-        minus = raw.commutator_raw()
         i, j, k = idx
-        return raw.dense(minus.jac(i, j, k, p[j], p[k]))
+        return raw.dense(raw.minus().jac(i, j, k, p[j], p[k]))
     if form == "leftalt":
-        i, j, k = idx
-        return raw.dense(
-            raw.addv(
-                raw.assoc(b(i), b(j), b(k)),
-                raw.sgnv(p[i] * p[j], raw.assoc(b(j), b(i), b(k))),
-            )
-        )
+        return raw.dense(_residual("left-alt", raw, tuple(idx)))
     if form == "jordan":
         return raw.dense(_residual("hom-jordan", raw, tuple(idx)))
     raise KeyError(form)

@@ -74,7 +74,7 @@ def _expected_vector(doc, claim: ClaimSpec, target_field):
     full = doc.field
     vec = parse_vector_expr(claim.expected, full, doc.basis)
     if isinstance(full, FractionField) and claim.bindings:
-        vec = tuple(full.substitute(v, claim.bindings, target_field) for v in vec)
+        vec = tuple(map(full.binder(claim.bindings, target_field), vec))
     return vec
 
 

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +219,23 @@ def test_derived_level_cap(corpus_instances):
     with pytest.raises(MapError, match="cap"):
         derived(H, MAX_DERIVED_LEVEL + 1)
     assert derived(H, MAX_DERIVED_LEVEL).dim == H.dim
+
+
+def test_maps_reads_the_work_meter_from_coeff_alone():
+    # the work bound sits behind coeff's meter: maps imports nothing from
+    # the parser, and the parser's MAX_WORK is the meter's own
+    import homsuper.coeff
+    import homsuper.io
+
+    path = Path(__file__).resolve().parents[1] / "src" / "homsuper" / "maps.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "homsuper" + ("." + module if module else "")
+            imported.add(module)
+    assert not any(n == "homsuper.io" or n.startswith("homsuper.io.") for n in imported), imported
+    assert homsuper.io.MAX_WORK is homsuper.coeff.MAX_WORK
