@@ -23,21 +23,21 @@ field, by square-and-multiply over the field's `mul`.
 Exactness.  A Laurent polynomial is a finitely supported map from exponents
 to nonzero coefficients, and the monomials z^m (m in Z^n) are a basis of
 K[x1^+-1..xn^+-1], so each value has exactly one such map and needs no
-normaliser: `eq` compares two dicts.  Its lowest-terms form N/z^e is unique
-too.  K[x1..xn] is a UFD, each xv is a prime in it, and val_v, the least
-exponent of xv in a nonzero polynomial, satisfies val_v(N z^d) = val_v(N) +
-d_v; so a nonzero value has exactly one representative N/z^e with z^e monic
-and min(val_v(N), e_v) = 0 for every parameter v: if N z^e' = N' z^e for two
-of them and e_v > e'_v, then val_v(N) = val_v(N') + e_v - e'_v > 0 and e_v >
-0, against the condition.  `key`, `render` and `substitute` read that
-representative off the dict: e_v is minus the least exponent of xv, or 0,
-and N is the dict shifted by e, its terms in the dict's order.  A Laurent
-operand meets a num/den one only after the same conversion, and `_make`
-turns a single-term denominator back into a Laurent dict.  The products and
-merges run over the same terms in the same order as on N/z^e, shifted by a
-fixed exponent, so `key` and every rendered byte agree with the general
-route, `_make` on the cross-multiplied operands, which cancels the common
-monomial factor and makes the denominator monic.
+normaliser: `eq` compares two dicts and `key` reads the dict as stored.  Its
+lowest-terms form N/z^e is unique too.  K[x1..xn] is a UFD, each xv is a
+prime in it, and val_v, the least exponent of xv in a nonzero polynomial,
+satisfies val_v(N z^d) = val_v(N) + d_v; so a nonzero value has exactly one
+representative N/z^e with z^e monic and min(val_v(N), e_v) = 0 for every
+parameter v: if N z^e' = N' z^e for two of them and e_v > e'_v, then
+val_v(N) = val_v(N') + e_v - e'_v > 0 and e_v > 0, against the condition.
+Only `render`, for text, and `substitute`, since `Field.pow` takes no
+negative exponent, read that representative off the dict: e_v is minus the
+least exponent of xv, or 0, and N is the dict shifted by e, its terms in the
+dict's order.  The general route takes a Laurent operand whole, as its own
+numerator over one, and `_make` on the cross-multiplied operands cancels the
+common monomial factor and makes the denominator monic, so its result does
+not depend on which monomial multiple of an operand it was given; a
+single-term denominator comes back as a Laurent dict.
 
 A Q payload is canonical: an int when the value is integral, else a stdlib
 Fraction in lowest terms with a denominator above 1.  `add`, `sub`, `mul`,
@@ -591,22 +591,23 @@ class FractionField(Field):
 
     # -- construction helpers
 
-    def _split(self, x: Poly) -> Tuple[Poly, Exponent]:
-        """(N, e) with the Laurent polynomial x = N/z^e in lowest terms, N's
-        terms in x's order."""
-        lows = self._zero_exp
+    def _lowest(self, x) -> Tuple[Poly, Poly]:
+        """(numerator, denominator) of a payload in lowest terms: N/z^e for a
+        Laurent one, N's terms in x's order.  Only `render` and `binder` read
+        it."""
+        if x.__class__ is not dict:
+            return x.num, x.den
         if min(map(min, x), default=0) >= 0:  # a polynomial
-            return x, lows
+            return x, self.one
+        lows = self._zero_exp
         for m in x:
             lows = tuple(map(min, lows, m))
-        return {tuple(map(_sub, m, lows)): c for m, c in x.items()}, tuple(-k for k in lows)
+        num = {tuple(map(_sub, m, lows)): c for m, c in x.items()}
+        return num, {tuple(-k for k in lows): self.base.one}
 
     def _pair(self, x) -> Tuple[Poly, Poly]:
-        """(numerator, denominator) of a payload; N/z^e for a Laurent one."""
-        if x.__class__ is dict:
-            num, e = self._split(x)
-            return num, {e: self.base.one} if any(e) else self.one
-        return x.num, x.den
+        """(numerator, denominator) of a payload; a Laurent one over one."""
+        return (x, self.one) if x.__class__ is dict else (x.num, x.den)
 
     def _make(self, num: Poly, den: Poly):
         if not den:
@@ -708,8 +709,7 @@ class FractionField(Field):
 
     def key(self, x):
         if x.__class__ is dict:
-            num, e = self._split(x)
-            return tuple(num.items()), ((e, self.base.one),)
+            return tuple(x.items())  # one Laurent polynomial per value (see above)
         return tuple(x.num.items()), tuple(x.den.items())
 
     def eq(self, x, y):
@@ -776,7 +776,7 @@ class FractionField(Field):
         to_fraction = isinstance(target, FractionField)
 
         def bound(x):
-            xn, xd = self._pair(x)
+            xn, xd = self._lowest(x)  # pow takes no negative exponent
             num = down(xn)
             if xd is self.one:  # a polynomial: nothing to divide by
                 if to_fraction:
@@ -835,9 +835,9 @@ class FractionField(Field):
         return "".join(out)
 
     def render(self, x) -> str:
-        xn, xd = self._pair(x)
+        xn, xd = self._lowest(x)
         num = self._poly_str(xn)
-        if xd == self.one:
+        if xd is self.one:
             return num
         den = self._poly_str(xd)
         num_atom = num if (num.isalnum() or self._is_single_monomial(xn)) else f"({num})"

@@ -544,12 +544,6 @@ def plus_algebra(H: HomSuperAlgebra) -> HomSuperAlgebra:
     return _pair_algebra(H, "superskew", F.inv(F.from_int(2)))
 
 
-# a refused check's requirement; a caller may keep every refusal, so the
-# two strings are shared rather than made anew each time
-_SKEW_PRODUCT = "a super-skewsymmetric product"
-_COMMUTATIVE_PRODUCT = "a super-commutative product"
-
-
 def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) -> IdentityReport:
     """Run one registry checker over all homogeneous basis tuples, after its
     standing hypothesis (checked with the same cap)."""
@@ -562,7 +556,8 @@ def run_checker(name: str, H: HomSuperAlgebra, max_counterexamples: int = 16) ->
         skew = chk.requires == "skew"
         rep = (is_super_skewsymmetric if skew else is_super_commutative)(H.algebra, max_counterexamples)
         if not rep.holds:
-            raise PreconditionError(name, _SKEW_PRODUCT if skew else _COMMUTATIVE_PRODUCT, rep)
+            product = "a super-skewsymmetric product" if skew else "a super-commutative product"
+            raise PreconditionError(name, product, rep)
     return _report(name, chk, H, max_counterexamples)
 
 

@@ -9,17 +9,17 @@ arithmetic underneath is common).  Differences that matter:
     (`{}` is zero, and a coordinate that cancels is dropped); products, map
     applications and brackets are expanded with plain index loops over
     those items and the nonzero cells of the tables;
-  * no residual value is cached: every four-letter residual (hom-malcev,
-    -2 and -3, hom-jordan, teichmuller, cyclic-assoc, the bk-suite, the
-    jordan expansion, and malcev-/jordan-admissible on the minus and plus
-    evaluators) reads the twists, products and associators of basis words
-    from the evaluator's word memo (`_Raw.word`), and the jordan expansion
-    keeps its cyclic summands and brackets there too (`_Raw.kept`); every
-    tuple of one `oracle_verdict` call shares the memo, and it goes with
-    its `_Raw` when the call returns.  The one thing kept past a verdict is
-    a failing verdict's returned (False, names) pair, on the instance's
-    `Basis` under its index tuple: it holds names only, so no value passes
-    from one verdict or algebra to the next;
+  * values live for one verdict only, in the evaluator's word memo: every
+    four-letter residual (hom-malcev, -2 and -3, hom-jordan, teichmuller,
+    cyclic-assoc, the bk-suite, the jordan expansion, and malcev- and
+    jordan-admissible on the minus and plus evaluators) reads the twists,
+    products and associators of basis words from it (`_Raw.word`), and the
+    jordan expansion keeps its cyclic summands and brackets there too
+    (`_Raw.kept`); the tuples of one `oracle_verdict` call share the memo,
+    which goes with its `_Raw` when the call returns.  Only a failing
+    verdict's (False, names) pair outlives it, on the instance's `Basis`
+    under its index tuple for as long as the basis lives: it holds names
+    only, so no value passes from one verdict or algebra to the next;
   * the Bruck-Kleinfeld F goes through its functorial definition (the signed
     cyclic-permutation sum) instead of the unrolled four-bracket form;
   * the super-commutator and plus products are rebuilt from the raw table by

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 from homsuper.coeff import FieldSpec, field_for
-from homsuper.superalg import Basis, EvenLinearMap, SuperAlgebra, hom
+from homsuper.maps import SingularMapError, compose, matrix_inverse
+from homsuper.superalg import Basis, EvenLinearMap, HomSuperAlgebra, SuperAlgebra, dense, hom
 
 Q = field_for(FieldSpec("Q"))
 
@@ -44,6 +45,41 @@ def random_even_map(rng: random.Random, A: SuperAlgebra,
         ]
         cols.append(tuple(col))
     return EvenLinearMap(Q, cols)
+
+
+def random_even_automorphism(rng: random.Random, A: SuperAlgebra,
+                             density: float = 0.7) -> EvenLinearMap:
+    """Seeded invertible even map over A's field: inside the parity blocks
+    each entry is a small integer with probability `density`, outside them
+    zero.  A singular draw, which happens over GF(3), is drawn again."""
+    F, par = A.field, A.basis.parities
+    while True:
+        cols = [
+            tuple(
+                F.from_int(rng.randint(-2, 2)) if par[i] == par[j] and rng.random() < density
+                else F.zero
+                for i in range(A.dim)
+            )
+            for j in range(A.dim)
+        ]
+        P = EvenLinearMap(F, cols)
+        try:
+            matrix_inverse(P)
+        except SingularMapError:
+            continue
+        return P
+
+
+def conjugate(H: HomSuperAlgebra, P: EvenLinearMap) -> HomSuperAlgebra:
+    """H in the basis P e_1, ..., P e_n of an invertible even P: product
+    P^-1 mu(P x, P y) and twist P^-1 alpha P, through the map kernels."""
+    A, F, n = H.algebra, H.field, H.dim
+    back = matrix_inverse(P)
+    table = [
+        [dense(F, n, back.apply_payload(A._mul_payload(P._nz[i], P._nz[j]))) for j in range(n)]
+        for i in range(n)
+    ]
+    return hom(SuperAlgebra(A.basis, F, table), compose(back, compose(H.alpha, P)))
 
 
 def random_multiplicative_skew(rng: random.Random, dim: int):
