@@ -6,7 +6,7 @@ identities and the same standing hypotheses: P keeps every parity, so a
 residual at a tuple of the new basis is a combination of residuals at old
 tuples of the same parities, and back.  The bundled tables are sparse in
 their stated basis and a conjugate is dense, so a rule that skips tuples by a
-fact of one basis shows here as a changed verdict.
+fact of one basis can show here as a changed verdict.
 """
 
 import random
