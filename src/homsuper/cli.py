@@ -173,8 +173,16 @@ def cmd_verify_paper(args) -> int:
     return suite_exit_code(rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through `add_subparsers` its subparsers, whose usage
+    errors are one `error:` line with exit 2, as the other input errors."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="homsuper",
         description="Exact checker for twisted Z2-graded algebra identities.",
     )

@@ -181,10 +181,6 @@ Poly = Dict[Exponent, object]
 
 
 def poly_add(a: Poly, b: Poly, base: "Field") -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
     out = dict(a)
     for e, c in b.items():
         if e in out:
@@ -199,8 +195,6 @@ def poly_add(a: Poly, b: Poly, base: "Field") -> Poly:
 
 
 def poly_sub(a: Poly, b: Poly, base: "Field") -> Poly:
-    if not b:
-        return dict(a)
     out = dict(a)
     for e, c in b.items():
         if e in out:
@@ -219,8 +213,6 @@ def poly_neg(a: Poly, base: "Field") -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly, base: "Field") -> Poly:
-    if not a or not b:
-        return {}
     one = base.one
     out: Poly = {}
     for ea, ca in a.items():
@@ -276,8 +268,8 @@ class FracPayload:
 
 # The work meter: the parser refuses a value operator, and `maps` a
 # composition, whose coefficient products could pass MAX_WORK before it
-# computes.  The count reads only term counts (`Field.size`), so (a+1)^1000
-# passes and (a+b+c)^100 does not.
+# computes.  Only `FractionField` counts, and only term counts (`size`), so
+# (a+1)^1000 passes and (a+b+c)^100 does not.
 MAX_WORK = 10**6
 
 
@@ -322,54 +314,13 @@ class Field:
                 x = self.mul(x, x)
         return out
 
-    # -- the work meter (see MAX_WORK)
-
-    def size(self, x) -> Tuple[int, int]:
-        """The term counts of x's numerator and denominator; (1, 1) where
-        values do not grow."""
-        return 1, 1
+    # -- the work meter (see MAX_WORK): a Q or GF(p) value does not grow
 
     def sum_work(self, sums) -> int:
-        """The coefficient products of the sparse sums `sums`, each an
-        iterable of (index, factor payloads) terms whose products are added
-        by index, counted until past MAX_WORK.  A product of sizes (n, d) and
-        (n', d') takes n n' + d d'; a sum cross-multiplies the denominators."""
-        size = self.size
-        work = 0
-        for terms in sums:
-            acc = {}
-            for i, x, *ys in terms:
-                num, den = size(x)
-                for y in ys:
-                    n, d = size(y)
-                    num, den = num * n, den * d
-                    work += num + den
-                if i in acc:
-                    n, d = acc[i]
-                    num, den = num * d + n * den, den * d
-                    work += num + den
-                acc[i] = num, den
-            if work > MAX_WORK:
-                break
-        return work
+        return 0
 
     def pow_work(self, x, k: int) -> int:
-        """The coefficient products of `pow(x, k)` as `sum_work` counts them,
-        until past MAX_WORK: x^j has at most C(t + j - 1, j) terms where x
-        has t.  `out` and `sq` are the exponents of pow's `out` and `x`."""
-        size = self.size(x)
-        products = lambda a, b: sum(comb(t + a - 1, a) * comb(t + b - 1, b) for t in size)
-        out, sq, work = 0, 1, 0
-        while k and work <= MAX_WORK:
-            if k & 1:
-                if out:
-                    work += products(out, sq)
-                out += sq
-            k >>= 1
-            if k:
-                work += products(sq, sq)
-                sq *= 2
-        return work
+        return 0
 
     def from_int(self, n: int):
         return self.from_fraction(n)
@@ -649,11 +600,55 @@ class FractionField(Field):
         i = self.spec.params.index(name)
         return {tuple(1 if j == i else 0 for j in range(self.n)): self.base.one}
 
+    # -- the work meter (see MAX_WORK)
+
     def size(self, x) -> Tuple[int, int]:
         """The term counts of x's lowest-terms numerator and denominator."""
         if x.__class__ is dict:
             return len(x), 1
         return len(x.num), len(x.den)
+
+    def sum_work(self, sums) -> int:
+        """The coefficient products of the sparse sums `sums`, each an
+        iterable of (index, factor payloads) terms whose products are added
+        by index, counted until past MAX_WORK.  A product of sizes (n, d) and
+        (n', d') takes n n' + d d'; a sum cross-multiplies the denominators."""
+        size = self.size
+        work = 0
+        for terms in sums:
+            acc = {}
+            for i, x, *ys in terms:
+                num, den = size(x)
+                for y in ys:
+                    n, d = size(y)
+                    num, den = num * n, den * d
+                    work += num + den
+                if i in acc:
+                    n, d = acc[i]
+                    num, den = num * d + n * den, den * d
+                    work += num + den
+                acc[i] = num, den
+            if work > MAX_WORK:
+                break
+        return work
+
+    def pow_work(self, x, k: int) -> int:
+        """The coefficient products of `pow(x, k)` as `sum_work` counts them,
+        until past MAX_WORK: x^j has at most C(t + j - 1, j) terms where x
+        has t.  `out` and `sq` are the exponents of pow's `out` and `x`."""
+        size = self.size(x)
+        products = lambda a, b: sum(comb(t + a - 1, a) * comb(t + b - 1, b) for t in size)
+        out, sq, work = 0, 1, 0
+        while k and work <= MAX_WORK:
+            if k & 1:
+                if out:
+                    work += products(out, sq)
+                out += sq
+            k >>= 1
+            if k:
+                work += products(sq, sq)
+                sq *= 2
+        return work
 
     # -- arithmetic: the zero payload is the one falsy one
 

@@ -39,12 +39,13 @@ vectors, vectors may be added, and nothing else mixes.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coeff import MAX_WORK, CoeffError, Field, FieldSpec, FractionField, Scalar, field_for
+from .coeff import MAX_WORK, CoeffError, Field, FieldSpec, Scalar, field_for
 from .report import IdentityReport
 from .superalg import Basis, EvenLinearMap, SuperAlgebra
 
@@ -61,8 +62,6 @@ class ParseError(Exception):
 # Expression tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = "+-*/^()"
-
 # Fixed input caps.  An exponent above MAX_EXPONENT, counting the exponents
 # of enclosing powers as factors, is refused, so a power never grows a value
 # past what the text could otherwise write; nesting deeper than MAX_DEPTH
@@ -78,42 +77,27 @@ MAX_BASIS = 32
 
 @dataclass
 class _Tok:
-    kind: str  # "int" | "ident" | one of _SYMBOLS | "end"
+    kind: str  # "int" | "ident" | the symbol itself | "end"
     text: str
     line: int
     col: int
 
 
+# A token after blanks: ASCII digits (what int() reads); an identifier, a
+# letter or _ then letters, digits or _ (a numeric sign that [^\W\d] takes,
+# such as a superscript digit, is refused); a symbol; or anything else, refused.
+_TOKEN = re.compile(r"[ \t]*(?:(?P<int>[0-9]+)|(?P<ident>[^\W\d]\w*)|(?P<sym>[-+*/^()])|(?P<other>[^ \t]))")
+
+
 def _tokenize(text: str, line: int = 1, col0: int = 1) -> List[_Tok]:
     toks: List[_Tok] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = col0 + i
-        if ch in " \t":
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", line, col0 + n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, col = m[kind], col0 + m.start(kind)
+        if kind == "other" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+        toks.append(_Tok(tok if kind == "sym" else kind, tok, line, col))
+    toks.append(_Tok("end", "", line, col0 + len(text)))
     return toks
 
 
@@ -170,12 +154,6 @@ class _ExprParser:
         xs, ys = (v.v if v.vec else [v.v] * n), (w.v if w.vec else [w.v] * n)
         terms = ([(0, x, y)] if product else [(0, x), (0, y)] for x, y in zip(xs, ys))
         self._refuse(op, self.field.sum_work(terms))
-
-    def _param(self, name: str):
-        f = self.field
-        if isinstance(f, FractionField) and name in f.spec.params:
-            return f.monomial(name)
-        return None
 
     def parse(self) -> _Value:
         v = self.expr()
@@ -252,9 +230,8 @@ class _ExprParser:
             return self._sc(self.field.from_int(self._int(t)))
         if t.kind == "ident":
             self.take()
-            p = self._param(t.text)
-            if p is not None:
-                return self._sc(p)
+            if t.text in self.field.spec.params:  # () over Q and GF(p)
+                return self._sc(self.field.monomial(t.text))
             if self.basis is not None:
                 try:
                     i = self.basis.names.index(t.text)
@@ -583,9 +560,14 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
         return algebra_kv[key][:2]
 
     def declared(key: str) -> List[Tuple[str, int, int]]:
-        """The names listed under `key`, each with its line and column."""
+        """The names listed under `key`, each with its line and column; a
+        name that is not an identifier is refused there."""
         value, line, col = algebra_kv.get(key, ("", 1, 1))
-        return [(nm, line, c) for nm, c in _split_at(value, ",", col) if nm]
+        named = [(nm, line, c) for nm, c in _split_at(value, ",", col) if nm]
+        for nm, _, c in named:
+            if not nm.isidentifier():
+                raise ParseError(f"{key} name {nm!r} is not an identifier", line, c)
+        return named
 
     name = need("name")[0]
     field_str, field_line = need("field")
@@ -654,10 +636,12 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
 
     maps: Dict[str, EvenLinearMap] = {}
     for mname, lines in map_lines.items():
-        cols = {name: tuple(field.zero for _ in basis.names) for name in basis.names}
+        cols = dict.fromkeys(basis.names, unstated)
         for key, value, lineno, col, key_col in lines:
             if key not in basis.names:
                 raise ParseError(f"undeclared basis name {key!r}", lineno, key_col)
+            if cols[key] is not unstated:  # each parsed value is a new tuple
+                raise ParseError(f"duplicate image of {key} in map {mname!r}", lineno, key_col)
             cols[key] = parse_vector_expr(value, field, basis, line=lineno, col0=col)
         maps[mname] = EvenLinearMap(field, [cols[n] for n in basis.names])
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Tuple
 
-from .coeff import MAX_WORK, FieldMismatchError, FractionField
+from .coeff import MAX_WORK, FieldMismatchError
 from .report import IdentityReport, table_report
 from .superalg import (
     AlgebraError,
@@ -111,9 +111,8 @@ def compose(f: EvenLinearMap, g: EvenLinearMap, what: str = "the composed map") 
 
 def _bounded(F, sums, what: str):
     """Refuse `what` when the sparse sums `sums` could take more than
-    MAX_WORK coefficient products (`Field.sum_work`); only Frac(K[params])
-    values grow (MAX_BASIS bounds numeric work)."""
-    if isinstance(F, FractionField) and F.sum_work(sums) > MAX_WORK:
+    MAX_WORK coefficient products, as `F.sum_work` counts them."""
+    if F.sum_work(sums) > MAX_WORK:
         raise MapError(f"{what} would need more than {MAX_WORK} coefficient products")
 
 

@@ -168,10 +168,7 @@ class SuperAlgebra:
     # -- raw product --------------------------------------------------------
 
     def _mul_payload(self, u: SparseVector, v: SparseVector) -> SparseVector:
-        """The product kernel: bilinear extension over the nonzero cells;
-        `()` at once for an empty operand, which the loop would give too."""
-        if not u or not v:
-            return ()
+        """The product kernel: bilinear extension over the nonzero cells."""
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz
@@ -247,10 +244,7 @@ class EvenLinearMap:
         return Scalar(self.field, self.cols[j][i])
 
     def apply_payload(self, u: SparseVector) -> SparseVector:
-        """The map kernel: matrix-vector product over the nonzero entries;
-        `()` at once for the empty vector, which the loop would give too."""
-        if not u:
-            return ()
+        """The map kernel: matrix-vector product over the nonzero entries."""
         F = self.field
         add, mul, is_zero = F.add, F.mul, F.is_zero
         nz = self._nz

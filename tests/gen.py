@@ -121,3 +121,37 @@ def random_multiplicative_skew(rng: random.Random, dim: int):
         cols.append(tuple(col))
     A = SuperAlgebra(basis, Q, [[tuple(v) for v in row] for row in table])
     return hom(A, EvenLinearMap(Q, cols))
+
+
+def grassmann_envelope(A: SuperAlgebra, alpha: EvenLinearMap, n: int):
+    """The Grassmann envelope G(A) = A0 (x) L_even + A1 (x) L_odd over the
+    Grassmann algebra L on xi_0..xi_(n-1), twisted by alpha (x) id, as an
+    ungraded hom-algebra (every parity even), and the position of each basis
+    element e_i (x) xi_S, keyed (i, S) with S a bit mask.  The product is
+    that of A (x) L with no sign: (a (x) g)(b (x) h) = ab (x) gh, where
+    xi_S xi_T is 0 when S and T meet, else (-1)^(pairs s in S, t in T with
+    s > t) xi_(S u T).  A table or twist that breaks the grading has no
+    envelope: ValueError."""
+    F, par, dim = A.field, A.basis.parities, A.dim
+    keys = [(i, S) for i in range(dim) for S in range(1 << n) if bin(S).count("1") % 2 == par[i]]
+    at = {key: k for k, key in enumerate(keys)}
+
+    def lift(vec, S, sign):  # the sparse vector vec (x) xi_S, times (-1)^sign
+        out = [F.zero] * len(at)
+        for k, x in vec:
+            if (k, S) not in at:
+                raise ValueError("the grading is broken: no envelope")
+            out[at[k, S]] = F.neg(x) if sign % 2 else x
+        return tuple(out)
+
+    zero = (F.zero,) * len(at)
+    table = []
+    for i, S in keys:
+        row = []
+        for j, T in keys:
+            swaps = sum(1 for s in range(n) for t in range(s) if S >> s & T >> t & 1)
+            row.append(zero if S & T else lift(A._nz[i][j], S | T, swaps))
+        table.append(row)
+    names = tuple(f"{A.basis.names[i]}.{S}" for i, S in keys)
+    G = SuperAlgebra(Basis(names, (0,) * len(at)), F, table)
+    return hom(G, EvenLinearMap(F, [lift(alpha._nz[j], S, 0) for j, S in keys])), at

@@ -379,6 +379,23 @@ def test_json_only_on_the_commands_that_read_it(capsys):
     assert [r["identity"] for r in json.loads(out)] == ["grading", "even", "weak-morphism"]
 
 
+def test_argument_errors_are_one_line(capsys):
+    for argv, msg in (
+        (["twist", "--corpus", "b42", "--json"], "unrecognized arguments: --json"),
+        (["check", "--corpus", "b42", "--identity", "left-alt", "--max-counterexamples", "x"],
+         "argument --max-counterexamples: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err == f"error: {msg}\n", argv
+    # --help keeps its usage text
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: homsuper check")
+
+
 def test_claim_errors_point_at_the_segment(tmp_path, capsys):
     lines = corpus.entry_text("m3-3-1").splitlines(keepends=True)
     assert lines[35].startswith("alpha1-even = ") and lines[38].startswith("alpha1-twisted-e3-e4 = ")

@@ -175,6 +175,40 @@ def test_key_errors_point_at_the_offending_name():
         assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at), body
 
 
+def test_a_repeated_map_image_is_refused_at_its_key():
+    head = "[algebra]\nname = t\nfield = Q\neven = u\nodd = v\n\n"
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(head + "[map b]\nu = u\nv = v\n  u = 2*u\n")
+    assert (exc.value.msg, exc.value.line, exc.value.col) == ("duplicate image of u in map 'b'", 10, 3)
+
+
+def test_declared_names_are_refused_where_they_are_written():
+    head = "[algebra]\nname = t\nfield = Q\n"
+    cases = [
+        ("params = a, 1b\neven = u\n", "params name '1b' is not an identifier", (4, 13)),
+        ("even = u v, w\n", "even name 'u v' is not an identifier", (4, 8)),
+        ("even = u\nodd = w,  x-1\n", "odd name 'x-1' is not an identifier", (5, 11)),
+    ]
+    for body, msg, at in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_algebra_file(head + body)
+        assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at), body
+
+
+def test_integer_literals_are_ascii_digits():
+    head = "[algebra]\nname = t\nfield = Q\nparams = \u03b1\neven = u\n\n[product]\n"
+    # a superscript two is no digit of an integer literal, nor a letter
+    # that starts a name; an Arabic-Indic three is not read as 3
+    for sign in ("\u00b2", "\u0663"):
+        with pytest.raises(ParseError) as exc:
+            parse_algebra_file(head + f"u*u = {sign}*u\n")
+        assert (exc.value.msg, exc.value.line, exc.value.col) == (f"unexpected character {sign!r}", 8, 7)
+    # a Greek parameter name still parses, and so does a digit inside a name
+    doc = parse_algebra_file(head + "u*u = \u03b1^2*u\n")
+    assert doc.table[0][0] == (parse_expression("\u03b1*\u03b1", doc.field).v,)
+    assert parse_expression("2*x\u0663", field_for(FieldSpec("Q", None, ("x\u0663",)))).v == {(1,): 2}
+
+
 def test_duplicate_product_rejected():
     text = MINIMAL + "\n[product]\n"
     with pytest.raises(ParseError):
