@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..coeff import FieldSpec, FractionField, Scalar, field_for
 from ..io import (
@@ -101,6 +101,7 @@ class BuiltInstance:
     base: SuperAlgebra  # the (instantiated) stated table
     hom: HomSuperAlgebra  # the requested variant
     map_used: Optional[EvenLinearMap]  # the instantiated named map, if any
+    bind: Callable[[object], object]  # a doc.field payload at the bindings, in hom.field
 
 
 def _substituter(doc: AlgebraDocument, bindings: Mapping[str, Fraction]):
@@ -175,7 +176,9 @@ def build_from_document(
     )
 
     if variant == "base":
-        return BuiltInstance(entry_id, variant, bindings, doc, base, hom(base, base_alpha), None)
+        return BuiltInstance(
+            entry_id, variant, bindings, doc, base, hom(base, base_alpha), None, down
+        )
     map_name = variant[: -len("-untwisted")] if variant.endswith("-untwisted") else variant
     beta = inst_maps[map_name]
     twisted = compose_product(base, beta, f"variant {variant}")
@@ -183,7 +186,7 @@ def build_from_document(
         H = hom(twisted)  # identity twist
     else:
         H = hom(twisted, compose(beta, base_alpha, f"variant {variant}"))
-    return BuiltInstance(entry_id, variant, bindings, doc, base, H, beta)
+    return BuiltInstance(entry_id, variant, bindings, doc, base, H, beta, down)
 
 
 def claims(entry_id: str) -> Tuple[ClaimSpec, ...]:

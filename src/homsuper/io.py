@@ -561,17 +561,25 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
 
     def declared(key: str) -> List[Tuple[str, int, int]]:
         """The names listed under `key`, each with its line and column; a
-        name that is not an identifier is refused there."""
+        name that `_tokenize` does not read as one identifier is refused there."""
         value, line, col = algebra_kv.get(key, ("", 1, 1))
         named = [(nm, line, c) for nm, c in _split_at(value, ",", col) if nm]
         for nm, _, c in named:
-            if not nm.isidentifier():
-                raise ParseError(f"{key} name {nm!r} is not an identifier", line, c)
+            try:
+                if [t.kind for t in _tokenize(nm)] == ["ident", "end"]:
+                    continue
+            except ParseError:
+                pass
+            raise ParseError(f"{key} name {nm!r} is not an identifier", line, c)
         return named
 
     name = need("name")[0]
     field_str, field_line = need("field")
-    params = tuple(nm for nm, _, _ in declared("params"))
+    params_at = declared("params")
+    params = tuple(at[0] for at in params_at)
+    for k, (nm, line, c) in enumerate(params_at):
+        if nm in params[:k]:  # reported at the repeat, as a repeated basis name is
+            raise ParseError("duplicate parameter names", line, c)
     try:
         if field_str == "Q":
             spec = FieldSpec("Q", None, params)

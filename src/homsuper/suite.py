@@ -3,8 +3,9 @@
 Verdict claims (kind ``check``) must reproduce exactly; a mismatch is a FAIL
 unless the claim is marked fragile, in which case it becomes a DISCREPANCY
 row (a published assertion the direct computation contradicts).  Value claims
-are always reconciled as PASS or DISCREPANCY, never FAIL: the independently
-expanded oracle value, not the published arithmetic, is ground truth here.
+are always reconciled as PASS or DISCREPANCY, never FAIL: the checker route's
+value (`identities.form_value`), which the tests witness against the oracle's
+independent expansion, not the published arithmetic, is ground truth here.
 
 Rows come out in a fixed order (entry order, then claim order within the
 file), and rendering is deterministic, so identical invocations produce
@@ -18,11 +19,9 @@ from dataclasses import asdict, dataclass
 from typing import List
 
 from . import corpus
-from .coeff import FractionField
-from .identities import CHECKERS, PreconditionError, run_checker
-from .io import ClaimSpec, parse_vector_expr, render_vector
+from .identities import CHECKERS, PreconditionError, form_value, run_checker
+from .io import AlgebraDocument, ClaimSpec, parse_vector_expr, render_vector
 from .maps import is_even, is_weak_morphism
-from .oracle import oracle_value
 from .superalg import validate
 
 PSEUDO_CHECKS = ("weak-endo", "even", "grading")
@@ -70,17 +69,8 @@ def _evaluate_check(inst: corpus.BuiltInstance, claim: ClaimSpec) -> str:
         return f"error ({exc.requirement} required)"
 
 
-def _expected_vector(doc, claim: ClaimSpec, target_field):
-    full = doc.field
-    vec = parse_vector_expr(claim.expected, full, doc.basis)
-    if isinstance(full, FractionField) and claim.bindings:
-        vec = tuple(map(full.binder(claim.bindings, target_field), vec))
-    return vec
-
-
-def evaluate_claim(entry_id: str, claim: ClaimSpec) -> SuiteRow:
-    inst = corpus.build(entry_id, claim.variant, claim.bindings)
-    doc = inst.doc
+def evaluate_claim(doc: AlgebraDocument, claim: ClaimSpec) -> SuiteRow:
+    inst = corpus.build_from_document(doc, claim.variant, claim.bindings, entry_id=doc.name)
     if claim.kind == "check":
         computed = _evaluate_check(inst, claim)
         if computed == claim.expected:
@@ -88,14 +78,14 @@ def evaluate_claim(entry_id: str, claim: ClaimSpec) -> SuiteRow:
         else:
             status = "DISCREPANCY" if claim.fragile else "FAIL"
         return SuiteRow(
-            status, entry_id, claim.key, claim.kind, claim.target,
+            status, doc.name, claim.key, claim.kind, claim.target,
             claim.expected, computed, claim.note,
         )
 
     F = inst.hom.field
     basis = inst.base.basis
-    computed_vec = oracle_value(claim.target, inst.hom, claim.where)
-    expected_vec = _expected_vector(doc, claim, F)
+    computed_vec = [s.v for s in form_value(claim.target, inst.hom, claim.where)]
+    expected_vec = tuple(map(inst.bind, parse_vector_expr(claim.expected, doc.field, doc.basis)))
     equal = all(F.eq(a, b) for a, b in zip(computed_vec, expected_vec))
     computed_str = render_vector(F, basis, computed_vec)
     claimed_str = render_vector(F, basis, expected_vec)
@@ -103,7 +93,7 @@ def evaluate_claim(entry_id: str, claim: ClaimSpec) -> SuiteRow:
     if claim.kind == "value":
         status = "PASS" if equal else "DISCREPANCY"
         return SuiteRow(
-            status, entry_id, claim.key, claim.kind, f"{claim.target}{at}",
+            status, doc.name, claim.key, claim.kind, f"{claim.target}{at}",
             claimed_str, computed_str, claim.note,
         )
     # nonzero: the published point is that the value does not vanish
@@ -114,17 +104,14 @@ def evaluate_claim(entry_id: str, claim: ClaimSpec) -> SuiteRow:
     else:
         status = "PASS" if equal else "DISCREPANCY"
     return SuiteRow(
-        status, entry_id, claim.key, claim.kind, f"{claim.target}{at}",
+        status, doc.name, claim.key, claim.kind, f"{claim.target}{at}",
         f"nonzero, {claimed_str}", computed_str, claim.note,
     )
 
 
 def run_suite() -> List[SuiteRow]:
-    rows: List[SuiteRow] = []
-    for entry_id in corpus.ENTRY_IDS:
-        for claim in corpus.claims(entry_id):
-            rows.append(evaluate_claim(entry_id, claim))
-    return rows
+    docs = map(corpus.load_document, corpus.ENTRY_IDS)
+    return [evaluate_claim(doc, claim) for doc in docs for claim in doc.claims]
 
 
 def render_rows(rows: List[SuiteRow], as_json: bool = False) -> str:

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -595,3 +598,17 @@ def test_fuzzed_files_end_in_exit_0_1_or_2(tmp_path_factory):
                 assert len(err.splitlines()) <= 1 and err.startswith("error: "), (err, data)
 
     check()
+
+
+def test_no_command_imports_the_oracle():
+    # the oracle is a witness in tests only: replaying every bundled claim
+    # runs on the checker route and never loads it
+    script = """
+import os, sys
+import homsuper.cli
+code = homsuper.cli.main(["verify-paper", "--out", os.devnull])
+print(code, "homsuper.oracle" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout.split() == ["0", "False"]

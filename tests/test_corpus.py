@@ -78,12 +78,12 @@ def test_claimed_value_parses():
 def test_m3_claims():
     doc = corpus.load_document("m3-3-1")
     by_key = {c.key: c for c in doc.claims}
-    row = evaluate_claim("m3-3-1", by_key["alpha1-J-e3-e4-e4"])
+    row = evaluate_claim(doc, by_key["alpha1-J-e3-e4-e4"])
     assert row.status == "DISCREPANCY"
     assert "-3*a^4*e1" in row.computed
-    row = evaluate_claim("m3-3-1", by_key["alpha1-twisted-e3-e4"])
+    row = evaluate_claim(doc, by_key["alpha1-twisted-e3-e4"])
     assert row.status == "PASS"
-    row = evaluate_claim("m3-3-1", by_key["alpha2-even"])
+    row = evaluate_claim(doc, by_key["alpha2-even"])
     assert row.status == "DISCREPANCY"
 
 

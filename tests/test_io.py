@@ -195,6 +195,27 @@ def test_declared_names_are_refused_where_they_are_written():
         assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at), body
 
 
+def test_a_combining_accent_is_no_name():
+    # e plus U+0301 is an identifier to Python, but the tokenizer reads e
+    # and then an unexpected character, so it is refused as a name
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file("[algebra]\nname = t\nfield = Q\neven = e\u0301, w\n")
+    assert (exc.value.msg, exc.value.line, exc.value.col) == ("even name 'e\u0301' is not an identifier", 4, 8)
+
+
+def test_a_parameter_no_value_can_write_is_refused_where_declared():
+    # U+2118 is an identifier to Python, but no expression can spell it
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file("[algebra]\nname = t\nfield = Q\nparams = \u2118\neven = u\n\n[product]\nu*u = \u2118*u\n")
+    assert (exc.value.msg, exc.value.line, exc.value.col) == ("params name '\u2118' is not an identifier", 4, 10)
+
+
+def test_a_repeated_parameter_is_reported_at_the_repeat():
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file("[algebra]\nname = t\nfield = Q\nparams = a, a\neven = u\n")
+    assert (exc.value.msg, exc.value.line, exc.value.col) == ("duplicate parameter names", 4, 13)
+
+
 def test_integer_literals_are_ascii_digits():
     head = "[algebra]\nname = t\nfield = Q\nparams = \u03b1\neven = u\n\n[product]\n"
     # a superscript two is no digit of an integer literal, nor a letter
