@@ -578,7 +578,7 @@ def parse_algebra_file(text: str) -> AlgebraDocument:
     params_at = declared("params")
     params = tuple(at[0] for at in params_at)
     for k, (nm, line, c) in enumerate(params_at):
-        if nm in params[:k]:  # reported at the repeat, as a repeated basis name is
+        if nm in params[:k]:  # here, not in FieldSpec, so that the error points at the repeat
             raise ParseError("duplicate parameter names", line, c)
     try:
         if field_str == "Q":

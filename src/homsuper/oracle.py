@@ -135,8 +135,8 @@ class _Raw:
         plus evaluators keep their own.  It grows to O(dim^4) entries: a
         `jordan-expansion` verdict that holds leaves 666 (words, summands
         and brackets; about 140 KB, with its plus evaluator's) at
-        dimension 3 and 8,892 (2.2 MB) on b42/alpha at dimension 6.  The
-        CLI never runs `oracle_verdict`."""
+        dimension 3 and 8,892 (2.2 MB) on b42/alpha at dimension 6.  No CLI
+        command imports this module."""
         v = self.words.get(key)
         if v is None:
             if key.__class__ is int:

@@ -46,6 +46,8 @@ def _changes(replayed, convention):
 
 
 def _explained(replayed, convention):
+    """The discrepancies a convention turns into PASS, in entries where it
+    turns no PASS claim into anything else."""
     return {
         (entry_id, k)
         for entry_id, changed in _changes(replayed, convention).items()
