@@ -102,12 +102,13 @@ def _tokenize(text: str, line: int = 1, col0: int = 1) -> List[_Tok]:
 
 
 class _Value:
-    """Tagged scalar-or-vector during expression evaluation; `power` is the
-    largest product of nested exponents used to build it."""
+    """A value during expression evaluation: `v` is a list of payloads, one
+    for a scalar and one per basis element for a vector (`vec`); `power` is
+    the largest product of nested exponents used to build it."""
 
     __slots__ = ("vec", "v", "power")
 
-    def __init__(self, v, vec: bool, power: int = 1):
+    def __init__(self, v: list, vec: bool, power: int = 1):
         self.v = v
         self.vec = vec
         self.power = power
@@ -133,10 +134,6 @@ class _ExprParser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
-    # scalar helpers
-    def _sc(self, v, power: int = 1) -> _Value:
-        return _Value(v, False, power)
-
     def _int(self, tok: _Tok) -> int:
         try:
             return int(tok.text)
@@ -147,13 +144,19 @@ class _ExprParser:
         if work > MAX_WORK:
             self.fail(f"{op.text!r} would need more than {MAX_WORK} coefficient products", op)
 
-    def _bound(self, op: _Tok, v: _Value, w: _Value, product: bool):
-        """Refuse `op` when the product (else the sum) of v and w, a scalar
-        side taken for every coordinate, could pass MAX_WORK."""
-        n = len(v.v) if v.vec else len(w.v) if w.vec else 1
-        xs, ys = (v.v if v.vec else [v.v] * n), (w.v if w.vec else [w.v] * n)
-        terms = ([(0, x, y)] if product else [(0, x), (0, y)] for x, y in zip(xs, ys))
-        self._refuse(op, self.field.sum_work(terms))
+    def _apply(self, op: _Tok, v: _Value, w: _Value) -> _Value:
+        """v op w coordinate by coordinate, a scalar standing for every
+        coordinate; for '/' the caller has already inverted w.  The work
+        meter bounds those same pairs before any of them is computed."""
+        F, n = self.field, max(len(v.v), len(w.v))
+        pairs = list(zip(v.v if v.vec else v.v * n, w.v if w.vec else w.v * n))
+        if op.kind in "+-":
+            fn = F.add if op.kind == "+" else F.sub
+            terms = ([(0, x), (0, y)] for x, y in pairs)
+        else:
+            fn, terms = F.mul, ([(0, x, y)] for x, y in pairs)
+        self._refuse(op, F.sum_work(terms))
+        return _Value([fn(x, y) for x, y in pairs], v.vec or w.vec, max(v.power, w.power))
 
     def parse(self) -> _Value:
         v = self.expr()
@@ -168,13 +171,7 @@ class _ExprParser:
             w = self.term()
             if v.vec != w.vec:
                 self.fail("cannot add a scalar and a vector", op)
-            self._bound(op, v, w, product=False)
-            power = max(v.power, w.power)
-            fn = self.field.add if op.kind == "+" else self.field.sub
-            if v.vec:
-                v = _Value([fn(a, b) for a, b in zip(v.v, w.v)], True, power)
-            else:
-                v = self._sc(fn(v.v, w.v), power)
+            v = self._apply(op, v, w)
         return v
 
     def term(self) -> _Value:
@@ -182,27 +179,15 @@ class _ExprParser:
         while self.peek().kind in "*/":
             op = self.take()
             w = self.factor()
-            power = max(v.power, w.power)
-            if op.kind == "*":
-                if v.vec and w.vec:
-                    self.fail("cannot multiply two vectors", op)
-                self._bound(op, v, w, product=True)
-                if v.vec or w.vec:
-                    vec, sc = (v, w) if v.vec else (w, v)
-                    v = _Value([self.field.mul(sc.v, a) for a in vec.v], True, power)
-                else:
-                    v = self._sc(self.field.mul(v.v, w.v), power)
-            else:
+            if op.kind == "*" and v.vec and w.vec:
+                self.fail("cannot multiply two vectors", op)
+            if op.kind == "/":
                 if w.vec:
                     self.fail("cannot divide by a vector", op)
-                if self.field.is_zero(w.v):
+                if self.field.is_zero(w.v[0]):
                     self.fail("division by zero", op)
-                inv = self.field.inv(w.v)  # no coefficient products
-                self._bound(op, v, self._sc(inv), product=True)
-                if v.vec:
-                    v = _Value([self.field.mul(inv, a) for a in v.v], True, power)
-                else:
-                    v = self._sc(self.field.mul(v.v, inv), power)
+                w = _Value([self.field.inv(w.v[0])], False, w.power)  # no coefficient products
+            v = self._apply(op, v, w)
         return v
 
     def factor(self) -> _Value:
@@ -219,19 +204,19 @@ class _ExprParser:
             power = v.power * k
             if power > MAX_EXPONENT:
                 self.fail(f"exponent {power} is above the cap of {MAX_EXPONENT}", e)
-            self._refuse(caret, self.field.pow_work(v.v, k))
-            v = self._sc(self.field.pow(v.v, k), max(power, 1))
+            self._refuse(caret, self.field.pow_work(v.v[0], k))
+            v = _Value([self.field.pow(v.v[0], k)], False, max(power, 1))
         return v
 
     def atom(self) -> _Value:
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return self._sc(self.field.from_int(self._int(t)))
+            return _Value([self.field.from_int(self._int(t))], False)
         if t.kind == "ident":
             self.take()
             if t.text in self.field.spec.params:  # () over Q and GF(p)
-                return self._sc(self.field.monomial(t.text))
+                return _Value([self.field.monomial(t.text)], False)
             if self.basis is not None:
                 try:
                     i = self.basis.names.index(t.text)
@@ -253,10 +238,7 @@ class _ExprParser:
                 self.take()
             else:
                 v = self.atom()
-                if v.vec:
-                    v = _Value([self.field.neg(a) for a in v.v], True, v.power)
-                else:
-                    v = self._sc(self.field.neg(v.v), v.power)
+                v = _Value([self.field.neg(a) for a in v.v], v.vec, v.power)
             self.depth -= 1
             return v
         self.fail(f"expected a value, found {t.text or 'end of input'!r}", t)
@@ -266,7 +248,7 @@ def parse_expression(text: str, field: Field, *, line: int = 1, col0: int = 1) -
     """Parse a scalar expression over the field's parameters."""
     p = _ExprParser(_tokenize(text, line, col0), field, None)
     v = p.parse()
-    return Scalar(field, v.v)
+    return Scalar(field, v.v[0])
 
 
 def parse_vector_expr(
@@ -276,7 +258,7 @@ def parse_vector_expr(
     p = _ExprParser(_tokenize(text, line, col0), field, basis)
     v = p.parse()
     if not v.vec:
-        if field.is_zero(v.v):
+        if field.is_zero(v.v[0]):
             return tuple(field.zero for _ in range(len(basis)))
         raise ParseError("expected a vector-valued expression", line, col0)
     return tuple(v.v)

@@ -72,41 +72,26 @@ def _evaluate_check(inst: corpus.BuiltInstance, claim: ClaimSpec) -> str:
 def evaluate_claim(doc: AlgebraDocument, claim: ClaimSpec) -> SuiteRow:
     inst = corpus.build_from_document(doc, claim.variant, claim.bindings, entry_id=doc.name)
     if claim.kind == "check":
-        computed = _evaluate_check(inst, claim)
+        target, claimed, computed = claim.target, claim.expected, _evaluate_check(inst, claim)
         if computed == claim.expected:
             status = "PASS"
         else:
             status = "DISCREPANCY" if claim.fragile else "FAIL"
-        return SuiteRow(
-            status, doc.name, claim.key, claim.kind, claim.target,
-            claim.expected, computed, claim.note,
-        )
-
-    F = inst.hom.field
-    basis = inst.base.basis
-    computed_vec = [s.v for s in form_value(claim.target, inst.hom, claim.where)]
-    expected_vec = tuple(map(inst.bind, parse_vector_expr(claim.expected, doc.field, doc.basis)))
-    equal = all(F.eq(a, b) for a, b in zip(computed_vec, expected_vec))
-    computed_str = render_vector(F, basis, computed_vec)
-    claimed_str = render_vector(F, basis, expected_vec)
-    at = f"({', '.join(claim.where)})"
-    if claim.kind == "value":
-        status = "PASS" if equal else "DISCREPANCY"
-        return SuiteRow(
-            status, doc.name, claim.key, claim.kind, f"{claim.target}{at}",
-            claimed_str, computed_str, claim.note,
-        )
-    # nonzero: the published point is that the value does not vanish
-    computed_zero = all(F.is_zero(a) for a in computed_vec)
-    if computed_zero:
-        status = "DISCREPANCY"
-        computed_str = "0 (vanishes)"
     else:
+        F = inst.hom.field
+        basis = inst.base.basis
+        computed_vec = [s.v for s in form_value(claim.target, inst.hom, claim.where)]
+        expected_vec = tuple(map(inst.bind, parse_vector_expr(claim.expected, doc.field, doc.basis)))
+        equal = all(F.eq(a, b) for a, b in zip(computed_vec, expected_vec))
         status = "PASS" if equal else "DISCREPANCY"
-    return SuiteRow(
-        status, doc.name, claim.key, claim.kind, f"{claim.target}{at}",
-        f"nonzero, {claimed_str}", computed_str, claim.note,
-    )
+        target = f"{claim.target}({', '.join(claim.where)})"
+        claimed = render_vector(F, basis, expected_vec)
+        computed = render_vector(F, basis, computed_vec)
+        if claim.kind == "nonzero":  # the published point is that the value does not vanish
+            claimed = f"nonzero, {claimed}"
+            if all(F.is_zero(a) for a in computed_vec):
+                status, computed = "DISCREPANCY", "0 (vanishes)"
+    return SuiteRow(status, doc.name, claim.key, claim.kind, target, claimed, computed, claim.note)
 
 
 def run_suite() -> List[SuiteRow]:
