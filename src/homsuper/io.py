@@ -148,13 +148,15 @@ class _ExprParser:
         """v op w coordinate by coordinate, a scalar standing for every
         coordinate; for '/' the caller has already inverted w.  The work
         meter bounds those same pairs before any of them is computed."""
-        F, n = self.field, max(len(v.v), len(w.v))
+        F = self.field
+        n = max(len(v.v), len(w.v))
         pairs = list(zip(v.v if v.vec else v.v * n, w.v if w.vec else w.v * n))
         if op.kind in "+-":
             fn = F.add if op.kind == "+" else F.sub
             terms = ([(0, x), (0, y)] for x, y in pairs)
         else:
-            fn, terms = F.mul, ([(0, x, y)] for x, y in pairs)
+            fn = F.mul
+            terms = ([(0, x, y)] for x, y in pairs)
         self._refuse(op, F.sum_work(terms))
         return _Value([fn(x, y) for x, y in pairs], v.vec or w.vec, max(v.power, w.power))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import homsuper.corpus as corpus
@@ -85,6 +87,31 @@ def test_m3_claims():
     assert row.status == "PASS"
     row = evaluate_claim(doc, by_key["alpha2-even"])
     assert row.status == "DISCREPANCY"
+
+
+def test_every_branch_of_a_claim_row():
+    doc = corpus.load_document("m3-3-1")
+    value = next(c for c in doc.claims if c.key == "alpha1-twisted-e3-e4")
+
+    def row(claim, of=doc):
+        r = evaluate_claim(of, claim)
+        return r.status, f"{r.target}: claimed {r.claimed}, computed {r.computed}"
+
+    nonzero = replace(value, kind="nonzero")
+    assert row(nonzero) == ("PASS", "product(e3, e4): claimed nonzero, -a*e4, computed -a*e4")
+    assert row(replace(value, expected="e1"))[0] == "DISCREPANCY"
+    assert row(replace(nonzero, expected="e1"))[0] == "DISCREPANCY"
+    grading = replace(value, kind="check", target="grading", where=(), expected="holds")
+    assert row(grading) == ("PASS", "grading: claimed holds, computed holds")
+    # an odd component in the even product e1*e1 breaks the grading
+    F = doc.field
+    e4 = tuple(F.one if name == "e4" else F.zero for name in doc.basis.names)
+    table = ((e4,) + doc.table[0][1:],) + doc.table[1:]
+    assert row(grading, replace(doc, table=table)) == ("FAIL", "grading: claimed holds, computed fails")
+    with pytest.raises(corpus.CorpusError, match="needs a map variant"):
+        evaluate_claim(doc, replace(grading, variant="base", target="weak-endo"))
+    with pytest.raises(corpus.CorpusError, match="unknown checker 'no-such'"):
+        evaluate_claim(doc, replace(grading, target="no-such"))
 
 
 def test_suite_has_no_failures():

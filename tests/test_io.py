@@ -1,5 +1,6 @@
 import random
 import string
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from homsuper.io import (
     parse_expression,
     parse_report,
     parse_vector_expr,
+    render_vector,
     serialize_algebra_document,
     serialize_report,
 )
@@ -72,6 +74,52 @@ def test_vector_expressions():
     assert all(QAB.is_zero(v) for v in parse_vector_expr("0", QAB, basis))
 
 
+# one product cell, VALUE on line 8 from col 7
+ONE_CELL = "[algebra]\nname = t\nfield = Q\neven = u\nodd = w\n\n[product]\nu*u = VALUE\n"
+
+
+@pytest.mark.parametrize("value, msg, col", [
+    ("u^2", "cannot raise a vector to a power", 8),
+    ("u*u", "cannot multiply two vectors", 8),
+    ("1/u", "cannot divide by a vector", 8),
+    ("u + 1", "cannot add a scalar and a vector", 9),
+    ("u/0", "division by zero", 8),
+    ("2", "expected a vector-valued expression", 7),
+])
+def test_each_operator_refuses_where_it_is_written(value, msg, col):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(ONE_CELL.replace("VALUE", value))
+    assert (exc.value.msg, exc.value.line, exc.value.col) == (msg, 8, col)
+
+
+@pytest.mark.parametrize("field, value, canonical", [
+    ("Q", "u/2", "1/2*u"),
+    ("Q", "-u", "-u"),
+    ("Q", "u*2", "2*u"),
+    ("Q", "2*u", "2*u"),
+    ("Q\nparams = a", "u*a", "a*u"),
+    ("Q\nparams = a", "u/a", "1/a*u"),
+])
+def test_each_operator_gives_the_vector_of_its_canonical_form(field, value, canonical):
+    text = ONE_CELL.replace("VALUE", value).replace("field = Q", f"field = {field}")
+    doc = parse_algebra_file(text)
+    F, cell = doc.field, doc.table[0][0]
+    assert all(F.eq(x, y) for x, y in zip(cell, parse_vector_expr(canonical, F, doc.basis)))
+    assert render_vector(F, doc.basis, cell) == canonical
+
+
+@pytest.mark.parametrize("text, msg, at", [
+    (ONE_CELL + "[map b]\nu = u\n[map b]\n", "duplicate map 'b'", (11, 1)),
+    (ONE_CELL.replace("name = t", "name = t\nname = s"), "duplicate key 'name'", (3, 1)),
+    (ONE_CELL.replace("field = Q", "field = GF(x)"), "bad field 'GF(x)'", (3, 1)),
+    (ONE_CELL.replace("odd = w", "odd = w\ntwist = beta"), "twist map 'beta' is not defined", (6, 1)),
+])
+def test_document_refusals_point_at_their_line(text, msg, at):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file(text.replace("VALUE", "u"))
+    assert (exc.value.msg, (exc.value.line, exc.value.col)) == (msg, at)
+
+
 MINIMAL = """
 # tiny definition
 [algebra]
@@ -89,6 +137,31 @@ w*w = a*u
 u = u
 w = a*w
 """
+
+
+def test_changing_any_one_field_makes_documents_unequal():
+    text = MINIMAL.replace("odd = w", "odd = w\ntwist = alpha\nnonzero = a\nzero = a - a\nsuggest = a=2")
+    doc = parse_algebra_file(text + "\n[map beta]\nu = 2*u\n\n[claims]\nc = alpha ; check ; hom-lie ; holds\n")
+    F, alpha = doc.field, doc.maps["alpha"]
+    two_u = (F.from_int(2), F.zero)
+    changes = [
+        ("name", "tiny2"),
+        ("field", field_for(FieldSpec("Q", None, ("a", "b")))),
+        ("even", ("v",)),
+        ("odd", ("v",)),
+        ("twist", "beta"),
+        ("claims", ()),
+        ("nonzero", ()),
+        ("zero", ("a",)),
+        ("suggest", {"a": Fraction(3)}),
+        ("maps", {"alpha": alpha}),
+        ("table", ((two_u, doc.table[0][1]), doc.table[1])),
+        ("maps", {**doc.maps, "alpha": EvenLinearMap(F, [alpha.cols[0], two_u])}),
+    ]
+    assert replace(doc) == doc
+    for name, value in changes:
+        changed = replace(doc, **{name: value})
+        assert changed != doc and doc != changed, name
 
 
 def test_parse_minimal_document():
