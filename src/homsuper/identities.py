@@ -495,7 +495,8 @@ def checker_names() -> Tuple[str, ...]:
 
 def _report(name: str, spec, H: HomSuperAlgebra, cap: int) -> IdentityReport:
     """`spec` (a checker or an identity) on the basis tuples in lexicographic
-    order: the first `cap` counterexamples, stopping at the next."""
+    order: the first `cap` counterexamples, stopping at the cap-th, since
+    no later tuple can change the report."""
     ctx, res_fn = spec.make(H)
     dim, bad, holds = ctx.dim, [], True
     for idx in itertools.product(range(dim), repeat=spec.arity):
@@ -506,7 +507,7 @@ def _report(name: str, spec, H: HomSuperAlgebra, cap: int) -> IdentityReport:
                 # entries are shared through the basis, keyed by value,
                 # with one zero Scalar per field
                 bad.append(ctx.basis.counterexample(ctx.F, idx, r))
-            else:
+            if len(bad) >= cap:
                 break
     return IdentityReport(name, holds, ctx.basis.counterexamples(bad), dim**spec.arity)
 

@@ -10,9 +10,8 @@ arithmetic underneath is common).  Differences that matter:
     applications and brackets are expanded with plain index loops over
     those items and the nonzero cells of the tables;
   * values live for one verdict only, in the evaluator's word memo: every
-    four-letter residual (hom-malcev, -2 and -3, hom-jordan, teichmuller,
-    cyclic-assoc, the bk-suite, the jordan expansion, and malcev- and
-    jordan-admissible on the minus and plus evaluators) reads the twists,
+    residual but the pair ones (supercommutative, superskew), on the
+    evaluator and on its minus and plus evaluators, reads the twists,
     products and associators of basis words from it (`_Raw.word`), and the
     jordan expansion keeps its cyclic summands and brackets there too
     (`_Raw.kept`); the tuples of one `oracle_verdict` call share the memo,
@@ -45,17 +44,15 @@ class _Raw:
         A = H.algebra
         self.F = A.field
         self.n = A.dim
-        self.p = list(A.basis.parities)
-        self.names = list(A.basis.names)
-        self.c = [[list(A.table[i][j]) for j in range(A.dim)] for i in range(A.dim)]
-        self.m = [list(col) for col in H.alpha.cols]  # m[j][i]: e_j -> sum_i m[j][i] e_i
+        self.p = A.basis.parities
+        self.names = A.basis.names
+        # the stored tables are tuples, read and never changed here
+        self.c = A.table
+        self.m = H.alpha.cols  # m[j][i]: e_j -> sum_i m[j][i] e_i
         isz = self.F.is_zero
         self.cnz = [
-            [
-                [(k, ck) for k, ck in enumerate(self.c[i][j]) if not isz(ck)]
-                for j in range(self.n)
-            ]
-            for i in range(self.n)
+            [[(k, ck) for k, ck in enumerate(cell) if not isz(ck)] for cell in row]
+            for row in A.table
         ]
         self._index()
 
@@ -135,8 +132,10 @@ class _Raw:
         plus evaluators keep their own.  It grows to O(dim^4) entries: a
         `jordan-expansion` verdict that holds leaves 666 (words, summands
         and brackets; about 140 KB, with its plus evaluator's) at
-        dimension 3 and 8,892 (2.2 MB) on b42/alpha at dimension 6.  No CLI
-        command imports this module."""
+        dimension 3 and 8,892 (2.2 MB) on b42/alpha at dimension 6.  A
+        three-letter verdict keeps O(dim^3): on b42/alpha, `alternative`
+        leaves 264 (67 KB), and `j-eq-6as` 744 (220 KB) with its minus
+        evaluator's.  No CLI command imports this module."""
         v = self.words.get(key)
         if v is None:
             if key.__class__ is int:
@@ -262,53 +261,40 @@ def _pair_residual(raw: _Raw, i, j, want_commutative: bool):
 
 def _cyclic(raw: _Raw, i, j, k):
     """S(e_i, e_j, e_k): the sum of as(e_i, e_j, e_k) and its two signed
-    cyclic permutations."""
-    p, b = raw.p, raw.basis
-    s = raw.assoc(b(i), b(j), b(k))
-    s = raw.addv(s, raw.sgnv(p[i] * (p[j] + p[k]), raw.assoc(b(j), b(k), b(i))))
-    return raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), raw.assoc(b(k), b(i), b(j))))
+    cyclic permutations, read from the word memo."""
+    p, w = raw.p, raw.word
+    s = raw.addv(w((i, j, k)), raw.sgnv(p[i] * (p[j] + p[k]), w((j, k, i))))
+    return raw.addv(s, raw.sgnv(p[k] * (p[i] + p[j]), w((k, i, j))))
 
 
 def _residual(name: str, raw: _Raw, idx) -> Sequence:
-    F, p = raw.F, raw.p
-    b = raw.basis
+    p, w = raw.p, raw.word
     if name in ("supercommutative", "superskew"):
         i, j = idx
         return dict(_pair_residual(raw, i, j, name == "supercommutative"))
     if name == "multiplicative":
         i, j = idx
-        return raw.subv(raw.app(dict(raw.cnz[i][j])), raw.mul(raw.app(b(i)), raw.app(b(j))))
+        return raw.subv(w(((i, j),)), raw.mul(w((i,)), w((j,))))
     if name in ("left-alt", "right-alt", "alternative"):
         i, j, k = idx
-        left = raw.addv(
-            raw.assoc(b(i), b(j), b(k)),
-            raw.sgnv(p[i] * p[j], raw.assoc(b(j), b(i), b(k))),
-        )
+        left = raw.addv(w((i, j, k)), raw.sgnv(p[i] * p[j], w((j, i, k))))
         if name == "left-alt":
             return left
-        right = raw.addv(
-            raw.assoc(b(i), b(j), b(k)),
-            raw.sgnv(p[j] * p[k], raw.assoc(b(i), b(k), b(j))),
-        )
+        right = raw.addv(w((i, j, k)), raw.sgnv(p[j] * p[k], w((i, k, j))))
         if name == "right-alt":
             return right
         return left if not raw.iszero(left) else right
     if name == "flexible":
         i, j, k = idx
-        return raw.addv(
-            raw.assoc(b(i), b(j), b(k)),
-            raw.sgnv(
-                p[i] * p[j] + p[i] * p[k] + p[j] * p[k],
-                raw.assoc(b(k), b(j), b(i)),
-            ),
-        )
+        exp = p[i] * p[j] + p[i] * p[k] + p[j] * p[k]
+        return raw.addv(w((i, j, k)), raw.sgnv(exp, w((k, j, i))))
     if name == "hom-lie":
         i, j, k = idx
         return raw.jac(i, j, k, p[j], p[k])
     if name == "hom-malcev":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        w, jac = raw.word, raw.jac
+        jac = raw.jac
         lhs = raw.smul(2, raw.mul(w(((l,),)), jac(i, j, k, py, pz)))
         rhs = jac((l,), (i,), (j, k), px, (py + pz) % 2)
         rhs = raw.addv(rhs, raw.sgnv(px * (py + pz), jac((l,), (j,), (k, i), py, (pz + px) % 2)))
@@ -317,7 +303,7 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     if name == "hom-malcev-2":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        w, jac = raw.word, raw.jac
+        jac = raw.jac
         lhs = jac((i,), (j,), (l, k), py, (pt + pz) % 2)
         lhs = raw.addv(
             lhs,
@@ -332,7 +318,6 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     if name == "hom-malcev-3":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        w = raw.word
         lhs = raw.addv(
             raw.sgnv(px * py + pt * (px + py), w((((l, j), (i, k)),))),
             w((((i, j), (l, k)),)),
@@ -351,7 +336,6 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     if name == "hom-jordan":
         i, j, k, l = idx
         px, py, pz, pt = p[i], p[j], p[k], p[l]
-        w = raw.word
         out = raw.sgnv(pt * (px + pz), w(((i, j), (k,), (l,))))
         out = raw.addv(out, raw.sgnv(px * (py + pz), w(((j, l), (k,), (i,)))))
         return raw.addv(out, raw.sgnv(py * (pt + pz), w(((l, i), (k,), (j,)))))
@@ -364,7 +348,6 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
     if name == "teichmuller":
         l, i, j, k = idx
         pt, px, py, pz = p[l], p[i], p[j], p[k]
-        w = raw.word
         lhs = raw.subv(
             w(((l, i), (j,), (k,))),
             raw.sgnv(pt * (px + py + pz), w(((i, j), (k,), (l,)))),
@@ -376,15 +359,10 @@ def _residual(name: str, raw: _Raw, idx) -> Sequence:
         return _bk_residual(name, raw, idx)
     if name == "j-eq-6as":
         i, j, k = idx
-        minus = raw.minus()
-        return raw.subv(
-            minus.jac(i, j, k, p[j], p[k]),
-            raw.smul(6, raw.assoc(b(i), b(j), b(k))),
-        )
+        return raw.subv(raw.minus().jac(i, j, k, p[j], p[k]), raw.smul(6, w((i, j, k))))
     if name == "j-eq-2s":
         i, j, k = idx
-        minus = raw.minus()
-        return raw.subv(minus.jac(i, j, k, p[j], p[k]), raw.smul(2, _cyclic(raw, i, j, k)))
+        return raw.subv(raw.minus().jac(i, j, k, p[j], p[k]), raw.smul(2, _cyclic(raw, i, j, k)))
     if name == "jordan-expansion":
         return _jordan_expansion_residual(raw, idx)
     raise KeyError(name)

@@ -52,7 +52,7 @@ def _verdict_word(holds: bool) -> str:
 def _evaluate_check(inst: corpus.BuiltInstance, claim: ClaimSpec) -> str:
     if claim.target in PSEUDO_CHECKS:
         if claim.target == "grading":
-            return _verdict_word(validate(inst.base).holds)
+            return _verdict_word(validate(inst.hom.algebra).holds)
         beta = inst.map_used
         if beta is None:
             raise corpus.CorpusError(

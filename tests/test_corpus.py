@@ -114,6 +114,20 @@ def test_every_branch_of_a_claim_row():
         evaluate_claim(doc, replace(grading, target="no-such"))
 
 
+def test_grading_reads_the_variants_own_product():
+    # alpha2 sends odd e4 to even e2, so the twisted e3*e4 = -d*e2 puts an
+    # even value in an odd cell: the stated table is graded, the variant's
+    # product is not
+    doc = corpus.load_document("m3-3-1")
+    even = next(c for c in doc.claims if c.key == "alpha2-even")
+    r = evaluate_claim(doc, replace(even, target="grading"))
+    assert (r.status, r.computed) == ("DISCREPANCY", "fails")
+    r = evaluate_claim(doc, replace(even, target="grading", fragile=False))
+    assert (r.status, r.computed) == ("FAIL", "fails")
+    inst = corpus.build_from_document(doc, "alpha2", {}, entry_id=doc.name)
+    assert validate(inst.base).holds and not validate(inst.hom.algebra).holds
+
+
 def test_suite_has_no_failures():
     rows = run_suite()
     assert all(r.status in ("PASS", "DISCREPANCY") for r in rows)

@@ -29,6 +29,7 @@ from homsuper.identities import (
     run_checker,
 )
 from homsuper.oracle import oracle_verdict
+from homsuper.report import IdentityReport
 from homsuper.superalg import EvenLinearMap, HomSuperAlgebra, hom
 
 REGISTRY = (
@@ -264,6 +265,46 @@ def test_report_integrity(corpus_instances):
     # counterexamples arrive in lexicographic tuple order
     order = [tuple(H.algebra.basis.index(n) for n in names) for names, _ in rep.counterexamples]
     assert order == sorted(order)
+
+
+def _counted_residual(monkeypatch, name, H):
+    """The slots of every call `run_checker(name, ...)` makes to the
+    compiled residual from now on, in order."""
+    spec = _IDENTITIES[name]
+    spec.make(H)  # compile first, so the counter wraps the compiled residual
+    residual, calls = spec.residual, []
+
+    def counted(ctx, idx):
+        calls.append(idx)
+        return residual(ctx, idx)
+
+    monkeypatch.setattr(spec, "residual", counted)
+    return calls
+
+
+def test_a_run_stops_at_the_cap_th_counterexample(corpus_instances, monkeypatch):
+    H = corpus_instances[("b42", "alpha-untwisted")].hom
+    calls = _counted_residual(monkeypatch, "bk-suite", H)
+    rep = run_checker("bk-suite", H)
+    assert len(calls) == 28 and len(rep.counterexamples) == 16
+    assert rep.tuples_checked == 1296
+    assert calls[-1] == tuple(map(H.algebra.basis.index, rep.tuples()[-1]))
+    # on a random table, the report of each cap is the first `cap` failures
+    # of the full lex-order scan, and no tuple after the cap-th is evaluated
+    rng = random.Random(33)
+    A = random_graded_algebra(rng, 3, 2)
+    H = hom(A, random_even_map(rng, A))
+    calls = _counted_residual(monkeypatch, "bk-suite", H)
+    ctx, residual = _IDENTITIES["bk-suite"].make(H)
+    every = list(_tuples(ctx, 4))
+    failing = [(i, idx, r) for i, idx in enumerate(every) if (r := residual(ctx, idx))]
+    assert len(failing) > 16
+    for cap in (1, 2, 16):
+        calls.clear()
+        rep = run_checker("bk-suite", H, max_counterexamples=cap)
+        entries = tuple(ctx.basis.counterexample(ctx.F, idx, r) for _, idx, r in failing[:cap])
+        assert rep == IdentityReport("bk-suite", False, entries, 81), cap
+        assert calls == every[: failing[cap - 1][0] + 1], cap
 
 
 def test_admissible_checkers_match_derived_algebras(corpus_instances):

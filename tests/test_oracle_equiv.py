@@ -348,6 +348,56 @@ def test_four_letter_residuals_match_the_plain_expansion():
     assert all(seen.values()), [key for key, hit in seen.items() if not hit]
 
 
+def _plain_few_letter(name, raw, idx):
+    """The two- and three-letter residuals of `_residual` written term by
+    term on vectors, every product, twist and associator made afresh
+    through `raw.mul`, `raw.app` and `raw.assoc`."""
+    p, b = raw.p, raw.basis
+    add = lambda u, exp, v: raw.addv(u, raw.sgnv(exp, v))
+    if name == "multiplicative":
+        i, j = idx
+        return raw.subv(raw.app(raw.mul(b(i), b(j))), raw.mul(raw.app(b(i)), raw.app(b(j))))
+    i, j, k = idx
+    as_ = lambda x, y, z: raw.assoc(b(x), b(y), b(z))
+    if name in ("left-alt", "right-alt", "alternative"):
+        left = add(as_(i, j, k), p[i] * p[j], as_(j, i, k))
+        right = add(as_(i, j, k), p[j] * p[k], as_(i, k, j))
+        return {"left-alt": left, "right-alt": right}.get(name, left or right)
+    if name == "flexible":
+        return add(as_(i, j, k), p[i] * p[j] + p[i] * p[k] + p[j] * p[k], as_(k, j, i))
+    # J of the super-commutator on vectors: as(x, y, z) - (-1)^(py pz) (xz) alpha(y)
+    minus = raw.minus()
+    jac = raw.subv(minus.assoc(b(i), b(j), b(k)),
+                   raw.sgnv(p[j] * p[k], minus.mul(minus.mul(b(i), b(k)), minus.app(b(j)))))
+    if name == "j-eq-6as":
+        return raw.subv(jac, raw.smul(6, as_(i, j, k)))
+    assert name == "j-eq-2s", name
+    s = add(add(as_(i, j, k), p[i] * (p[j] + p[k]), as_(j, k, i)), p[k] * (p[i] + p[j]), as_(k, i, j))
+    return raw.subv(jac, raw.smul(2, s))
+
+
+FEW_LETTER = ("left-alt", "right-alt", "alternative", "flexible", "j-eq-6as", "j-eq-2s", "multiplicative")
+
+
+def test_few_letter_residuals_match_the_plain_expansion():
+    # each residual on every tuple in lex order as `oracle_verdict` walks
+    # them, all reading one word memo on the evaluator and one on its minus
+    # evaluator (the j-eq residuals' Jacobian); each must equal its plain
+    # expansion payload for payload, and be nonzero somewhere
+    seen = dict.fromkeys(FEW_LETTER, False)
+    for label, H in _shared_term_tables():
+        F, raw = H.field, oracle._Raw(H)
+        memo, minus_memo = raw.words, raw.minus().words
+        for name in FEW_LETTER:
+            for idx in itertools.product(range(raw.n), repeat=oracle._ARITY[name]):
+                want = _plain_few_letter(name, raw, idx)
+                got = oracle._residual(name, raw, idx)
+                assert _payloads(F, got) == _payloads(F, want), (label, name, idx)
+                seen[name] = seen[name] or bool(want)
+        assert raw.words is memo and raw.minus().words is minus_memo and memo and minus_memo, label
+    assert all(seen.values()), [name for name, hit in seen.items() if not hit]
+
+
 def test_word_memo_is_freed_with_its_verdict(monkeypatch):
     # the memo lives on its evaluator and holds nothing that points back,
     # so reference counting alone frees the evaluator, its minus and plus
@@ -366,7 +416,9 @@ def test_word_memo_is_freed_with_its_verdict(monkeypatch):
     try:
         for name, evaluators in (("jordan-expansion", 2), ("bk-suite", 1), ("j-eq-6as", 2),
                                  ("malcev-admissible", 2), ("jordan-admissible", 2),
-                                 ("teichmuller", 1), ("cyclic-assoc", 1)):
+                                 ("teichmuller", 1), ("cyclic-assoc", 1), ("left-alt", 1),
+                                 ("alternative", 1), ("flexible", 1), ("j-eq-2s", 2),
+                                 ("multiplicative", 1)):
             made.clear()
             oracle_verdict(name, H)
             assert len(made) == evaluators, name
